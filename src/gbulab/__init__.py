@@ -2,15 +2,16 @@
 of the diffusive Hamilton-Jacobi equation u_t - Lap(u) = |grad u|^p, p > 2.
 
 Layers: closed-form profile mathematics (profile_math), grids and stencils
-(grid), initial data families (initial_data), the explicit adaptive solver
-(solver), runtime monitors (diagnostics), exponent extraction (profile_fit)
-and the command-line front end (cli).
+(grid, over the numpy kernels of _kernels), initial data families
+(initial_data), the adaptive solver (solver), runtime monitors
+(diagnostics), exponent extraction (profile_fit) and the command-line front
+end (cli).
 """
 
 from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
                      GbulabError, NumericError, SingularityError)
 from .grid import Grid2D, ScalarField, gradient, laplacian, read_snapshot, \
-    sample, write_csv, write_snapshot
+    sample, write_snapshot
 from .initial_data import BumpParams, concentrated_bump, symmetric_cap
 from .profile_math import (BarrierParams, JParams, ManufacturedParams,
                            ProfileConstants, barrier_eval, barrier_params,
@@ -27,7 +28,7 @@ __all__ = [
     "ConfigurationError", "DomainError", "DtUnderflow", "FitError",
     "GbulabError", "NumericError", "SingularityError",
     "Grid2D", "ScalarField", "gradient", "laplacian", "read_snapshot",
-    "sample", "write_csv", "write_snapshot",
+    "sample", "write_snapshot",
     "BumpParams", "concentrated_bump", "symmetric_cap",
     "BarrierParams", "JParams", "ManufacturedParams", "ProfileConstants",
     "barrier_eval", "barrier_params", "calibrate_barrier_c0",

@@ -1,227 +1,127 @@
-"""Hot stencil kernels for the explicit integrator, and the numpy stencils
-of graded grids.
+"""The finite-difference stencils of the lab, in numpy.
 
-The uniform-grid kernels are numba-compiled when available; a numpy fallback
-keeps the package importable without a working compiler (set
-GBULAB_NO_NUMBA=1 to force it).  The graded-grid kernels take the per-axis
-weights of `grid.Axis`.  Kernels are deliberately serial so repeated runs are
-bit-reproducible.
+Each stencil is written once, along axis 0 of an array, for an axis given
+either by its constant spacing h (a float) or by the three-point weights of a
+graded `grid.Axis`; derivatives along x run on the transposed view.  The 2D
+entry points take the grid and pick the axis themselves: constant-spacing
+formulas on a uniform grid, non-uniform weights on a graded one.  Kernels are
+serial, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-__all__ = ["rhs_interior", "grad_norm_max", "rhs_interior_1d", "grad_max_1d",
-           "along_x", "along_y", "lap_graded", "gradient_graded",
-           "grad_norm_max_graded", "rhs_graded"]
+__all__ = ["d1", "d2", "one_sided", "derivative", "gradient",
+           "grad_norm_max", "laplacian", "u_xx", "uy_wall", "rhs_interior",
+           "rhs_interior_1d", "grad_max_1d"]
 
 
-def along_x(u, w, out=None):
-    """Interior columns of the (left, centre, right) weight triple w along x."""
-    out = np.multiply(w[0], u[:, :-2], out=out)
-    out += w[1] * u[:, 1:-1]
-    out += w[2] * u[:, 2:]
+def _weighted(w, a, b, c, out=None):
+    """w[0] a + w[1] b + w[2] c, summed left to right (into out if given)."""
+    out = np.multiply(w[0], a, out=out)
+    out += w[1] * b
+    out += w[2] * c
     return out
 
 
-def along_y(u, w, out=None):
-    """Interior rows of the weight triple w (columns) along y."""
-    out = np.multiply(w[0], u[:-2], out=out)
-    out += w[1] * u[1:-1]
-    out += w[2] * u[2:]
+def d1(u, h, out=None):
+    """First derivative along axis 0 at the interior nodes u[1:-1]."""
+    if isinstance(h, float):
+        diff = u[2:] - u[:-2]
+        return np.divide(diff, 2.0 * h, out=diff if out is None else out)
+    return _weighted(h.d1, u[:-2], u[1:-1], u[2:], out)
+
+
+def d2(u, h):
+    """Second derivative along axis 0 at the interior nodes u[1:-1]."""
+    if isinstance(h, float):
+        return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+    return _weighted(h.d2, u[:-2], u[1:-1], u[2:])
+
+
+def one_sided(u, h):
+    """Second-order one-sided first derivatives along axis 0 at u[0] and at
+    u[-1], each from the three nodes nearest its end."""
+    if isinstance(h, float):
+        return ((-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h),
+                (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h))
+    return (_weighted(h.lo, u[0], u[1], u[2]),
+            _weighted(h.hi, u[-3], u[-2], u[-1]))
+
+
+def derivative(u, h):
+    """First derivative along axis 0 at every node: central inside,
+    one-sided at both ends."""
+    out = np.empty_like(u)
+    d1(u, h, out=out[1:-1])
+    out[0], out[-1] = one_sided(u, h)
     return out
 
 
-def lap_graded(u, ax, ay):
-    """Laplacian at the interior nodes, shape (ny - 2, nx - 2)."""
-    out = along_x(u[1:-1], ax.d2)
-    out += along_y(u[:, 1:-1], ay.d2)
-    return out
+def _axes(g):
+    """(x, y) axes of grid g: spacings if it is uniform, else weights."""
+    return (g.hx, g.hy) if g.uniform else (g.ax, g.ay)
 
 
-def gradient_graded(u, ax, ay):
-    """(u_x, u_y) at every node: central three-point weights inside,
-    one-sided three-point weights on the edges."""
-    fx = np.empty_like(u)
-    fy = np.empty_like(u)
-    along_x(u, ax.d1, out=fx[:, 1:-1])
-    fx[:, 0] = ax.lo[0] * u[:, 0] + ax.lo[1] * u[:, 1] + ax.lo[2] * u[:, 2]
-    fx[:, -1] = ax.hi[0] * u[:, -3] + ax.hi[1] * u[:, -2] + ax.hi[2] * u[:, -1]
-    along_y(u, ay.d1, out=fy[1:-1])
-    fy[0] = ay.lo[0] * u[0] + ay.lo[1] * u[1] + ay.lo[2] * u[2]
-    fy[-1] = ay.hi[0] * u[-3] + ay.hi[1] * u[-2] + ay.hi[2] * u[-1]
-    return fx, fy
+def gradient(u, g):
+    """(u_x, u_y) at every node of grid g."""
+    hx, hy = _axes(g)
+    return derivative(u.T, hx).T, derivative(u, hy)
 
 
-def grad_norm_max_graded(u, ax, ay):
-    fx, fy = gradient_graded(u, ax, ay)
+def grad_norm_max(u, g):
+    """Largest |grad u| over every node of grid g."""
+    fx, fy = gradient(u, g)
     return float(np.sqrt(np.max(fx * fx + fy * fy)))
 
 
-def rhs_graded(u, ax, ay, p, out):
+def laplacian(u, g):
+    """Lap(u) at the interior nodes, shape (ny - 2, nx - 2)."""
+    hx, hy = _axes(g)
+    out = d2(u[1:-1].T, hx).T
+    out += d2(u[:, 1:-1], hy)
+    return out
+
+
+def u_xx(u, g):
+    """u_xx at the interior columns, shape (ny, nx - 2)."""
+    return d2(u.T, _axes(g)[0]).T
+
+
+def uy_wall(u, g):
+    """u_y on the wall y = 0, one value per column."""
+    return one_sided(u, _axes(g)[1])[0]
+
+
+def rhs_interior(u, g, p, out):
     """Write Lap(u) + |grad u|^p into the interior of out; return the
-    interior (u_x, u_y, |grad u|^2) for the Jacobian."""
-    ux = along_x(u[1:-1], ax.d1)
-    uy = along_y(u[:, 1:-1], ay.d1)
+    interior (u_x, u_y, |grad u|^2).
+
+    u may also be the half-domain window of a uniform grid.  For p = 3 a
+    graded grid takes g2 * sqrt(g2), while a uniform grid keeps the power,
+    so that uniform runs keep their arithmetic bit for bit.
+    """
+    hx, hy = _axes(g)
+    lap = laplacian(u, g)  # first: its temporaries are freed before the rest
+    ux = d1(u[1:-1].T, hx).T
+    uy = d1(u[:, 1:-1], hy)
     g2 = ux * ux + uy * uy
-    src = g2 * np.sqrt(g2) if p == 3.0 else g2 ** (p / 2.0)
-    src += lap_graded(u, ax, ay)
-    out[1:-1, 1:-1] = src
+    src = out[1:-1, 1:-1]
+    if p == 3.0 and not g.uniform:
+        np.multiply(g2, np.sqrt(g2), out=src)
+    else:
+        np.power(g2, p / 2.0, out=src)
+    src += lap
     return ux, uy, g2
 
 
-def _np_rhs_interior(u, hx, hy, ph, out):
-    c = u[1:-1, 1:-1]
-    lap = (u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]) / hx**2 \
-        + (u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]) / hy**2
-    gx = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * hx)
-    gy = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * hy)
-    out[1:-1, 1:-1] = lap + (gx * gx + gy * gy) ** ph
+def rhs_interior_1d(u, hy, p, out):
+    """Write u_yy + |u_y|^p into the interior of the 1D array out."""
+    uy = d1(u, hy)
+    out[1:-1] = d2(u, hy) + (uy * uy) ** (p / 2.0)
 
 
-def _np_grad_norm_max(u, hx, hy):
-    fx = np.empty_like(u)
-    fy = np.empty_like(u)
-    fx[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hx)
-    fx[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * hx)
-    fx[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * hx)
-    fy[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * hy)
-    fy[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * hy)
-    fy[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * hy)
-    return float(np.sqrt(np.max(fx * fx + fy * fy)))
-
-
-def _np_rhs_interior_1d(u, hy, ph, out):
-    lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / hy**2
-    gy = (u[2:] - u[:-2]) / (2.0 * hy)
-    out[1:-1] = lap + (gy * gy) ** ph
-
-
-def _np_grad_max_1d(u, hy):
-    gy = np.empty_like(u)
-    gy[1:-1] = (u[2:] - u[:-2]) / (2.0 * hy)
-    gy[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * hy)
-    gy[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * hy)
-    return float(np.max(np.abs(gy)))
-
-
-_USE_NUMBA = os.environ.get("GBULAB_NO_NUMBA", "") != "1"
-
-if _USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-if _USE_NUMBA:
-
-    @numba.njit(cache=True, fastmath=True)
-    def _rhs_p3(u, hx, hy, out):
-        ny, nx = u.shape
-        cx = 1.0 / (hx * hx)
-        cy = 1.0 / (hy * hy)
-        ax = 0.5 / hx
-        ay = 0.5 / hy
-        for j in range(1, ny - 1):
-            for i in range(1, nx - 1):
-                lap = (u[j, i + 1] - 2.0 * u[j, i] + u[j, i - 1]) * cx \
-                    + (u[j + 1, i] - 2.0 * u[j, i] + u[j - 1, i]) * cy
-                gx = (u[j, i + 1] - u[j, i - 1]) * ax
-                gy = (u[j + 1, i] - u[j - 1, i]) * ay
-                g2 = gx * gx + gy * gy
-                out[j, i] = lap + g2 * math.sqrt(g2)
-
-    @numba.njit(cache=True, fastmath=True)
-    def _rhs_pow(u, hx, hy, ph, out):
-        ny, nx = u.shape
-        cx = 1.0 / (hx * hx)
-        cy = 1.0 / (hy * hy)
-        ax = 0.5 / hx
-        ay = 0.5 / hy
-        for j in range(1, ny - 1):
-            for i in range(1, nx - 1):
-                lap = (u[j, i + 1] - 2.0 * u[j, i] + u[j, i - 1]) * cx \
-                    + (u[j + 1, i] - 2.0 * u[j, i] + u[j - 1, i]) * cy
-                gx = (u[j, i + 1] - u[j, i - 1]) * ax
-                gy = (u[j + 1, i] - u[j - 1, i]) * ay
-                g2 = gx * gx + gy * gy
-                out[j, i] = lap + g2**ph
-
-    @numba.njit(cache=True)
-    def rhs_interior(u, hx, hy, ph, out):  # noqa: F811
-        # ph = p/2; the cubic case p = 3 dominates and avoids the slow pow
-        if ph == 1.5:
-            _rhs_p3(u, hx, hy, out)
-        else:
-            _rhs_pow(u, hx, hy, ph, out)
-
-    @numba.njit(cache=True)
-    def grad_norm_max(u, hx, hy):  # noqa: F811
-        ny, nx = u.shape
-        ax = 0.5 / hx
-        ay = 0.5 / hy
-        m = 0.0
-        for j in range(ny):
-            for i in range(nx):
-                if i == 0:
-                    gx = (-3.0 * u[j, 0] + 4.0 * u[j, 1] - u[j, 2]) * ax
-                elif i == nx - 1:
-                    gx = (3.0 * u[j, nx - 1] - 4.0 * u[j, nx - 2] + u[j, nx - 3]) * ax
-                else:
-                    gx = (u[j, i + 1] - u[j, i - 1]) * ax
-                if j == 0:
-                    gy = (-3.0 * u[0, i] + 4.0 * u[1, i] - u[2, i]) * ay
-                elif j == ny - 1:
-                    gy = (3.0 * u[ny - 1, i] - 4.0 * u[ny - 2, i] + u[ny - 3, i]) * ay
-                else:
-                    gy = (u[j + 1, i] - u[j - 1, i]) * ay
-                g2 = gx * gx + gy * gy
-                if g2 > m:
-                    m = g2
-        return math.sqrt(m)
-
-    @numba.njit(cache=True)
-    def rhs_interior_1d(u, hy, ph, out):  # noqa: F811
-        n = u.shape[0]
-        cy = 1.0 / (hy * hy)
-        ay = 0.5 / hy
-        mode = 0
-        if ph == 1.5:
-            mode = 1
-        elif ph == 1.25:
-            mode = 2
-        for j in range(1, n - 1):
-            lap = (u[j + 1] - 2.0 * u[j] + u[j - 1]) * cy
-            gy = (u[j + 1] - u[j - 1]) * ay
-            g2 = gy * gy
-            if mode == 1:
-                src = g2 * math.sqrt(g2)
-            elif mode == 2:
-                src = g2 * math.sqrt(math.sqrt(g2))
-            else:
-                src = g2**ph
-            out[j] = lap + src
-
-    @numba.njit(cache=True)
-    def grad_max_1d(u, hy):  # noqa: F811
-        n = u.shape[0]
-        ay = 0.5 / hy
-        m = abs(-3.0 * u[0] + 4.0 * u[1] - u[2]) * ay
-        m2 = abs(3.0 * u[n - 1] - 4.0 * u[n - 2] + u[n - 3]) * ay
-        if m2 > m:
-            m = m2
-        for j in range(1, n - 1):
-            g = abs(u[j + 1] - u[j - 1]) * ay
-            if g > m:
-                m = g
-        return m
-
-else:  # pragma: no cover - exercised only without numba
-    rhs_interior = _np_rhs_interior
-    grad_norm_max = _np_grad_norm_max
-    rhs_interior_1d = _np_rhs_interior_1d
-    grad_max_1d = _np_grad_max_1d
+def grad_max_1d(u, hy):
+    """Largest |u_y| over every node of a 1D array."""
+    return float(np.max(np.abs(derivative(u, hy))))

@@ -55,8 +55,9 @@ class RunConfig:
     fits: dict = field(default_factory=dict)
 
     _FAMILIES = ("bump", "cap", "sine_1d")
-    _SOLVER_KEYS = ("cfl_safety", "dt_floor", "stop_grad_norm", "t_max",
-                    "snapshot_stride", "symmetry_mode")
+    _SOLVER_TYPES = {"cfl_safety": float, "dt_floor": float,
+                     "stop_grad_norm": float, "t_max": float,
+                     "snapshot_stride": int, "symmetry_mode": str}
     _DIAG_KEYS = ("probe_box", "q", "threshold")
     _FIT_KEYS = ("level_frac", "extent")
     _GRADED_KEYS = ("y_first", "y_ratio", "y_max", "x_first", "x_ratio",
@@ -83,7 +84,7 @@ class RunConfig:
         cfg.initial_data = _subdict(
             d, "initial_data",
             ("family", "C_amp", "epsilon", "amplitude", "width"))
-        cfg.solver = _subdict(d, "solver", cls._SOLVER_KEYS)
+        cfg.solver = _subdict(d, "solver", tuple(cls._SOLVER_TYPES))
         cfg.diagnostics = _subdict(d, "diagnostics", cls._DIAG_KEYS)
         cfg.fits = _subdict(d, "fits", cls._FIT_KEYS)
         cfg.validate()
@@ -130,7 +131,18 @@ class RunConfig:
         return any(k in self.grid for k in self._GRADED_KEYS)
 
     def make_solver_config(self) -> solver.SolverConfig:
-        kw = {k: v for k, v in self.solver.items() if v is not None}
+        """The solver settings, each converted to its type (YAML reads
+        1.0e5, without a sign in the exponent, as a string)."""
+        kw = {}
+        for k, v in self.solver.items():
+            if v is None:
+                continue
+            kind = self._SOLVER_TYPES[k]
+            try:
+                kw[k] = kind(v)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"solver.{k}: expected {kind.__name__}, got {v!r}")
         return solver.SolverConfig(p=self.p, **kw)
 
     def make_initial(self, g: Grid2D):
@@ -207,16 +219,21 @@ def _load_run(run_dir):
     return meta, snaps
 
 
+def _series_1d(cfg: RunConfig, run_dir):
+    """The series a 1D run's fits read back from series.csv; None in 2D."""
+    if not cfg.is_1d:
+        return None
+    return solver.load_series(os.path.join(run_dir, "series.csv"))
+
+
 def compute_fits(meta, snaps, cfg: RunConfig, series=None) -> dict:
-    """All profile fits on the final snapshot (+ time-rate fit on the series).
+    """The fits of a run: the time rate of its series for a 1D run, the
+    profiles of its final snapshot for a 2D one.
 
     Individual fit failures are recorded as error strings, keeping the output
     deterministic for replay comparison.
     """
     pc = profile_constants(cfg.p)
-    extent = float(cfg.fits.get("extent", 0.1))
-    level_frac = float(cfg.fits.get("level_frac", 0.5))
-    _, last = snaps[-1]
     out = {"p": cfg.p, "reason": meta["outcome"]["reason"]}
 
     def attempt(name, fn):
@@ -225,6 +242,18 @@ def compute_fits(meta, snaps, cfg: RunConfig, series=None) -> dict:
         except (FitError, ConfigurationError) as exc:
             out[name] = {"error": str(exc)}
 
+    if cfg.is_1d:
+        def timerate():
+            fitv, T_hat = profile_fit.fit_time_rate(series, pc)
+            _, _, r2, _ = profile_fit.time_rate_linear(series, pc)
+            return {"fit": fitv, "T_hat": T_hat, "linear_r_squared": r2}
+
+        attempt("time_rate", timerate)
+        return out
+
+    extent = float(cfg.fits.get("extent", 0.1))
+    level_frac = float(cfg.fits.get("level_frac", 0.5))
+    _, last = snaps[-1]
     # the near-wall windows start at the layer's resolution crossover only
     # in a run that built a layer, i.e. blew up (profile_fit.wall_floor)
     blew_up = meta["outcome"]["reason"] == solver.BLOW_UP
@@ -247,14 +276,18 @@ def compute_fits(meta, snaps, cfg: RunConfig, series=None) -> dict:
         return {"level": level, "fit": fitv}
 
     attempt("level_set", levelset)
-
-    if series is not None:
-        def timerate():
-            fitv, T_hat = profile_fit.fit_time_rate(series, pc)
-            _, _, r2, _ = profile_fit.time_rate_linear(series, pc)
-            return {"fit": fitv, "T_hat": T_hat, "linear_r_squared": r2}
-        attempt("time_rate", timerate)
     return out
+
+
+def _write_fits(run_dir, meta, snaps, cfg: RunConfig, series=None):
+    """Write fits.json into a run directory, and for a 2D run its profile
+    CSVs and report."""
+    fits = compute_fits(meta, snaps, cfg, series)
+    with open(os.path.join(run_dir, "fits.json"), "w") as fh:
+        fh.write(profile_fit.fits_to_json(fits))
+    if not cfg.is_1d:
+        _emit_profile_csvs(snaps, cfg, run_dir)
+        _run_diagnostics(snaps, cfg, run_dir)
 
 
 def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir):
@@ -287,18 +320,12 @@ def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir):
                     fh.write(f"{float(xv)!r},{float(yv)!r}\n")
 
 
-def _run_diagnostics(meta, snaps, cfg: RunConfig, run_dir, fits):
+def _run_diagnostics(snaps, cfg: RunConfig, run_dir):
     pc = profile_constants(cfg.p)
     q = cfg.diagnostics.get("q")
     box = cfg.diagnostics.get("probe_box")
     box = tuple(box) if box else None
-    T_hat = None
-    tr = fits.get("time_rate")
-    if isinstance(tr, dict) and "T_hat" in tr:
-        T_hat = tr["T_hat"]
-    report = diag.build_report(snaps, pc, q=q, box=box, T_hat=T_hat)
-    diag.write_report(report, run_dir)
-    return report
+    diag.write_report(diag.build_report(snaps, pc, q=q, box=box), run_dir)
 
 
 # --------------------------------------------------------------------------
@@ -308,45 +335,37 @@ def _run_diagnostics(meta, snaps, cfg: RunConfig, run_dir, fits):
 
 def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(preset_path(config_path))  # validates before any mkdir
-    if cfg.is_1d:
-        return _run_1d(cfg, out_dir)
     g = cfg.make_grid()
     u0 = cfg.make_initial(g)
     scfg = cfg.make_solver_config()
     os.makedirs(out_dir, exist_ok=True)
     try:
-        outcome = solver.run(u0, scfg, run_dir=out_dir,
-                             config_echo=cfg.to_dict())
+        if cfg.is_1d:
+            outcome = solver.run_1d(u0, g.Ly, scfg)
+            meta = _persist_1d(outcome, cfg, g, out_dir)
+        else:
+            outcome = solver.run(u0, scfg, run_dir=out_dir,
+                                 config_echo=cfg.to_dict())
     except NumericError as exc:
         dump = os.path.join(out_dir, "crash.json")
         with open(dump, "w") as fh:
             json.dump({"error": str(exc)}, fh, indent=2)
         print(f"numeric failure: {exc}\nstate dump: {dump}", file=sys.stderr)
         return EXIT_NUMERIC
-    meta, snaps = _load_run(out_dir)
-    fits = compute_fits(meta, snaps, cfg)
-    with open(os.path.join(out_dir, "fits.json"), "w") as fh:
-        fh.write(profile_fit.fits_to_json(fits))
-    _emit_profile_csvs(snaps, cfg, out_dir)
-    _run_diagnostics(meta, snaps, cfg, out_dir, fits)
+    series = outcome.series
+    if cfg.is_1d:  # the fit reads the series in memory, equal to series.csv
+        _write_fits(out_dir, meta, [], cfg, series)
+    else:
+        _write_fits(out_dir, *_load_run(out_dir), cfg)
     print(f"{out_dir}: {outcome.reason} at t={outcome.t_stop:.6g} "
-          f"({outcome.final.step} steps, grad_max={outcome.final.grad_max:.4g})")
+          f"({len(series['t']) - 1} steps, "
+          f"grad_max={series['grad_max'][-1]:.4g})")
     return EXIT_OK
 
 
-def _run_1d(cfg: RunConfig, out_dir) -> int:
-    g = cfg.make_grid()
-    u0 = cfg.make_initial(g)
-    scfg = cfg.make_solver_config()
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        outcome = solver.run_1d(u0, g.Ly, scfg)
-    except NumericError as exc:
-        dump = os.path.join(out_dir, "crash.json")
-        with open(dump, "w") as fh:
-            json.dump({"error": str(exc)}, fh, indent=2)
-        print(f"numeric failure: {exc}\nstate dump: {dump}", file=sys.stderr)
-        return EXIT_NUMERIC
+def _persist_1d(outcome, cfg: RunConfig, g: Grid2D, out_dir):
+    """Write series.csv and meta.json of a 1D run, which keeps no
+    snapshots; return the meta."""
     solver.write_series(outcome.series, os.path.join(out_dir, "series.csv"))
     meta = {"config": cfg.to_dict(),
             "grid": {"Ly": g.Ly, "ny": g.ny},
@@ -355,19 +374,7 @@ def _run_1d(cfg: RunConfig, out_dir) -> int:
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    pc = profile_constants(cfg.p)
-    fits = {"p": cfg.p, "reason": outcome.reason}
-    try:
-        fitv, T_hat = profile_fit.fit_time_rate(outcome.series, pc)
-        _, _, r2, _ = profile_fit.time_rate_linear(outcome.series, pc)
-        fits["time_rate"] = {"fit": fitv, "T_hat": T_hat,
-                             "linear_r_squared": r2}
-    except FitError as exc:
-        fits["time_rate"] = {"error": str(exc)}
-    with open(os.path.join(out_dir, "fits.json"), "w") as fh:
-        fh.write(profile_fit.fits_to_json(fits))
-    print(f"{out_dir}: {outcome.reason} at t={outcome.t_stop:.6g}")
-    return EXIT_OK
+    return meta
 
 
 def cmd_mms(config_path) -> int:
@@ -420,14 +427,8 @@ def cmd_mms(config_path) -> int:
 def cmd_fit(run_dir) -> int:
     meta, snaps = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
-    series = solver.load_series(os.path.join(run_dir, "series.csv"))
-    fits = compute_fits(meta, snaps, cfg, series=None)
-    with open(os.path.join(run_dir, "fits.json"), "w") as fh:
-        fh.write(profile_fit.fits_to_json(fits))
-    _emit_profile_csvs(snaps, cfg, run_dir)
-    _run_diagnostics(meta, snaps, cfg, run_dir, fits)
-    print(f"{run_dir}: fits and report rewritten "
-          f"(series: {len(series['t'])} rows)")
+    _write_fits(run_dir, meta, snaps, cfg, _series_1d(cfg, run_dir))
+    print(f"{run_dir}: fits rewritten ({len(snaps)} snapshots)")
     return EXIT_OK
 
 
@@ -438,7 +439,7 @@ def cmd_check(run_dir) -> int:
         print(f"corrupt run directory: {exc}", file=sys.stderr)
         return EXIT_SNAPSHOT
     cfg = RunConfig.from_dict(meta["config"])
-    fits = compute_fits(meta, snaps, cfg)
+    fits = compute_fits(meta, snaps, cfg, _series_1d(cfg, run_dir))
     blob = profile_fit.fits_to_json(fits).encode()
     fits_path = os.path.join(run_dir, "fits.json")
     if os.path.exists(fits_path):
@@ -539,9 +540,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("GBULAB_THREADS")
-    if threads:
-        os.environ.setdefault("NUMBA_NUM_THREADS", threads)
     args = _build_parser().parse_args(argv)
     try:
         if args.cmd == "run":

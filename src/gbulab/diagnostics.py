@@ -98,10 +98,7 @@ def monitor_bounds(snapshot: ScalarField, t: float, prev: ScalarField = None,
     out.append(_env("uy_lower", -fy.values[mask], X[mask], Y[mask], t))
 
     uxx = np.zeros_like(u)
-    if g.uniform:
-        uxx[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / g.hx**2
-    else:
-        _kernels.along_x(u, g.ax.d2, out=uxx[:, 1:-1])
+    uxx[:, 1:-1] = _kernels.u_xx(u, g)
     inner = mask.copy()
     inner[:, 0] = inner[:, -1] = False
     out.append(_env("uxx_lower", -uxx[inner], X[inner], Y[inner], t))
@@ -213,9 +210,8 @@ def boundary_normal_series(snapshots):
     for t, f in snapshots:
         if xs is None:
             xs = f.grid.x
-        _, fy = gradient(f)
         ts.append(t)
-        rows.append(fy.values[0, :].copy())  # a view would keep all of fy
+        rows.append(_kernels.uy_wall(f.values, f.grid))
     return np.asarray(ts), xs, np.asarray(rows)
 
 

@@ -6,9 +6,9 @@ nx is forced odd so the symmetry line x = 0 is a node.
 
 A grid is uniform unless it carries coordinate arrays.  A graded grid
 (`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and toward
-x = 0, and every stencil on it uses the three-point non-uniform formulas
-(`Axis`).  On a uniform grid the stencils keep their constant-spacing
-arithmetic.
+x = 0, and every stencil on it uses the three-point non-uniform weights of
+`Axis`.  On a uniform grid the stencils keep their constant-spacing
+arithmetic.  The stencils themselves live in `_kernels`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "laplacian",
     "gradient",
     "sample",
-    "write_csv",
     "write_snapshot",
     "read_snapshot",
     "SNAPSHOT_MAGIC",
@@ -48,21 +47,20 @@ class Axis:
     `d1` and `d2` hold the (left, centre, right) weights of the first and
     second derivative at the interior nodes z[1:-1]; `lo` and `hi` hold the
     one-sided first-derivative weights at z[0] (on z[0], z[1], z[2]) and at
-    z[-1] (on z[-3], z[-2], z[-1]).  All are exact on quadratics.  With
-    `column` set the interior weights are (n - 2, 1) columns, so they
-    broadcast along the y axis of a (ny, nx) field.
+    z[-1] (on z[-3], z[-2], z[-1]).  All are exact on quadratics.  The
+    interior weights are (n - 2, 1) columns, so they broadcast along axis 0
+    of a field: y of a (ny, nx) field, x of its transpose.
     """
 
-    def __init__(self, z, column=False):
+    def __init__(self, z):
         z = np.asarray(z, dtype=float)
         hm = z[1:-1] - z[:-2]
         hp = z[2:] - z[1:-1]
         s = hm + hp
         d1 = (-hp / (hm * s), (hp - hm) / (hm * hp), hm / (hp * s))
         d2 = (2.0 / (hm * s), -2.0 / (hm * hp), 2.0 / (hp * s))
-        shape = (-1, 1) if column else (-1,)
-        self.d1 = tuple(w.reshape(shape) for w in d1)
-        self.d2 = tuple(w.reshape(shape) for w in d2)
+        self.d1 = tuple(w.reshape(-1, 1) for w in d1)
+        self.d2 = tuple(w.reshape(-1, 1) for w in d2)
         a, b = z[1] - z[0], z[2] - z[1]
         self.lo = (-(2.0 * a + b) / (a * (a + b)), (a + b) / (a * b),
                    -a / (b * (a + b)))
@@ -201,8 +199,8 @@ class Grid2D:
 
     @cached_property
     def ay(self) -> Axis:
-        """Stencil weights along y (graded grids), as columns."""
-        return Axis(self.y, column=True)
+        """Stencil weights along y (graded grids)."""
+        return Axis(self.y)
 
     def meshgrid(self):
         """(X, Y) of shape (ny, nx), as read-only broadcast views of x and y
@@ -241,37 +239,17 @@ def laplacian(f: ScalarField) -> ScalarField:
     """5-point Laplacian on interior nodes; boundary nodes are set to zero
     (never read under Dirichlet stepping)."""
     _check_finite(f, "laplacian")
-    g = f.grid
-    u = f.values
-    out = np.zeros_like(u)
-    if g.uniform:
-        out[1:-1, 1:-1] = (
-            (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / g.hx**2
-            + (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / g.hy**2
-        )
-    else:
-        out[1:-1, 1:-1] = _kernels.lap_graded(u, g.ax, g.ay)
-    return ScalarField(g, out)
+    out = np.zeros_like(f.values)
+    out[1:-1, 1:-1] = _kernels.laplacian(f.values, f.grid)
+    return ScalarField(f.grid, out)
 
 
 def gradient(f: ScalarField):
     """(f_x, f_y) with central differences inside and second-order one-sided
     3-point differences on the boundary (including u_y at y = 0)."""
     _check_finite(f, "gradient")
-    g = f.grid
-    u = f.values
-    if not g.uniform:
-        fx, fy = _kernels.gradient_graded(u, g.ax, g.ay)
-        return ScalarField(g, fx), ScalarField(g, fy)
-    fx = np.empty_like(u)
-    fy = np.empty_like(u)
-    fx[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * g.hx)
-    fx[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * g.hx)
-    fx[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * g.hx)
-    fy[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * g.hy)
-    fy[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * g.hy)
-    fy[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * g.hy)
-    return ScalarField(g, fx), ScalarField(g, fy)
+    fx, fy = _kernels.gradient(f.values, f.grid)
+    return ScalarField(f.grid, fx), ScalarField(f.grid, fy)
 
 
 def _cell(z, q):
@@ -307,16 +285,6 @@ def sample(f: ScalarField, x: float, y: float) -> float:
 # --------------------------------------------------------------------------
 # Serialization
 # --------------------------------------------------------------------------
-
-
-def write_csv(f: ScalarField, path):
-    """Row-major CSV with header x,y,value."""
-    g = f.grid
-    X, Y = g.meshgrid()
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for xv, yv, vv in zip(X.ravel(), Y.ravel(), f.values.ravel()):
-            fh.write(f"{float(xv)!r},{float(yv)!r},{float(vv)!r}\n")
 
 
 def write_snapshot(f: ScalarField, path, time: float):

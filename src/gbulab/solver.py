@@ -18,8 +18,9 @@ state and the last step's dt and grad_max, which series.csv records, so a
 resumed run repeats the one-shot run.  The graded step supports homogeneous
 Dirichlet data on the full domain only.
 
-A run is a single logical writer advancing the state; independent runs share
-nothing and may execute concurrently.
+Every derivative comes from the numpy stencils of `_kernels`.  A run is a
+single logical writer advancing the state; it owns its stage buffers, so
+independent runs share nothing and may execute concurrently.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,7 +62,7 @@ class SolverConfig:
     p: float
     cfl_safety: float = 0.4
     dt_floor: float = 1e-13
-    stop_grad_norm: Optional[float] = None  # None -> 50 / min(h)^beta
+    stop_grad_norm: Optional[float] = None  # None -> default_stop_grad_norm
     t_max: float = 1.0
     snapshot_stride: int = 0  # steps between periodic snapshots; 0 disables
     forcing: Optional[Callable] = None  # forcing(X, Y, t) -> (ny, nx) array
@@ -88,6 +89,7 @@ class SimulationState:
     uy_origin: float
     dt_last: float
     grad_prev: Optional[float] = None  # grad_max one step earlier
+    stages: Optional[tuple] = None  # the run's Heun buffers (k1, k2, u1)
 
 
 @dataclass
@@ -113,30 +115,27 @@ class RunOutcome:
     final: SimulationState
 
 
-def default_stop_grad_norm(g: Grid2D, p: float) -> float:
-    """Resolution-bound stop: beyond this the grid cannot represent the layer."""
-    beta = 1.0 / (p - 1.0)
-    return 50.0 / min(g.hx, g.hy) ** beta
+def default_stop_grad_norm(h: float, p: float) -> float:
+    """Resolution-bound stop for the smallest spacing h: beyond this the grid
+    cannot represent the layer."""
+    return 50.0 / h ** (1.0 / (p - 1.0))
+
+
+def _with_stop(cfg: SolverConfig, h: float) -> SolverConfig:
+    """cfg, with a missing stop_grad_norm set to the default for spacing h."""
+    if cfg.stop_grad_norm is not None:
+        return cfg
+    return replace(cfg, stop_grad_norm=default_stop_grad_norm(h, cfg.p))
 
 
 def _uy_origin(u: np.ndarray, g: Grid2D) -> float:
-    i = g.ix0
-    if not g.uniform:
-        w = g.ay.lo
-        return w[0] * u[0, i] + w[1] * u[1, i] + w[2] * u[2, i]
-    return (-3.0 * u[0, i] + 4.0 * u[1, i] - u[2, i]) / (2.0 * g.hy)
-
-
-def _grad_max(u: np.ndarray, g: Grid2D) -> float:
-    if g.uniform:
-        return _kernels.grad_norm_max(u, g.hx, g.hy)
-    return _kernels.grad_norm_max_graded(u, g.ax, g.ay)
+    return float(_kernels.uy_wall(u, g)[g.ix0])
 
 
 def make_state(u0: ScalarField) -> SimulationState:
     g = u0.grid
     u = u0.values
-    gmax = _grad_max(u, g)
+    gmax = _kernels.grad_norm_max(u, g)
     return SimulationState(field=u0, t=0.0, step=0, grad_max=gmax,
                            uy_origin=_uy_origin(u, g), dt_last=0.0)
 
@@ -161,57 +160,44 @@ def _apply_bc(u: np.ndarray, g: Grid2D, cfg: SolverConfig, t: float):
         u[:, -1] = cfg.boundary(0.0 * y + g.Lx, y, t)
 
 
-_SCRATCH: dict = {}  # per-process stage buffers, keyed by array shape
+def _reset_half(w: np.ndarray, t: float):
+    """Boundary values of a half-domain window w, whose columns are
+    [ghost | x=0 .. x=Lx]: zero on the walls, the ghost mirrors x=hx."""
+    w[0, :] = 0.0
+    w[-1, :] = 0.0
+    w[:, -1] = 0.0
+    w[:, 0] = w[:, 2]
 
 
-def _scratch(shape, n=3):
-    bufs = _SCRATCH.get(shape)
-    if bufs is None or len(bufs) < n:
-        bufs = tuple(np.zeros(shape) for _ in range(n))
-        _SCRATCH[shape] = bufs
-    return bufs[:n]
+def _stages(state: SimulationState, shape) -> tuple:
+    """The run's Heun buffers (k1, k2, u1), made on its first step."""
+    if state.stages is None or state.stages[0].shape != shape:
+        return tuple(np.zeros(shape) for _ in range(3))
+    return state.stages
 
 
-def _heun_full(u, g, cfg, t, dt, XY, k1, k2, u1):
-    ph = cfg.p / 2.0
-    _kernels.rhs_interior(u, g.hx, g.hy, ph, k1)
+def _rhs(u, g, cfg, t, out):
+    """Write the right-hand side at time t, forcing included, into out."""
+    _kernels.rhs_interior(u, g, cfg.p, out)
     if cfg.forcing is not None:
-        k1[1:-1, 1:-1] += cfg.forcing(XY[0], XY[1], t)[1:-1, 1:-1]
+        out[1:-1, 1:-1] += cfg.forcing(*g.meshgrid(), t)[1:-1, 1:-1]
+
+
+def _heun(u, g, cfg, t, dt, stages, reset) -> np.ndarray:
+    """One Heun step from u; reset(v, t) sets the boundary (and ghost)
+    values of a stage v at time t."""
+    k1, k2, u1 = stages
+    _rhs(u, g, cfg, t, k1)
     np.multiply(k1, dt, out=u1)
     u1 += u
-    _apply_bc(u1, g, cfg, t + dt)
-    _kernels.rhs_interior(u1, g.hx, g.hy, ph, k2)
-    if cfg.forcing is not None:
-        k2[1:-1, 1:-1] += cfg.forcing(XY[0], XY[1], t + dt)[1:-1, 1:-1]
+    reset(u1, t + dt)
+    _rhs(u1, g, cfg, t + dt, k2)
     np.add(k1, k2, out=k1)
     un = np.empty_like(u)
     np.multiply(k1, 0.5 * dt, out=un)
     un += u
-    _apply_bc(un, g, cfg, t + dt)
+    reset(un, t + dt)
     return un
-
-
-def _heun_half(w, g, cfg, t, dt, k1, k2, w1):
-    # w holds columns [ghost | x=0 .. x=Lx]; the ghost mirrors column x=hx.
-    ph = cfg.p / 2.0
-    w[:, 0] = w[:, 2]
-    _kernels.rhs_interior(w, g.hx, g.hy, ph, k1)
-    np.multiply(k1, dt, out=w1)
-    w1 += w
-    w1[0, :] = 0.0
-    w1[-1, :] = 0.0
-    w1[:, -1] = 0.0
-    w1[:, 0] = w1[:, 2]
-    _kernels.rhs_interior(w1, g.hx, g.hy, ph, k2)
-    np.add(k1, k2, out=k1)
-    wn = np.empty_like(w)
-    np.multiply(k1, 0.5 * dt, out=wn)
-    wn += w
-    wn[0, :] = 0.0
-    wn[-1, :] = 0.0
-    wn[:, -1] = 0.0
-    wn[:, 0] = wn[:, 2]
-    return wn
 
 
 # target relative change of u and grad_max per graded step: halving it from
@@ -267,13 +253,12 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     g = state.field.grid
     u = state.field.values
     F = np.zeros_like(u)
-    ux, uy, g2 = _kernels.rhs_graded(u, g.ax, g.ay, cfg.p, F)
+    ux, uy, g2 = _kernels.rhs_interior(u, g, cfg.p, F)
     # advection speeds of the linearized source: p |grad u|^(p-2) grad u
     a = cfg.p * (np.sqrt(g2) if cfg.p == 3.0 else g2 ** (cfg.p / 2.0 - 1.0))
     sx = np.ascontiguousarray((a * ux).T)
     sy = a * uy
     # x lines first, on transposed copies so both sweeps run along axis 0
-    col = [tuple(w[:, None] for w in ws) for ws in (g.ax.d1, g.ax.d2)]
     Fi = np.ascontiguousarray(F[1:-1, 1:-1].T)
     umax = float(np.max(np.abs(u)))
     dt = _dt_graded(state, cfg, u, F)
@@ -281,12 +266,12 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
         if dt < cfg.dt_floor:
             raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
                               f"at t={state.t:.6g}, step {state.step}")
-        v = _line_solve(dt * Fi, sx, *col, dt)
+        v = _line_solve(dt * Fi, sx, g.ax.d1, g.ax.d2, dt)
         delta = _line_solve(np.ascontiguousarray(v.T), sy, g.ay.d1, g.ay.d2,
                             dt)
         un = u.copy()
         un[1:-1, 1:-1] += delta
-        gmax = _grad_max(un, g)
+        gmax = _kernels.grad_norm_max(un, g)
         # retry shorter if u or grad_max changed by over twice the target
         change = max(float(np.max(np.abs(delta))) / umax if umax else 0.0,
                      abs(gmax / state.grad_max - 1.0) if state.grad_max
@@ -296,7 +281,7 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
         dt *= _REL_CHANGE / change
 
 
-def _advanced(state, g, un, dt, gmax) -> SimulationState:
+def _advanced(state, g, un, dt, gmax, stages=None) -> SimulationState:
     if not np.isfinite(gmax):
         bad = np.argwhere(~np.isfinite(un))
         where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"
@@ -304,7 +289,7 @@ def _advanced(state, g, un, dt, gmax) -> SimulationState:
     return SimulationState(field=ScalarField(g, un), t=state.t + dt,
                            step=state.step + 1, grad_max=gmax,
                            uy_origin=_uy_origin(un, g), dt_last=dt,
-                           grad_prev=state.grad_max)
+                           grad_prev=state.grad_max, stages=stages)
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
@@ -322,14 +307,17 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
         i0 = g.ix0
         w = np.empty((g.ny, g.nx - i0 + 1))
         w[:, 1:] = u[:, i0:]
-        wn = _heun_half(w, g, cfg, state.t, dt, *_scratch(w.shape))
+        w[:, 0] = w[:, 2]
+        stages = _stages(state, w.shape)
+        wn = _heun(w, g, cfg, state.t, dt, stages, _reset_half)
         un = np.empty_like(u)
         un[:, i0:] = wn[:, 1:]
         un[:, :i0] = wn[:, 2:i0 + 2][:, ::-1]
     else:
-        XY = g.meshgrid() if cfg.forcing is not None else None
-        un = _heun_full(u, g, cfg, state.t, dt, XY, *_scratch(u.shape))
-    return _advanced(state, g, un, dt, _kernels.grad_norm_max(un, g.hx, g.hy))
+        stages = _stages(state, u.shape)
+        un = _heun(u, g, cfg, state.t, dt, stages,
+                   lambda v, t: _apply_bc(v, g, cfg, t))
+    return _advanced(state, g, un, dt, _kernels.grad_norm_max(un, g), stages)
 
 
 class _Series:
@@ -400,9 +388,7 @@ def run(u0: ScalarField, cfg: SolverConfig, run_dir=None, config_echo=None,
     With run_dir set, persists series.csv, snapshots/NNNN.bin and meta.json.
     """
     g = u0.grid
-    if cfg.stop_grad_norm is None:
-        cfg = SolverConfig(**{**cfg.__dict__,
-                              "stop_grad_norm": default_stop_grad_norm(g, cfg.p)})
+    cfg = _with_stop(cfg, min(g.hx, g.hy))
     state = _initial if _initial is not None else make_state(u0.copy())
     series = _series if _series is not None else _Series()
     snaps = _snapwriter if _snapwriter is not None else \
@@ -473,7 +459,6 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
             for s in snaps_meta]
     last = refs[-1]
     fld, t_snap = read_snapshot(last.path)
-    g = fld.grid
     st = make_state(fld)
     st.t, st.step = t_snap, last.step
 
@@ -489,9 +474,6 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
         series.append(old["t"][i], old["grad_max"][i],
                       old["uy_origin"][i], old["dt"][i])
 
-    if cfg.stop_grad_norm is None:
-        cfg = SolverConfig(**{**cfg.__dict__,
-                              "stop_grad_norm": default_stop_grad_norm(g, cfg.p)})
     snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride, st.grad_max)
     snaps.refs = refs[:]
     snaps.next_thresh = 2.0 * st.grad_max
@@ -523,16 +505,13 @@ def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig,
     u = np.asarray(u0, dtype=float).copy()
     n = u.shape[0]
     hy = Ly / (n - 1)
-    ph = cfg.p / 2.0
     lo, hi = u[0], u[-1]
-    stop = cfg.stop_grad_norm
-    if stop is None:
-        stop = 50.0 / hy ** (1.0 / (cfg.p - 1.0))
+    cfg = _with_stop(cfg, hy)
     y = np.linspace(0.0, Ly, n)
 
     series = _Series()
     gmax = _kernels.grad_max_1d(u, hy)
-    uy0 = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * hy)
+    uy0 = _kernels.one_sided(u, hy)[0]
     series.append(0.0, gmax, uy0, 0.0)
     snapshots = [(0.0, u.copy())]
     next_thresh = 2.0 * max(gmax, 1e-30)
@@ -543,7 +522,7 @@ def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig,
     k2 = np.zeros_like(u)
     reason = HORIZON
     while True:
-        if gmax >= stop:
+        if gmax >= cfg.stop_grad_norm:
             reason = BLOW_UP
             break
         if t >= cfg.t_max:
@@ -554,12 +533,12 @@ def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig,
         if dt < cfg.dt_floor:
             reason = UNDERFLOW
             break
-        _kernels.rhs_interior_1d(u, hy, ph, k1)
+        _kernels.rhs_interior_1d(u, hy, cfg.p, k1)
         if forcing is not None:
             k1[1:-1] += forcing(y, t)[1:-1]
         u1 = u + dt * k1
         u1[0], u1[-1] = lo, hi
-        _kernels.rhs_interior_1d(u1, hy, ph, k2)
+        _kernels.rhs_interior_1d(u1, hy, cfg.p, k2)
         if forcing is not None:
             k2[1:-1] += forcing(y, t + dt)[1:-1]
         u = u + (0.5 * dt) * (k1 + k2)
@@ -569,7 +548,7 @@ def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig,
         gmax = _kernels.grad_max_1d(u, hy)
         if not np.isfinite(gmax):
             raise NumericError(f"non-finite 1D update at step {nstep}")
-        uy0 = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * hy)
+        uy0 = _kernels.one_sided(u, hy)[0]
         series.append(t, gmax, uy0, dt)
         if gmax >= next_thresh:
             while gmax >= next_thresh:

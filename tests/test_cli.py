@@ -68,6 +68,15 @@ def test_invalid_yaml_exit_code(tmp_path):
     assert not (tmp_path / "r").exists()  # validated before mkdir
 
 
+@pytest.mark.parametrize("value, code", [("2.0e2", cli.EXIT_OK),
+                                         ("abc", cli.EXIT_CONFIG)])
+def test_solver_values_from_yaml_are_converted(tmp_path, value, code):
+    """YAML reads 2.0e2 (no sign in the exponent) as a string: it is
+    converted to a float, and a value that is no number exits 2."""
+    path = write_config(tmp_path, solver={"stop_grad_norm": value})
+    assert cli.main(["run", path, "-o", str(tmp_path / "r")]) == code
+
+
 GRADED = {"y_first": 1e-5, "y_ratio": 1.3, "y_max": 0.004,
           "x_first": 2e-3, "x_ratio": 1.2, "x_max": 0.02}
 
@@ -213,6 +222,11 @@ def test_run_1d(tmp_path):
     assert fits["reason"] == "blow_up_detected"
     assert "fit" in fits["time_rate"]
     assert fits["time_rate"]["fit"]["exponent"] < 0
+    # fit and check read the 1D run directory (time rate from series.csv)
+    before = (out / "fits.json").read_bytes()
+    assert cli.main(["fit", str(out)]) == cli.EXIT_OK
+    assert (out / "fits.json").read_bytes() == before
+    assert cli.main(["check", str(out)]) == cli.EXIT_OK
 
 
 def test_sweep(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gbulab import (ConfigurationError, DomainError, Grid2D, NumericError,
                     ScalarField, gradient, laplacian, read_snapshot, sample,
-                    write_csv, write_snapshot)
+                    write_snapshot)
 from gbulab.grid import Axis
 
 
@@ -335,15 +335,3 @@ def test_graded_snapshot_roundtrip(tmp_path):
     (tmp_path / "payload.bin").write_bytes(raw[:-8])
     with pytest.raises(ConfigurationError, match="payload"):
         read_snapshot(tmp_path / "payload.bin")
-
-
-def test_write_csv(tmp_path):
-    g = Grid2D(Lx=0.5, Ly=0.25, nx=5, ny=5)
-    f = make_field(g, lambda X, Y: X + Y)
-    path = tmp_path / "field.csv"
-    write_csv(f, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "x,y,value"
-    assert len(rows) == 1 + 25
-    x, y, v = (float(tok) for tok in rows[1].split(","))
-    assert (x, y) == (-0.5, 0.0) and v == pytest.approx(-0.5)

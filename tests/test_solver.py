@@ -2,6 +2,9 @@
 manufactured-solution convergence, qualitative invariants (nonnegativity,
 sup-norm bound), the half-domain symmetry reduction and run persistence."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -188,6 +191,34 @@ def test_resume_is_deterministic(tmp_path):
     assert np.array_equal(out_b.final.field.values, out_a.final.field.values)
     assert out_b.final.t == out_a.final.t
     assert out_b.final.step == out_a.final.step
+
+
+def test_concurrent_runs_share_nothing():
+    """Three runs on grids of one shape, each in its own thread, end bit for
+    bit where they end when run alone: a run owns its stage buffers."""
+    g = Grid2D(Lx=0.25, Ly=0.06, nx=129, ny=129)
+    cfg = SolverConfig(p=3.0, t_max=2e-6, stop_grad_norm=1e9)
+    starts = [symmetric_cap(a, 0.18, g) for a in (0.3, 0.35, 0.4)]
+    alone = [solver.run(u0, cfg).final.field.values for u0 in starts]
+    together = [None] * len(starts)
+
+    def work(i):
+        together[i] = solver.run(starts[i], cfg).final.field.values
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for a, b in zip(alone, together):
+        assert np.array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
