@@ -13,10 +13,11 @@ from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
 from .grid import Grid2D, ScalarField, gradient, laplacian, read_snapshot, \
     sample, write_snapshot
 from .initial_data import BumpParams, concentrated_bump, symmetric_cap
-from .profile_math import (BarrierParams, JParams, ManufacturedParams,
-                           ProfileConstants, barrier_eval, barrier_params,
-                           calibrate_barrier_c0, final_profile_model, j_model,
-                           j_params, manufactured_params,
+from .profile_math import (BarrierParams, BoundManufactured, JParams,
+                           ManufacturedParams, ProfileConstants, barrier_eval,
+                           barrier_params, calibrate_barrier_c0,
+                           final_profile_model, j_model, j_params,
+                           manufactured_callbacks, manufactured_params,
                            manufactured_solution, profile_constants,
                            steady_state)
 from .solver import (RunOutcome, SimulationState, SolverConfig, make_state,
@@ -30,10 +31,11 @@ __all__ = [
     "Grid2D", "ScalarField", "gradient", "laplacian", "read_snapshot",
     "sample", "write_snapshot",
     "BumpParams", "concentrated_bump", "symmetric_cap",
-    "BarrierParams", "JParams", "ManufacturedParams", "ProfileConstants",
-    "barrier_eval", "barrier_params", "calibrate_barrier_c0",
-    "final_profile_model", "j_model", "j_params", "manufactured_params",
-    "manufactured_solution", "profile_constants", "steady_state",
+    "BarrierParams", "BoundManufactured", "JParams", "ManufacturedParams",
+    "ProfileConstants", "barrier_eval", "barrier_params",
+    "calibrate_barrier_c0", "final_profile_model", "j_model", "j_params",
+    "manufactured_callbacks", "manufactured_params", "manufactured_solution",
+    "profile_constants", "steady_state",
     "RunOutcome", "SimulationState", "SolverConfig", "make_state", "resume",
     "run", "run_1d", "step",
     "__version__",

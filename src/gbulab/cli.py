@@ -23,8 +23,9 @@ from . import initial_data, profile_fit, solver
 from .errors import (ConfigurationError, DtUnderflow, FitError, GbulabError,
                      NumericError)
 from .grid import Grid2D, ScalarField, read_snapshot
-from .profile_math import (calibrate_barrier_c0, manufactured_params,
-                           manufactured_solution, profile_constants)
+from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
+                           manufactured_params, manufactured_solution,
+                           profile_constants)
 
 __all__ = ["RunConfig", "load_config", "preset_path", "main",
            "cmd_run", "cmd_mms", "cmd_check", "cmd_barrier", "cmd_fit",
@@ -214,7 +215,9 @@ def _load_run(run_dir):
         raise ConfigurationError(f"cannot read {meta_path}: {exc}")
     snaps = []
     for ref in meta["outcome"]["snapshots"]:
-        f, t = read_snapshot(os.path.join(run_dir, ref["path"]))
+        # run directories written before snapshots carried a sha256 have none
+        f, t = read_snapshot(os.path.join(run_dir, ref["path"]),
+                             ref.get("sha256"))
         snaps.append((t, f))
     return meta, snaps
 
@@ -398,17 +401,15 @@ def cmd_mms(config_path) -> int:
     def exact(x, y, t):
         return manufactured_solution(mp, pc, x, y, t)[0]
 
-    def forcing(X, Y, t):
-        return manufactured_solution(mp, pc, X, Y, t)[5]
-
     errors = []
     for n in grids:
         g = Grid2D(Lx=Lx, Ly=Ly, nx=n, ny=n)
         X, Y = g.meshgrid()
         u0 = ScalarField(g, exact(X, Y, 0.0))
+        forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
         scfg = solver.SolverConfig(p=p, cfl_safety=cfl, t_max=t_end,
                                    stop_grad_norm=1e30, forcing=forcing,
-                                   boundary=exact)
+                                   boundary=boundary)
         outcome = solver.run(u0, scfg)
         uex = exact(X, Y, outcome.t_stop)
         err = float(np.max(np.abs(outcome.final.field.values - uex)))
@@ -449,8 +450,9 @@ def cmd_check(run_dir) -> int:
             print("check failed: recomputed fits.json differs from stored",
                   file=sys.stderr)
             return 1
+        hashed = sum("sha256" in r for r in meta["outcome"]["snapshots"])
         print(f"{run_dir}: fits.json replayed byte-identically "
-              f"({len(snaps)} snapshots intact)")
+              f"({len(snaps)} snapshots, {hashed} verified by sha256)")
     else:
         with open(fits_path, "wb") as fh:
             fh.write(blob)

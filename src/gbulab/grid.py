@@ -69,6 +69,18 @@ class Axis:
                    (2.0 * a + b) / (a * (a + b)))
 
 
+def _sha256(data=b""):
+    # imported on first use: hashlib loads OpenSSL, which adds about 3.5 MB
+    # to the resident size of a run that never writes or reads a snapshot
+    import hashlib
+    return hashlib.sha256(data)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _geometric_cells(length, first, ratio, largest):
     """Cell sizes covering [0, length]: first * ratio^k while below `largest`,
     then equal cells no larger than `largest` for the rest."""
@@ -124,9 +136,7 @@ class Grid2D:
             raise ConfigurationError(
                 "grid coordinates must run from -Lx through 0 to Lx and from "
                 "0 to Ly")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "coords", (x, y))
+        object.__setattr__(self, "coords", (_read_only(x), _read_only(y)))
 
     @classmethod
     def graded(cls, Lx, Ly, y_first, y_ratio, y_max, x_first, x_ratio,
@@ -180,16 +190,18 @@ class Grid2D:
             return self.Ly / (self.ny - 1)
         return float(np.min(np.diff(self.coords[1])))
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
+        """x node coordinates (read-only)."""
         if self.uniform:
-            return np.linspace(-self.Lx, self.Lx, self.nx)
+            return _read_only(np.linspace(-self.Lx, self.Lx, self.nx))
         return self.coords[0]
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
+        """y node coordinates (read-only)."""
         if self.uniform:
-            return np.linspace(0.0, self.Ly, self.ny)
+            return _read_only(np.linspace(0.0, self.Ly, self.ny))
         return self.coords[1]
 
     @cached_property
@@ -287,27 +299,36 @@ def sample(f: ScalarField, x: float, y: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def write_snapshot(f: ScalarField, path, time: float):
+def write_snapshot(f: ScalarField, path, time: float) -> str:
     """Raw little-endian binary snapshot: 32-byte header, then f64 values.
 
     A uniform grid writes magic GBU1 and the values alone.  A graded grid
     writes GBU2 and its x (nx) and y (ny) coordinates before the values.
+    Returns the sha256 hex digest of the bytes written.
     """
     g = f.grid
     magic = SNAPSHOT_MAGIC if g.uniform else SNAPSHOT_MAGIC_GRADED
-    header = _HEADER.pack(magic, g.nx, g.ny, g.Lx, g.Ly, time)
+    parts = [_HEADER.pack(magic, g.nx, g.ny, g.Lx, g.Ly, time)]
+    if not g.uniform:
+        parts += [np.ascontiguousarray(c, dtype="<f8").tobytes()
+                  for c in g.coords]
+    parts.append(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    digest = _sha256()
     with open(path, "wb") as fh:
-        fh.write(header)
-        if not g.uniform:
-            for c in g.coords:
-                fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        for part in parts:
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
-def read_snapshot(path):
-    """Inverse of write_snapshot; returns (ScalarField, time)."""
+def read_snapshot(path, sha256: Optional[str] = None):
+    """Inverse of write_snapshot; returns (ScalarField, time).  With sha256
+    set, a file whose digest differs raises ConfigurationError."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if sha256 is not None and _sha256(raw).hexdigest() != sha256:
+        raise ConfigurationError(f"snapshot {path}: sha256 differs from the "
+                                 f"one recorded when it was written")
     if len(raw) < _HEADER.size:
         raise ConfigurationError(f"snapshot {path}: truncated header")
     magic, nx, ny, Lx, Ly, time = _HEADER.unpack_from(raw)

@@ -4,6 +4,12 @@ the comparison barrier, manufactured solutions and the J auxiliary function.
 Everything here is evaluated analytically (hand-derived derivatives), so the
 residual and sign checks built on top of this module carry no discretization
 error.  All functions accept scalars or numpy arrays and are pure.
+
+For a solver run, `manufactured_callbacks` binds the manufactured solution to
+a grid's nodes once and returns the two callbacks `SolverConfig` takes, each
+called with the time alone: forcing(t), the interior forcing, and
+boundary(t), the four edges.  They compute the factors of x alone once per
+run and give the values of `manufactured_solution` bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ __all__ = [
     "calibrate_barrier_c0",
     "manufactured_params",
     "manufactured_solution",
+    "BoundManufactured",
+    "manufactured_callbacks",
     "j_params",
     "j_model",
 ]
@@ -274,6 +282,82 @@ def manufactured_params(pc: ProfileConstants, alpha: float, T: float) -> Manufac
     return ManufacturedParams(alpha=float(alpha), T=float(T), c_p=pc.c_p)
 
 
+def _x_factors(mp: ManufacturedParams, x):
+    """The factors that depend on x alone: (|x|^(2 alpha), s_x, s_xx)."""
+    al = mp.alpha
+    ax = np.abs(x)
+    return (ax ** (2.0 * al),
+            2.0 * al * np.sign(x) * _pow0(ax, 2.0 * al - 1.0),
+            2.0 * al * (2.0 * al - 1.0) * _pow0(ax, 2.0 * al - 2.0))
+
+
+def _t_factors(mp: ManufacturedParams, t):
+    """The factors that depend on t alone: ((T-t)^alpha, s_t)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t > mp.T):
+        raise DomainError("manufactured_solution requires t <= T")
+    return (_pow0(mp.T - t, mp.alpha),
+            -mp.alpha * _pow0(mp.T - t, mp.alpha - 1.0))
+
+
+def _s_of(x2a, tpow, y):
+    """s = |x|^(2 alpha) + (T-t)^alpha, refusing the corner s = y = 0."""
+    s = x2a + tpow
+    if np.any(s == 0) and np.any((s == 0) & (y == 0)):
+        raise SingularityError("manufactured_solution singular at (0, 0, T)")
+    return s
+
+
+def _u(pc: ProfileConstants, s, w):
+    return pc.c_p * (w ** (1.0 - pc.beta) - s ** (1.0 - pc.beta))
+
+
+def _derivatives(pc: ProfileConstants, s, w, s_x, s_xx, s_t, work):
+    """(u_x, u_y, u_t, laplacian, forcing) at w = s + y, written into the
+    first five of the seven arrays `work`, of w's shape; the last two are
+    scratch.
+
+    Each product keeps the order of the closed form.  Writing into `work`
+    rather than into fresh temporaries spares a caller that repeats the call
+    the page faults of allocating them anew: glibc hands a freed heap top of
+    over 128 KiB back to the system, and one 127^2 array is 126 KiB.
+    """
+    b = pc.beta
+    u_x, u_y, u_t, lap, forcing, tmp, tmp2 = work
+    # s = 0 only at the singular corner (excluded by _s_of); elsewhere the
+    # s^(-b)-weighted terms are finite because s_x and s_t vanish with s.
+    with np.errstate(divide="ignore"):
+        smb = _pow0(s, -b)
+        smb1 = _pow0(s, -b - 1.0)
+    np.power(w, -b, out=u_y)
+    np.power(w, -b - 1.0, out=lap)
+    np.subtract(u_y, smb, out=forcing)
+    forcing *= pc.d_p                       # d_p (w^-b - s^-b)
+    np.multiply(forcing, s_x, out=u_x)
+    np.multiply(forcing, s_t, out=u_t)
+    u_y *= pc.d_p
+    forcing *= s_xx
+    np.subtract(lap, smb1, out=tmp)
+    tmp *= pc.d_p * b
+    tmp *= s_x
+    tmp *= s_x
+    forcing -= tmp                          # u_xx
+    lap *= -pc.d_p * b                      # u_yy
+    np.add(forcing, lap, out=lap)
+    np.subtract(u_t, lap, out=forcing)
+    np.multiply(u_x, u_x, out=tmp)
+    np.multiply(u_y, u_y, out=tmp2)
+    tmp += tmp2
+    np.power(tmp, pc.p / 2.0, out=tmp)
+    forcing -= tmp
+    return u_x, u_y, u_t, lap, forcing
+
+
+def _work(shape) -> tuple:
+    """The arrays `_derivatives` writes into."""
+    return tuple(np.empty(shape) for _ in range(7))
+
+
 def manufactured_solution(mp: ManufacturedParams, pc: ProfileConstants, x, y, t):
     """Closed-form u with an isolated boundary gradient singularity at (0,0,T).
 
@@ -284,43 +368,82 @@ def manufactured_solution(mp: ManufacturedParams, pc: ProfileConstants, x, y, t)
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t > mp.T):
-        raise DomainError("manufactured_solution requires t <= T")
-    b = pc.beta
-    al = mp.alpha
-    ax = np.abs(x)
-    s = ax ** (2.0 * al) + _pow0(mp.T - t, al)
-    if np.any((s == 0) & (np.asarray(y + 0 * s) == 0)):
-        raise SingularityError("manufactured_solution singular at (0, 0, T)")
+    tpow, s_t = _t_factors(mp, t)
+    x2a, s_x, s_xx = _x_factors(mp, x)
+    s = _s_of(x2a, tpow, y)
     w = s + y
-
-    s_x = 2.0 * al * np.sign(x) * _pow0(ax, 2.0 * al - 1.0)
-    s_xx = 2.0 * al * (2.0 * al - 1.0) * _pow0(ax, 2.0 * al - 2.0)
-    s_t = -al * _pow0(mp.T - t, al - 1.0)
-
-    wmb = w ** (-b)
-    wmb1 = w ** (-b - 1.0)
-    # s = 0 only at the singular corner (excluded above); elsewhere the
-    # s^(-b)-weighted terms are finite because s_x and s_t vanish with s.
-    with np.errstate(divide="ignore"):
-        smb = _pow0(s, -b)
-        smb1 = _pow0(s, -b - 1.0)
-
-    u = pc.c_p * (w ** (1.0 - b) - s ** (1.0 - b))
-    diff = wmb - smb
-    u_x = pc.d_p * diff * s_x
-    u_y = pc.d_p * wmb
-    u_t = pc.d_p * diff * s_t
-    u_yy = -pc.d_p * b * wmb1
-    u_xx = pc.d_p * diff * s_xx - pc.d_p * b * (wmb1 - smb1) * s_x * s_x
-    lap = u_xx + u_yy
-    forcing = u_t - lap - (u_x * u_x + u_y * u_y) ** (pc.p / 2.0)
-
+    u = _u(pc, s, w)
+    u_x, u_y, u_t, lap, forcing = _derivatives(pc, s, w, s_x, s_xx, s_t,
+                                               _work(w.shape))
     if u.ndim == 0:
         return (float(u), float(u_x), float(u_y), float(u_t),
                 float(lap), float(forcing))
     return u, u_x, u_y, u_t, lap, forcing
+
+
+class BoundManufactured:
+    """The manufactured solution on fixed nodes (x, y), called with the time
+    alone.
+
+    x and y broadcast against each other: a row of x against a column of y
+    spans a tensor grid.  The factors of x alone are computed once, and s,
+    which depends on x and t only, is computed on x's shape; only w = s + y
+    and what follows take the full shape.  The arithmetic is that of
+    `manufactured_solution`, so the values equal its values on the same
+    nodes bit for bit.
+
+    `forcing` writes into arrays the evaluator owns, so an evaluator serves
+    one run at a time, and the next call overwrites the array it returned.
+    """
+
+    def __init__(self, mp: ManufacturedParams, pc: ProfileConstants, x, y):
+        self.mp, self.pc = mp, pc
+        self.x2a, self.s_x, self.s_xx = _x_factors(
+            mp, np.asarray(x, dtype=float))
+        self.y = np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(self.x2a.shape, self.y.shape)
+        self._w = np.empty(shape)
+        self._work = _work(shape)
+
+    def u(self, t):
+        """The exact values at time t."""
+        tpow, _ = _t_factors(self.mp, t)
+        s = _s_of(self.x2a, tpow, self.y)
+        return _u(self.pc, s, s + self.y)
+
+    def forcing(self, t):
+        """u_t - Lap u - |grad u|^p at time t."""
+        tpow, s_t = _t_factors(self.mp, t)
+        s = _s_of(self.x2a, tpow, self.y)
+        w = np.add(s, self.y, out=self._w)
+        return _derivatives(self.pc, s, w, self.s_x, self.s_xx, s_t,
+                            self._work)[-1]
+
+
+def manufactured_callbacks(mp: ManufacturedParams, pc: ProfileConstants,
+                           x, y):
+    """The solver callbacks of the manufactured solution on the tensor grid
+    of the node coordinates x (nx) and y (ny).
+
+    Returns (forcing, boundary): forcing(t) is the forcing on the interior
+    nodes, a (ny-2, nx-2) array that the next call overwrites, and
+    boundary(t) the exact values on the edges (bottom, top, left, right).
+    One evaluator serves the four edges, laid end to end.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    nx, ny = x.size, y.size
+    interior = BoundManufactured(mp, pc, x[1:-1], y[1:-1, None])
+    edges = BoundManufactured(
+        mp, pc, np.concatenate([x, x, 0.0 * y + x[0], 0.0 * y + x[-1]]),
+        np.concatenate([0.0 * x, 0.0 * x + y[-1], y, y]))
+
+    def boundary(t):
+        u = edges.u(t)
+        return (u[:nx], u[nx:2 * nx], u[2 * nx:2 * nx + ny],
+                u[2 * nx + ny:])
+
+    return interior.forcing, boundary
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,12 @@ state and the last step's dt and grad_max, which series.csv records, so a
 resumed run repeats the one-shot run.  The graded step supports homogeneous
 Dirichlet data on the full domain only.
 
+A forced run (the MMS study) passes `SolverConfig.forcing` and
+`SolverConfig.boundary`, two callbacks that take only the time: forcing(t)
+returns the interior values and boundary(t) the four edges.  They are meant
+to be bound to the grid's nodes once, as `profile_math.manufactured_callbacks`
+binds the manufactured solution, so a step rebuilds no coordinates.
+
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state; it owns its stage buffers, so
 independent runs share nothing and may execute concurrently.
@@ -65,8 +71,11 @@ class SolverConfig:
     stop_grad_norm: Optional[float] = None  # None -> default_stop_grad_norm
     t_max: float = 1.0
     snapshot_stride: int = 0  # steps between periodic snapshots; 0 disables
-    forcing: Optional[Callable] = None  # forcing(X, Y, t) -> (ny, nx) array
-    boundary: Optional[Callable] = None  # boundary(x, y, t) -> values (MMS)
+    # forcing(t) -> the (ny-2, nx-2) interior values at time t
+    forcing: Optional[Callable] = None
+    # boundary(t) -> the edge values (bottom, top, left, right) at time t;
+    # None holds u = 0 on the walls
+    boundary: Optional[Callable] = None
     symmetry_mode: str = "full"
 
     def __post_init__(self):
@@ -98,11 +107,12 @@ class SnapshotRef:
     t: float
     path: Optional[str] = None
     field: Optional[ScalarField] = None
+    sha256: Optional[str] = None  # of the file, recorded when written
 
     def load(self) -> ScalarField:
         if self.field is not None:
             return self.field
-        f, _ = read_snapshot(self.path)
+        f, _ = read_snapshot(self.path, self.sha256)
         return f
 
 
@@ -146,18 +156,14 @@ def _dt_for(state: SimulationState, cfg: SolverConfig, g: Grid2D) -> float:
     return diff / (1.0 + cfg.p * state.grad_max ** (cfg.p - 1.0) * h / 4.0)
 
 
-def _apply_bc(u: np.ndarray, g: Grid2D, cfg: SolverConfig, t: float):
+def _apply_bc(u: np.ndarray, cfg: SolverConfig, t: float):
     if cfg.boundary is None:
         u[0, :] = 0.0
         u[-1, :] = 0.0
         u[:, 0] = 0.0
         u[:, -1] = 0.0
-    else:
-        x, y = g.x, g.y
-        u[0, :] = cfg.boundary(x, 0.0 * x, t)
-        u[-1, :] = cfg.boundary(x, 0.0 * x + g.Ly, t)
-        u[:, 0] = cfg.boundary(0.0 * y - g.Lx, y, t)
-        u[:, -1] = cfg.boundary(0.0 * y + g.Lx, y, t)
+    else:  # the side columns take the corners
+        u[0, :], u[-1, :], u[:, 0], u[:, -1] = cfg.boundary(t)
 
 
 def _reset_half(w: np.ndarray, t: float):
@@ -180,7 +186,7 @@ def _rhs(u, g, cfg, t, out):
     """Write the right-hand side at time t, forcing included, into out."""
     _kernels.rhs_interior(u, g, cfg.p, out)
     if cfg.forcing is not None:
-        out[1:-1, 1:-1] += cfg.forcing(*g.meshgrid(), t)[1:-1, 1:-1]
+        out[1:-1, 1:-1] += cfg.forcing(t)
 
 
 def _heun(u, g, cfg, t, dt, stages, reset) -> np.ndarray:
@@ -316,7 +322,7 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     else:
         stages = _stages(state, u.shape)
         un = _heun(u, g, cfg, state.t, dt, stages,
-                   lambda v, t: _apply_bc(v, g, cfg, t))
+                   lambda v, t: _apply_bc(v, cfg, t))
     return _advanced(state, g, un, dt, _kernels.grad_norm_max(un, g), stages)
 
 
@@ -376,8 +382,8 @@ class _SnapshotWriter:
         else:
             path = os.path.join(self.run_dir, "snapshots",
                                 f"{len(self.refs):04d}.bin")
-            write_snapshot(state.field, path, state.t)
-            ref = SnapshotRef(state.step, state.t, path=path)
+            digest = write_snapshot(state.field, path, state.t)
+            ref = SnapshotRef(state.step, state.t, path=path, sha256=digest)
         self.refs.append(ref)
 
 
@@ -437,14 +443,23 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
             "steps": outcome.final.step,
             "grad_max_final": outcome.final.grad_max,
             "uy_origin_final": outcome.final.uy_origin,
-            "snapshots": [{"step": r.step, "t": r.t,
-                           "path": os.path.relpath(r.path, run_dir)}
+            "snapshots": [_snapshot_entry(r, run_dir)
                           for r in outcome.snapshots],
         },
     }
     with open(os.path.join(run_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _snapshot_entry(ref: SnapshotRef, run_dir) -> dict:
+    """A snapshot's meta.json entry; run directories written before the
+    snapshots carried a sha256 have none to pass on."""
+    entry = {"step": ref.step, "t": ref.t,
+             "path": os.path.relpath(ref.path, run_dir)}
+    if ref.sha256 is not None:
+        entry["sha256"] = ref.sha256
+    return entry
 
 
 def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
@@ -455,10 +470,11 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     if not snaps_meta:
         raise ConfigurationError(f"{run_dir}: no snapshots to resume from")
     refs = [SnapshotRef(s["step"], s["t"],
-                        path=os.path.join(run_dir, s["path"]))
+                        path=os.path.join(run_dir, s["path"]),
+                        sha256=s.get("sha256"))
             for s in snaps_meta]
     last = refs[-1]
-    fld, t_snap = read_snapshot(last.path)
+    fld, t_snap = read_snapshot(last.path, last.sha256)
     st = make_state(fld)
     st.t, st.step = t_snap, last.step
 
@@ -495,19 +511,17 @@ class RunOutcome1D:
     final: np.ndarray
 
 
-def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig,
-           forcing: Optional[Callable] = None) -> RunOutcome1D:
+def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig) -> RunOutcome1D:
     """Same scheme on the 1D reduction; endpoints held at their initial values.
 
-    Used for the time-rate study on monotone 1D blow-up and for steady-state
-    residual tests (the top boundary keeps its initial Dirichlet value).
+    Used for the time-rate study on monotone 1D blow-up and for the
+    steady-state tests, whose top boundary keeps its nonzero initial value.
     """
     u = np.asarray(u0, dtype=float).copy()
     n = u.shape[0]
     hy = Ly / (n - 1)
     lo, hi = u[0], u[-1]
     cfg = _with_stop(cfg, hy)
-    y = np.linspace(0.0, Ly, n)
 
     series = _Series()
     gmax = _kernels.grad_max_1d(u, hy)
@@ -534,13 +548,9 @@ def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig,
             reason = UNDERFLOW
             break
         _kernels.rhs_interior_1d(u, hy, cfg.p, k1)
-        if forcing is not None:
-            k1[1:-1] += forcing(y, t)[1:-1]
         u1 = u + dt * k1
         u1[0], u1[-1] = lo, hi
         _kernels.rhs_interior_1d(u1, hy, cfg.p, k2)
-        if forcing is not None:
-            k2[1:-1] += forcing(y, t + dt)[1:-1]
         u = u + (0.5 * dt) * (k1 + k2)
         u[0], u[-1] = lo, hi
         t += dt

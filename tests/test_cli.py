@@ -187,6 +187,29 @@ def test_check_passes_then_catches_tampering(run_dir, tmp_path):
     assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
 
 
+def test_check_verifies_every_snapshot(run_dir, tmp_path):
+    """A value changed in an early snapshot fails the sha256 its meta.json
+    entry recorded; a run directory without hashes still loads."""
+    import shutil
+    clone = tmp_path / "clone3"
+    shutil.copytree(run_dir, clone)
+    meta = json.loads((clone / "meta.json").read_text())
+    entries = meta["outcome"]["snapshots"]
+    assert len(entries) >= 3 and all("sha256" in e for e in entries)
+
+    for e in entries:
+        del e["sha256"]
+    (clone / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["check", str(clone)]) == cli.EXIT_OK
+    shutil.copy(run_dir / "meta.json", clone / "meta.json")
+
+    snap = clone / "snapshots" / "0001.bin"
+    raw = bytearray(snap.read_bytes())
+    raw[32 + 8 * (len(raw) // 16)] ^= 1  # the last bit of one value
+    snap.write_bytes(bytes(raw))
+    assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
+
+
 def test_check_regenerates_missing_fits(run_dir, tmp_path):
     import shutil
     clone = tmp_path / "clone2"

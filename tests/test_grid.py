@@ -35,6 +35,16 @@ def test_grid_geometry():
     assert g.x[g.ix0] == 0.0
 
 
+def test_uniform_coordinates_built_once_read_only():
+    g = Grid2D(Lx=0.5, Ly=0.25, nx=9, ny=6)
+    assert g.x is g.x and g.y is g.y
+    assert np.array_equal(g.x, np.linspace(-0.5, 0.5, 9))
+    assert np.array_equal(g.y, np.linspace(0.0, 0.25, 6))
+    for c in (g.x, g.y):
+        with pytest.raises(ValueError):
+            c[1] = 0.0
+
+
 def test_grid_rejects_even_nx():
     with pytest.raises(ConfigurationError):
         Grid2D(Lx=1.0, Ly=1.0, nx=8, ny=9)

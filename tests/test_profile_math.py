@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbulab.errors import DomainError, SingularityError
-from gbulab.profile_math import (barrier_eval, barrier_params,
-                                 calibrate_barrier_c0, final_profile_model,
-                                 j_model, j_params, manufactured_params,
+from gbulab.profile_math import (BoundManufactured, barrier_eval,
+                                 barrier_params, calibrate_barrier_c0,
+                                 final_profile_model, j_model, j_params,
+                                 manufactured_callbacks, manufactured_params,
                                  manufactured_solution, profile_constants,
                                  steady_state)
 
@@ -250,6 +251,42 @@ def test_manufactured_rejects_t_past_T():
         manufactured_solution(mp, pc, 0.1, 0.1, 1.5)
     with pytest.raises(SingularityError):
         manufactured_solution(mp, pc, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("p, alpha", [(3.0, 3.0), (2.5, 4.0)])
+@pytest.mark.parametrize("n", [33, 129])
+def test_bound_manufactured_equals_closed_form(n, p, alpha):
+    """Evaluators bound once to a grid's nodes give manufactured_solution's
+    values on those nodes bit for bit, call after call."""
+    pc = profile_constants(p)
+    mp = manufactured_params(pc, alpha, 1.0)
+    x = np.linspace(-0.5, 0.5, n)
+    y = np.linspace(0.0, 0.5, n)
+    X, Y = np.meshgrid(x, y)
+    forcing, boundary = manufactured_callbacks(mp, pc, x, y)
+    whole = BoundManufactured(mp, pc, x, y[:, None])
+    for t in (0.0, 1e-4, 0.0037, 0.5, 1e-4):
+        u, *_, f = manufactured_solution(mp, pc, X, Y, t)
+        assert forcing(t).shape == (n - 2, n - 2)
+        assert np.array_equal(forcing(t), f[1:-1, 1:-1])
+        bottom, top, left, right = boundary(t)
+        assert np.array_equal(bottom, u[0, :])
+        assert np.array_equal(top, u[-1, :])
+        assert np.array_equal(left, u[:, 0])
+        assert np.array_equal(right, u[:, -1])
+        assert np.array_equal(whole.u(t), u)
+        assert np.array_equal(whole.forcing(t), f)
+
+
+def test_bound_manufactured_rejects_t_past_T():
+    pc = profile_constants(3.0)
+    mp = manufactured_params(pc, 3.0, 1.0)
+    x = np.linspace(-0.5, 0.5, 9)
+    y = np.linspace(0.0, 0.5, 9)
+    forcing, boundary = manufactured_callbacks(mp, pc, x, y)
+    for call in (forcing, boundary, BoundManufactured(mp, pc, x, y).u):
+        with pytest.raises(DomainError):
+            call(1.5)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 manufactured-solution convergence, qualitative invariants (nonnegativity,
 sup-norm bound), the half-domain symmetry reduction and run persistence."""
 
+import hashlib
+import json
 import sys
 import threading
 
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 
 from gbulab import (ConfigurationError, DtUnderflow, Grid2D, ScalarField,
-                    SolverConfig, manufactured_params, manufactured_solution,
-                    profile_constants, solver, steady_state, symmetric_cap)
+                    SolverConfig, manufactured_callbacks, manufactured_params,
+                    manufactured_solution, profile_constants, solver,
+                    steady_state, symmetric_cap)
 from gbulab.solver import BLOW_UP, HORIZON, UNDERFLOW
 
 
@@ -70,10 +73,9 @@ def mms_error(n, t_end=0.02):
     g = Grid2D(Lx=0.5, Ly=0.5, nx=n, ny=n)
     X, Y = g.meshgrid()
     u0 = manufactured_solution(mp, pc, X, Y, 0.0)[0]
-    cfg = SolverConfig(
-        p=3.0, t_max=t_end, stop_grad_norm=1e9,
-        forcing=lambda Xa, Ya, t: manufactured_solution(mp, pc, Xa, Ya, t)[5],
-        boundary=lambda x, y, t: manufactured_solution(mp, pc, x, y, t)[0])
+    forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
+    cfg = SolverConfig(p=3.0, t_max=t_end, stop_grad_norm=1e9,
+                       forcing=forcing, boundary=boundary)
     out = solver.run(ScalarField(g, u0), cfg)
     assert out.reason == HORIZON
     exact = manufactured_solution(mp, pc, X, Y, out.t_stop)[0]
@@ -145,7 +147,7 @@ def test_half_mode_matches_full():
 def test_half_mode_rejects_forcing():
     with pytest.raises(Exception):
         SolverConfig(p=3.0, symmetry_mode="half",
-                     forcing=lambda X, Y, t: X)
+                     forcing=lambda t: 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -304,11 +306,16 @@ def test_graded_resume_is_deterministic(tmp_path):
     assert np.array_equal(out_b.final.field.values, out_a.final.field.values)
     assert out_b.final.step == out_a.final.step
     assert run_dirs_equal(tmp_path / "a", tmp_path / "b")
+    # the resumed run keeps the hashes of the snapshots it started from
+    meta = json.loads((tmp_path / "b" / "meta.json").read_text())
+    for e in meta["outcome"]["snapshots"]:
+        blob = (tmp_path / "b" / e["path"]).read_bytes()
+        assert e["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_graded_rejects_forcing_and_half_mode():
     st = solver.make_state(symmetric_cap(0.1, 0.18, graded_grid()))
-    for cfg in (SolverConfig(p=3.0, forcing=lambda X, Y, t: 0.0 * X),
+    for cfg in (SolverConfig(p=3.0, forcing=lambda t: 0.0),
                 SolverConfig(p=3.0, symmetry_mode="half")):
         with pytest.raises(ConfigurationError):
             solver.step(st, cfg)
