@@ -9,7 +9,8 @@ end (cli).
 """
 
 from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
-                     GbulabError, NumericError, SingularityError)
+                     GbulabError, NumericError, SingularityError,
+                     SnapshotError)
 from .grid import Grid2D, ScalarField, gradient, laplacian, read_snapshot, \
     sample, write_snapshot
 from .initial_data import BumpParams, concentrated_bump, symmetric_cap
@@ -21,13 +22,13 @@ from .profile_math import (BarrierParams, BoundManufactured, JParams,
                            manufactured_solution, profile_constants,
                            steady_state)
 from .solver import (RunOutcome, SimulationState, SolverConfig, make_state,
-                     resume, run, run_1d, step)
+                     resume, run, step)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "DomainError", "DtUnderflow", "FitError",
-    "GbulabError", "NumericError", "SingularityError",
+    "GbulabError", "NumericError", "SingularityError", "SnapshotError",
     "Grid2D", "ScalarField", "gradient", "laplacian", "read_snapshot",
     "sample", "write_snapshot",
     "BumpParams", "concentrated_bump", "symmetric_cap",
@@ -37,6 +38,6 @@ __all__ = [
     "manufactured_callbacks", "manufactured_params", "manufactured_solution",
     "profile_constants", "steady_state",
     "RunOutcome", "SimulationState", "SolverConfig", "make_state", "resume",
-    "run", "run_1d", "step",
+    "run", "step",
     "__version__",
 ]

@@ -4,8 +4,11 @@ Each stencil is written once, along axis 0 of an array, for an axis given
 either by its constant spacing h (a float) or by the three-point weights of a
 graded `grid.Axis`; derivatives along x run on the transposed view.  The 2D
 entry points take the grid and pick the axis themselves: constant-spacing
-formulas on a uniform grid, non-uniform weights on a graded one.  Kernels are
-serial, so repeated runs are bit-reproducible.
+formulas on a uniform grid, non-uniform weights on a graded one.  A 1D column
+(nx = 1) has no x axis: its right-hand side and gradient maximum are
+`rhs_interior_1d` and `grad_max_1d`, given the column's y axis, and `uy_wall`
+reads only that axis.  Kernels are serial, so repeated runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def u_xx(u, g):
 
 def uy_wall(u, g):
     """u_y on the wall y = 0, one value per column."""
-    return one_sided(u, _axes(g)[1])[0]
+    return one_sided(u, g.hy if g.uniform else g.ay)[0]
 
 
 def rhs_interior(u, g, p, out):
@@ -117,11 +120,22 @@ def rhs_interior(u, g, p, out):
 
 
 def rhs_interior_1d(u, hy, p, out):
-    """Write u_yy + |u_y|^p into the interior of the 1D array out."""
+    """Write u_yy + |u_y|^p into the interior rows of out, for u a 1D array
+    or an (ny, 1) column; return the interior u_y.
+
+    The source is formed as in `rhs_interior` on a graded grid.
+    """
     uy = d1(u, hy)
-    out[1:-1] = d2(u, hy) + (uy * uy) ** (p / 2.0)
+    g2 = uy * uy
+    src = out[1:-1]
+    if p == 3.0:
+        np.multiply(g2, np.sqrt(g2), out=src)
+    else:
+        np.power(g2, p / 2.0, out=src)
+    src += d2(u, hy)
+    return uy
 
 
 def grad_max_1d(u, hy):
-    """Largest |u_y| over every node of a 1D array."""
+    """Largest |u_y| over every node of a 1D array or an (ny, 1) column."""
     return float(np.max(np.abs(derivative(u, hy))))

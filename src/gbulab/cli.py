@@ -3,8 +3,9 @@ registry and post-hoc fit/diagnostic emission.
 
 Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
 2 invalid config, 3 numeric failure, 4 convergence failure, 5 corrupt
-snapshot.  All outputs are deterministic data files (CSV/JSON); plotting is
-left to external tools.
+snapshot or run directory.  All outputs are deterministic data files
+(CSV/JSON); plotting is left to external tools.  A 1D run (family sine_1d)
+runs on a column at x = 0 through the same run, snapshots, fit and check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import yaml
 from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
 from .errors import (ConfigurationError, DtUnderflow, FitError, GbulabError,
-                     NumericError)
-from .grid import Grid2D, ScalarField, read_snapshot
+                     NumericError, SnapshotError)
+from .grid import Grid2D, ScalarField, graded_nodes, read_snapshot
 from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
                            manufactured_params, manufactured_solution,
                            profile_constants)
@@ -106,9 +107,11 @@ class RunConfig:
         if mode not in ("full", "half"):
             raise ConfigurationError(
                 f"solver.symmetry_mode: must be full or half, got {mode!r}")
-        if self.graded and (self.is_1d or mode != "full"):
-            raise ConfigurationError(
-                "grid: a graded grid needs a 2D run in symmetry_mode full")
+        if (self.graded or self.is_1d) and mode != "full":
+            raise ConfigurationError("solver.symmetry_mode: a graded grid or "
+                                     "a 1D run needs full")
+        if self.is_1d and any(k in self.grid for k in self._GRADED_KEYS[3:]):
+            raise ConfigurationError("grid: a 1D run takes no x grading")
         # constructing these validates ranges and raises with context
         self.make_grid()
         self.make_solver_config()
@@ -116,10 +119,17 @@ class RunConfig:
     def make_grid(self) -> Grid2D:
         try:
             Lx, Ly = float(self.domain["Lx"]), float(self.domain["Ly"])
+            if self.graded and ("nx" in self.grid or "ny" in self.grid):
+                raise ConfigurationError(
+                    "grid: nx/ny and a grading are exclusive")
+            if self.is_1d:  # one column at x = 0; nx is not read
+                if self.graded:
+                    y = graded_nodes(Ly, *(float(self.grid[k])
+                                           for k in self._GRADED_KEYS[:3]))
+                else:
+                    y = np.linspace(0.0, Ly, int(self.grid["ny"]))
+                return Grid2D.column(Lx, Ly, y)
             if self.graded:
-                if "nx" in self.grid or "ny" in self.grid:
-                    raise ConfigurationError(
-                        "grid: nx/ny and a grading are exclusive")
                 return Grid2D.graded(Lx, Ly, **{
                     k: float(self.grid[k]) for k in self._GRADED_KEYS})
             return Grid2D(Lx=Lx, Ly=Ly,
@@ -156,9 +166,9 @@ class RunConfig:
         if fam == "cap":
             return initial_data.symmetric_cap(float(d["amplitude"]),
                                               float(d["width"]), g)
-        # sine_1d handled by the 1D path
+        # sine_1d: the arch amplitude sin(pi y / Ly) on the column of a 1D run
         amp = float(d["amplitude"])
-        return amp * np.sin(np.pi * g.y / g.Ly)
+        return ScalarField(g, amp * np.sin(np.pi * g.y / g.Ly)[:, None])
 
     @property
     def is_1d(self) -> bool:
@@ -212,7 +222,7 @@ def _load_run(run_dir):
         with open(meta_path) as fh:
             meta = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read {meta_path}: {exc}")
+        raise SnapshotError(f"cannot read {meta_path}: {exc}")
     snaps = []
     for ref in meta["outcome"]["snapshots"]:
         # run directories written before snapshots carried a sha256 have none
@@ -222,15 +232,8 @@ def _load_run(run_dir):
     return meta, snaps
 
 
-def _series_1d(cfg: RunConfig, run_dir):
-    """The series a 1D run's fits read back from series.csv; None in 2D."""
-    if not cfg.is_1d:
-        return None
-    return solver.load_series(os.path.join(run_dir, "series.csv"))
-
-
-def compute_fits(meta, snaps, cfg: RunConfig, series=None) -> dict:
-    """The fits of a run: the time rate of its series for a 1D run, the
+def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
+    """The fits of a run: the time rate of its series.csv for a 1D run, the
     profiles of its final snapshot for a 2D one.
 
     Individual fit failures are recorded as error strings, keeping the output
@@ -246,6 +249,8 @@ def compute_fits(meta, snaps, cfg: RunConfig, series=None) -> dict:
             out[name] = {"error": str(exc)}
 
     if cfg.is_1d:
+        series = solver.load_series(os.path.join(run_dir, "series.csv"))
+
         def timerate():
             fitv, T_hat = profile_fit.fit_time_rate(series, pc)
             _, _, r2, _ = profile_fit.time_rate_linear(series, pc)
@@ -282,10 +287,10 @@ def compute_fits(meta, snaps, cfg: RunConfig, series=None) -> dict:
     return out
 
 
-def _write_fits(run_dir, meta, snaps, cfg: RunConfig, series=None):
+def _write_fits(run_dir, meta, snaps, cfg: RunConfig):
     """Write fits.json into a run directory, and for a 2D run its profile
     CSVs and report."""
-    fits = compute_fits(meta, snaps, cfg, series)
+    fits = compute_fits(meta, snaps, cfg, run_dir)
     with open(os.path.join(run_dir, "fits.json"), "w") as fh:
         fh.write(profile_fit.fits_to_json(fits))
     if not cfg.is_1d:
@@ -338,17 +343,12 @@ def _run_diagnostics(snaps, cfg: RunConfig, run_dir):
 
 def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(preset_path(config_path))  # validates before any mkdir
-    g = cfg.make_grid()
-    u0 = cfg.make_initial(g)
+    u0 = cfg.make_initial(cfg.make_grid())
     scfg = cfg.make_solver_config()
     os.makedirs(out_dir, exist_ok=True)
     try:
-        if cfg.is_1d:
-            outcome = solver.run_1d(u0, g.Ly, scfg)
-            meta = _persist_1d(outcome, cfg, g, out_dir)
-        else:
-            outcome = solver.run(u0, scfg, run_dir=out_dir,
-                                 config_echo=cfg.to_dict())
+        outcome = solver.run(u0, scfg, run_dir=out_dir,
+                             config_echo=cfg.to_dict())
     except NumericError as exc:
         dump = os.path.join(out_dir, "crash.json")
         with open(dump, "w") as fh:
@@ -356,28 +356,11 @@ def cmd_run(config_path, out_dir) -> int:
         print(f"numeric failure: {exc}\nstate dump: {dump}", file=sys.stderr)
         return EXIT_NUMERIC
     series = outcome.series
-    if cfg.is_1d:  # the fit reads the series in memory, equal to series.csv
-        _write_fits(out_dir, meta, [], cfg, series)
-    else:
-        _write_fits(out_dir, *_load_run(out_dir), cfg)
+    _write_fits(out_dir, *_load_run(out_dir), cfg)
     print(f"{out_dir}: {outcome.reason} at t={outcome.t_stop:.6g} "
           f"({len(series['t']) - 1} steps, "
           f"grad_max={series['grad_max'][-1]:.4g})")
     return EXIT_OK
-
-
-def _persist_1d(outcome, cfg: RunConfig, g: Grid2D, out_dir):
-    """Write series.csv and meta.json of a 1D run, which keeps no
-    snapshots; return the meta."""
-    solver.write_series(outcome.series, os.path.join(out_dir, "series.csv"))
-    meta = {"config": cfg.to_dict(),
-            "grid": {"Ly": g.Ly, "ny": g.ny},
-            "outcome": {"reason": outcome.reason, "t_stop": outcome.t_stop,
-                        "snapshots": []}}
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return meta
 
 
 def cmd_mms(config_path) -> int:
@@ -428,19 +411,15 @@ def cmd_mms(config_path) -> int:
 def cmd_fit(run_dir) -> int:
     meta, snaps = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
-    _write_fits(run_dir, meta, snaps, cfg, _series_1d(cfg, run_dir))
+    _write_fits(run_dir, meta, snaps, cfg)
     print(f"{run_dir}: fits rewritten ({len(snaps)} snapshots)")
     return EXIT_OK
 
 
 def cmd_check(run_dir) -> int:
-    try:
-        meta, snaps = _load_run(run_dir)
-    except ConfigurationError as exc:
-        print(f"corrupt run directory: {exc}", file=sys.stderr)
-        return EXIT_SNAPSHOT
+    meta, snaps = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
-    fits = compute_fits(meta, snaps, cfg, _series_1d(cfg, run_dir))
+    fits = compute_fits(meta, snaps, cfg, run_dir)
     blob = profile_fit.fits_to_json(fits).encode()
     fits_path = os.path.join(run_dir, "fits.json")
     if os.path.exists(fits_path):
@@ -559,6 +538,9 @@ def main(argv=None) -> int:
         if args.cmd == "sweep":
             return cmd_sweep(args.configs, args.out)
         raise AssertionError(args.cmd)
+    except SnapshotError as exc:
+        print(f"corrupt run directory: {exc}", file=sys.stderr)
+        return EXIT_SNAPSHOT
     except ConfigurationError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,6 +17,11 @@ class ConfigurationError(GbulabError, ValueError):
     """A run configuration is invalid or under-resolved."""
 
 
+class SnapshotError(ConfigurationError):
+    """A run directory on disk is corrupt: a snapshot is truncated, has a bad
+    magic or differs from its recorded sha256, or meta.json is unreadable."""
+
+
 class NumericError(GbulabError, ArithmeticError):
     """Non-finite values appeared where finite ones are required."""
 

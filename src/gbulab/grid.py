@@ -8,7 +8,10 @@ A grid is uniform unless it carries coordinate arrays.  A graded grid
 (`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and toward
 x = 0, and every stencil on it uses the three-point non-uniform weights of
 `Axis`.  On a uniform grid the stencils keep their constant-spacing
-arithmetic.  The stencils themselves live in `_kernels`.
+arithmetic.  The 1D reduction runs on a column (`Grid2D.column`): nx = 1, the
+one node x = 0, and y nodes of its own, uniform or graded toward both walls
+(`graded_nodes`); it takes no x derivatives.  The stencils themselves live
+in `_kernels`.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError, DomainError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError, \
+    SnapshotError
 
 __all__ = [
     "Axis",
     "Grid2D",
     "ScalarField",
+    "graded_nodes",
     "laplacian",
     "gradient",
     "sample",
@@ -104,10 +109,29 @@ def _geometric_cells(length, first, ratio, largest):
     return np.asarray(cells)
 
 
+def graded_nodes(length, first, ratio, largest) -> np.ndarray:
+    """Nodes of [0, length], symmetric about its middle, whose cells grow by
+    `ratio` from `first` at each end up to `largest`.
+
+    A first cell under 100 ulp of `length` is rejected: near the far end the
+    cells would be whole multiples of that ulp, their ratios lost.
+    """
+    if not first >= 100.0 * np.spacing(float(length)):
+        raise ConfigurationError(
+            f"graded axis: first cell {first} is below 100 ulp of the axis "
+            f"length {length}")
+    half = np.concatenate(
+        [[0.0], np.cumsum(_geometric_cells(length / 2.0, first, ratio,
+                                           largest))])
+    half[-1] = length / 2.0
+    return np.concatenate([half, length - half[-2::-1]])
+
+
 @dataclass(frozen=True, eq=False)
 class Grid2D:
     """Tensor grid on [-Lx, Lx] x [0, Ly]: uniform, or graded when `coords`
-    holds its (x, y) node arrays (see `graded`)."""
+    holds its (x, y) node arrays (see `graded`), or a 1D column (see
+    `column`)."""
 
     Lx: float
     Ly: float
@@ -118,8 +142,9 @@ class Grid2D:
     def __post_init__(self):
         if self.nx % 2 == 0:
             raise ConfigurationError(f"nx must be odd (x = 0 must be a node), got {self.nx}")
-        if self.nx < 5 or self.ny < 5:
-            raise ConfigurationError("grid requires nx, ny >= 5")
+        if self.ny < 5 or not (self.nx >= 5 or self.is_column and self.coords):
+            raise ConfigurationError("grid requires nx, ny >= 5, or nx = 1 "
+                                     "and y coordinates for a column")
         if not (self.Lx > 0 and self.Ly > 0):
             raise ConfigurationError("grid requires Lx, Ly > 0")
         if self.coords is None:
@@ -131,11 +156,12 @@ class Grid2D:
                 f"nx={self.nx}, ny={self.ny}")
         if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
             raise ConfigurationError("grid coordinates must increase strictly")
+        lx = 0.0 if self.is_column else self.Lx
         if (x[0], x[self.ix0], x[-1], y[0], y[-1]) != \
-                (-self.Lx, 0.0, self.Lx, 0.0, self.Ly):
+                (-lx, 0.0, lx, 0.0, self.Ly):
             raise ConfigurationError(
-                "grid coordinates must run from -Lx through 0 to Lx and from "
-                "0 to Ly")
+                "grid coordinates must run from -Lx through 0 to Lx (on a "
+                "column: x = 0 alone) and from 0 to Ly")
         object.__setattr__(self, "coords", (_read_only(x), _read_only(y)))
 
     @classmethod
@@ -151,12 +177,14 @@ class Grid2D:
         half = np.cumsum(_geometric_cells(Lx, x_first, x_ratio, x_max))
         half[-1] = Lx
         x = np.concatenate([-half[::-1], [0.0], half])
-        half = np.concatenate(
-            [[0.0], np.cumsum(_geometric_cells(Ly / 2.0, y_first, y_ratio,
-                                               y_max))])
-        half[-1] = Ly / 2.0
-        y = np.concatenate([half, Ly - half[-2::-1]])
+        y = graded_nodes(Ly, y_first, y_ratio, y_max)
         return cls(Lx=Lx, Ly=Ly, nx=x.size, ny=y.size, coords=(x, y))
+
+    @classmethod
+    def column(cls, Lx, Ly, y) -> "Grid2D":
+        """The 1D reduction on the nodes y of [0, Ly]: one column at x = 0.
+        Lx only bounds the x extent of initial data built on it."""
+        return cls(Lx=Lx, Ly=Ly, nx=1, ny=len(y), coords=((0.0,), y))
 
     def __eq__(self, other):
         if not isinstance(other, Grid2D):
@@ -177,10 +205,17 @@ class Grid2D:
         return self.coords is None
 
     @property
+    def is_column(self) -> bool:
+        return self.nx == 1
+
+    @property
     def hx(self) -> float:
-        """x spacing; on a graded grid, the smallest one."""
+        """x spacing; on a graded grid, the smallest one; on a column, which
+        has none, inf."""
         if self.uniform:
             return 2.0 * self.Lx / (self.nx - 1)
+        if self.is_column:
+            return float("inf")
         return float(np.min(np.diff(self.coords[0])))
 
     @property
@@ -323,27 +358,31 @@ def write_snapshot(f: ScalarField, path, time: float) -> str:
 
 def read_snapshot(path, sha256: Optional[str] = None):
     """Inverse of write_snapshot; returns (ScalarField, time).  With sha256
-    set, a file whose digest differs raises ConfigurationError."""
+    set, a file whose digest differs raises SnapshotError, as does a file
+    that is truncated, has a bad magic or describes no valid grid."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if sha256 is not None and _sha256(raw).hexdigest() != sha256:
-        raise ConfigurationError(f"snapshot {path}: sha256 differs from the "
-                                 f"one recorded when it was written")
+        raise SnapshotError(f"snapshot {path}: sha256 differs from the "
+                            f"one recorded when it was written")
     if len(raw) < _HEADER.size:
-        raise ConfigurationError(f"snapshot {path}: truncated header")
+        raise SnapshotError(f"snapshot {path}: truncated header")
     magic, nx, ny, Lx, Ly, time = _HEADER.unpack_from(raw)
     if magic not in (SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_GRADED):
-        raise ConfigurationError(f"snapshot {path}: bad magic {magic!r}")
+        raise SnapshotError(f"snapshot {path}: bad magic {magic!r}")
     body = raw[_HEADER.size:]
     coords = None
     if magic == SNAPSHOT_MAGIC_GRADED:
         if len(body) < (nx + ny) * 8:
-            raise ConfigurationError(f"snapshot {path}: truncated coordinates")
+            raise SnapshotError(f"snapshot {path}: truncated coordinates")
         c = np.frombuffer(body[:(nx + ny) * 8], dtype="<f8")
         coords = (c[:nx], c[nx:])
         body = body[(nx + ny) * 8:]
     if len(body) != nx * ny * 8:
-        raise ConfigurationError(f"snapshot {path}: truncated payload")
+        raise SnapshotError(f"snapshot {path}: truncated payload")
     values = np.frombuffer(body, dtype="<f8").reshape(ny, nx).copy()
-    grid = Grid2D(Lx=Lx, Ly=Ly, nx=nx, ny=ny, coords=coords)
+    try:
+        grid = Grid2D(Lx=Lx, Ly=Ly, nx=nx, ny=ny, coords=coords)
+    except ConfigurationError as exc:
+        raise SnapshotError(f"snapshot {path}: {exc}")
     return ScalarField(grid, values), time

@@ -15,8 +15,12 @@ solves per step.  Its size aims at a relative change of grad_max of
 _REL_CHANGE per step (scaled from the last step's change) and is cut back
 when u or grad_max changed by more than twice that.  It depends only on the
 state and the last step's dt and grad_max, which series.csv records, so a
-resumed run repeats the one-shot run.  The graded step supports homogeneous
-Dirichlet data on the full domain only.
+resumed run repeats the one-shot run.  The graded step holds the wall values
+fixed; it supports no forcing and the full domain only.
+
+The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
+uniform or graded in y, through the same step, run, persistence and resume:
+it takes the graded step with one y sweep and no x sweep.
 
 A forced run (the MMS study) passes `SolverConfig.forcing` and
 `SolverConfig.boundary`, two callbacks that take only the time: forcing(t)
@@ -52,7 +56,6 @@ __all__ = [
     "default_stop_grad_norm",
     "step",
     "run",
-    "run_1d",
     "resume",
     "load_series",
     "write_series",
@@ -131,21 +134,21 @@ def default_stop_grad_norm(h: float, p: float) -> float:
     return 50.0 / h ** (1.0 / (p - 1.0))
 
 
-def _with_stop(cfg: SolverConfig, h: float) -> SolverConfig:
-    """cfg, with a missing stop_grad_norm set to the default for spacing h."""
-    if cfg.stop_grad_norm is not None:
-        return cfg
-    return replace(cfg, stop_grad_norm=default_stop_grad_norm(h, cfg.p))
-
-
 def _uy_origin(u: np.ndarray, g: Grid2D) -> float:
     return float(_kernels.uy_wall(u, g)[g.ix0])
+
+
+def _grad_max(u: np.ndarray, g: Grid2D) -> float:
+    """Largest |grad u| over every node; a column has only u_y."""
+    if g.is_column:
+        return _kernels.grad_max_1d(u, g.ay)
+    return _kernels.grad_norm_max(u, g)
 
 
 def make_state(u0: ScalarField) -> SimulationState:
     g = u0.grid
     u = u0.values
-    gmax = _kernels.grad_norm_max(u, g)
+    gmax = _grad_max(u, g)
     return SimulationState(field=u0, t=0.0, step=0, grad_max=gmax,
                            uy_origin=_uy_origin(u, g), dt_last=0.0)
 
@@ -252,32 +255,46 @@ def _line_solve(rhs, speed, d1, d2, dt):
     return _thomas(lo, diag, up, rhs)
 
 
+def _speed(g2, p):
+    """p |grad u|^(p-2) from |grad u|^2: times grad u, the advection speed
+    of the linearized source."""
+    return p * (np.sqrt(g2) if p == 3.0 else g2 ** (p / 2.0 - 1.0))
+
+
 def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     if cfg.forcing or cfg.boundary or cfg.symmetry_mode != "full":
-        raise ConfigurationError("graded grids support homogeneous Dirichlet "
-                                 "data on the full domain only")
+        raise ConfigurationError("graded grids and columns support unforced "
+                                 "runs on the full domain only")
     g = state.field.grid
     u = state.field.values
     F = np.zeros_like(u)
-    ux, uy, g2 = _kernels.rhs_interior(u, g, cfg.p, F)
-    # advection speeds of the linearized source: p |grad u|^(p-2) grad u
-    a = cfg.p * (np.sqrt(g2) if cfg.p == 3.0 else g2 ** (cfg.p / 2.0 - 1.0))
-    sx = np.ascontiguousarray((a * ux).T)
-    sy = a * uy
-    # x lines first, on transposed copies so both sweeps run along axis 0
-    Fi = np.ascontiguousarray(F[1:-1, 1:-1].T)
+    if g.is_column:  # one y sweep over the interior rows
+        uy = _kernels.rhs_interior_1d(u, g.ay, cfg.p, F)
+        sy = _speed(uy * uy, cfg.p) * uy
+        inner = np.s_[1:-1]
+        Fi = F[inner]
+    else:
+        ux, uy, g2 = _kernels.rhs_interior(u, g, cfg.p, F)
+        a = _speed(g2, cfg.p)
+        sx = np.ascontiguousarray((a * ux).T)
+        sy = a * uy
+        inner = np.s_[1:-1, 1:-1]
+        # x lines first, on transposed copies so both sweeps run along axis 0
+        Fi = np.ascontiguousarray(F[inner].T)
     umax = float(np.max(np.abs(u)))
     dt = _dt_graded(state, cfg, u, F)
     while True:
         if dt < cfg.dt_floor:
             raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
                               f"at t={state.t:.6g}, step {state.step}")
-        v = _line_solve(dt * Fi, sx, g.ax.d1, g.ax.d2, dt)
-        delta = _line_solve(np.ascontiguousarray(v.T), sy, g.ay.d1, g.ay.d2,
-                            dt)
+        v = dt * Fi
+        if not g.is_column:
+            v = np.ascontiguousarray(
+                _line_solve(v, sx, g.ax.d1, g.ax.d2, dt).T)
+        delta = _line_solve(v, sy, g.ay.d1, g.ay.d2, dt)
         un = u.copy()
-        un[1:-1, 1:-1] += delta
-        gmax = _kernels.grad_norm_max(un, g)
+        un[inner] += delta
+        gmax = _grad_max(un, g)
         # retry shorter if u or grad_max changed by over twice the target
         change = max(float(np.max(np.abs(delta))) / umax if umax else 0.0,
                      abs(gmax / state.grad_max - 1.0) if state.grad_max
@@ -300,7 +317,7 @@ def _advanced(state, g, un, dt, gmax, stages=None) -> SimulationState:
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     """Advance one adaptive step (Heun on a uniform grid, linearly implicit
-    on a graded one); raises DtUnderflow below the dt floor."""
+    on a graded grid or a column); raises DtUnderflow below the dt floor."""
     g = state.field.grid
     if not g.uniform:
         return _step_graded(state, cfg)
@@ -366,12 +383,18 @@ class _SnapshotWriter:
         if run_dir is not None:
             os.makedirs(os.path.join(run_dir, "snapshots"), exist_ok=True)
 
-    def maybe(self, state: SimulationState, force=False):
-        due = force
-        if self.stride and state.step % self.stride == 0:
-            due = True
-        while state.grad_max >= self.next_thresh:
+    def crossed(self, grad_max) -> bool:
+        """Double the cascade's next level past grad_max; True if grad_max
+        reached it."""
+        crossed = False
+        while grad_max >= self.next_thresh:
             self.next_thresh *= 2.0
+            crossed = True
+        return crossed
+
+    def maybe(self, state: SimulationState, force=False):
+        due = self.crossed(state.grad_max) or force
+        if self.stride and state.step % self.stride == 0:
             due = True
         if not due:
             return
@@ -394,7 +417,9 @@ def run(u0: ScalarField, cfg: SolverConfig, run_dir=None, config_echo=None,
     With run_dir set, persists series.csv, snapshots/NNNN.bin and meta.json.
     """
     g = u0.grid
-    cfg = _with_stop(cfg, min(g.hx, g.hy))
+    if cfg.stop_grad_norm is None:
+        cfg = replace(cfg, stop_grad_norm=default_stop_grad_norm(
+            min(g.hx, g.hy), cfg.p))
     state = _initial if _initial is not None else make_state(u0.copy())
     series = _series if _series is not None else _Series()
     snaps = _snapwriter if _snapwriter is not None else \
@@ -426,6 +451,10 @@ def run(u0: ScalarField, cfg: SolverConfig, run_dir=None, config_echo=None,
     if run_dir is not None:
         _persist(outcome, cfg, g, run_dir, config_echo)
     return outcome
+
+
+# 1D runs go through run on a column; perfbench/tracer.py wraps this name
+run_1d = run
 
 
 def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
@@ -483,88 +512,14 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     st.dt_last = float(old["dt"][last.step])
     if last.step > 0:
         st.grad_prev = float(old["grad_max"][last.step - 1])
-    # series rows are one per step starting at step 0
-    keep = np.arange(len(old["t"])) <= last.step
     series = _Series()
-    for i in np.nonzero(keep)[0]:
-        series.append(old["t"][i], old["grad_max"][i],
-                      old["uy_origin"][i], old["dt"][i])
-
-    snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride, st.grad_max)
+    snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride,
+                            float(old["grad_max"][0]))
     snaps.refs = refs[:]
-    snaps.next_thresh = 2.0 * st.grad_max
+    # series rows are one per step starting at step 0; replaying the
+    # cascade's doubling over them restores its next level bit for bit
+    for row in zip(*(old[c][:last.step + 1] for c in _Series.cols)):
+        series.append(*row)
+        snaps.crossed(row[1])
     return run(fld, cfg, run_dir=run_dir, config_echo=meta.get("config"),
                _initial=st, _series=series, _snapwriter=snaps)
-
-
-# --------------------------------------------------------------------------
-# 1D reduction: u_t = u_yy + |u_y|^p on (0, Ly)
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class RunOutcome1D:
-    reason: str
-    t_stop: float
-    series: dict
-    snapshots: list  # (t, values) pairs
-    final: np.ndarray
-
-
-def run_1d(u0: np.ndarray, Ly: float, cfg: SolverConfig) -> RunOutcome1D:
-    """Same scheme on the 1D reduction; endpoints held at their initial values.
-
-    Used for the time-rate study on monotone 1D blow-up and for the
-    steady-state tests, whose top boundary keeps its nonzero initial value.
-    """
-    u = np.asarray(u0, dtype=float).copy()
-    n = u.shape[0]
-    hy = Ly / (n - 1)
-    lo, hi = u[0], u[-1]
-    cfg = _with_stop(cfg, hy)
-
-    series = _Series()
-    gmax = _kernels.grad_max_1d(u, hy)
-    uy0 = _kernels.one_sided(u, hy)[0]
-    series.append(0.0, gmax, uy0, 0.0)
-    snapshots = [(0.0, u.copy())]
-    next_thresh = 2.0 * max(gmax, 1e-30)
-
-    t = 0.0
-    nstep = 0
-    k1 = np.zeros_like(u)
-    k2 = np.zeros_like(u)
-    reason = HORIZON
-    while True:
-        if gmax >= cfg.stop_grad_norm:
-            reason = BLOW_UP
-            break
-        if t >= cfg.t_max:
-            reason = HORIZON
-            break
-        dt = cfg.cfl_safety * hy * hy / 4.0 \
-            / (1.0 + cfg.p * gmax ** (cfg.p - 1.0) * hy / 4.0)
-        if dt < cfg.dt_floor:
-            reason = UNDERFLOW
-            break
-        _kernels.rhs_interior_1d(u, hy, cfg.p, k1)
-        u1 = u + dt * k1
-        u1[0], u1[-1] = lo, hi
-        _kernels.rhs_interior_1d(u1, hy, cfg.p, k2)
-        u = u + (0.5 * dt) * (k1 + k2)
-        u[0], u[-1] = lo, hi
-        t += dt
-        nstep += 1
-        gmax = _kernels.grad_max_1d(u, hy)
-        if not np.isfinite(gmax):
-            raise NumericError(f"non-finite 1D update at step {nstep}")
-        uy0 = _kernels.one_sided(u, hy)[0]
-        series.append(t, gmax, uy0, dt)
-        if gmax >= next_thresh:
-            while gmax >= next_thresh:
-                next_thresh *= 2.0
-            snapshots.append((t, u.copy()))
-
-    snapshots.append((t, u.copy()))
-    return RunOutcome1D(reason=reason, t_stop=t, series=series.as_dict(),
-                        snapshots=snapshots, final=u)

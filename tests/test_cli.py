@@ -4,6 +4,7 @@ byte-identical replay, exit codes, and the MMS study."""
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -105,9 +106,19 @@ def test_config_graded_grid(tmp_path):
 def test_config_graded_grid_rejects_node_counts_and_1d(tmp_path):
     with pytest.raises(ConfigurationError, match="exclusive"):
         cli.load_config(write_graded_config(tmp_path, nx=65))
+    # a 1D run is a column at x = 0: it takes a y grading, but no x grading
     path = rewrite(write_graded_config(tmp_path, name="one.yaml"),
                    initial_data={"family": "sine_1d", "amplitude": 1.5})
-    with pytest.raises(ConfigurationError, match="graded"):
+    with pytest.raises(ConfigurationError, match="x grading"):
+        cli.load_config(path)
+    y_only = {k: v for k, v in GRADED.items() if k.startswith("y_")}
+    path = rewrite(path, grid=y_only)
+    g = cli.load_config(path).make_grid()
+    assert g.is_column and g.y[1] == 1e-5
+    path = write_config(tmp_path, name="half.yaml",
+                        initial_data={"family": "sine_1d", "amplitude": 1.5},
+                        solver={"symmetry_mode": "half"})
+    with pytest.raises(ConfigurationError, match="symmetry_mode"):
         cli.load_config(path)
 
 
@@ -123,6 +134,15 @@ def test_graded_run_fit_and_check_replay(tmp_path):
     assert cli.main(["check", str(out)]) == cli.EXIT_OK
     assert cli.main(["fit", str(out)]) == cli.EXIT_OK
     assert (out / "fits.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("name", ["p25-blowup", "p3-blowup", "p3-rate-1d",
+                                  "small-data"])
+def test_preset_builds(name):
+    """Every shipped run preset parses and builds its grid and initial data."""
+    cfg = cli.load_config(cli.preset_path(name))
+    u0 = cfg.make_initial(cfg.make_grid())
+    assert np.all(np.isfinite(u0.values)) and np.max(u0.values) > 0
 
 
 def test_preset_registry():
@@ -208,6 +228,7 @@ def test_check_verifies_every_snapshot(run_dir, tmp_path):
     raw[32 + 8 * (len(raw) // 16)] ^= 1  # the last bit of one value
     snap.write_bytes(bytes(raw))
     assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
+    assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
 
 
 def test_check_regenerates_missing_fits(run_dir, tmp_path):
@@ -233,7 +254,7 @@ def test_dt_underflow_reported_as_outcome(tmp_path):
 # --------------------------------------------------------------------------
 
 
-def test_run_1d(tmp_path):
+def test_run_1d(tmp_path, capsys):
     path = write_config(
         tmp_path, name="oned.yaml",
         domain={"Lx": 0.25, "Ly": 1.0}, grid={"nx": 5, "ny": 257},
@@ -250,6 +271,10 @@ def test_run_1d(tmp_path):
     assert cli.main(["fit", str(out)]) == cli.EXIT_OK
     assert (out / "fits.json").read_bytes() == before
     assert cli.main(["check", str(out)]) == cli.EXIT_OK
+    # the run directory holds its snapshots, each checked by sha256
+    n = len(list((out / "snapshots").iterdir()))
+    assert n >= 2
+    assert f"{n} snapshots, {n} verified by sha256" in capsys.readouterr().out
 
 
 def test_sweep(tmp_path):

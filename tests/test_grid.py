@@ -5,15 +5,18 @@ exact on polynomials of degree <= 2, so quadratic fields give machine-accuracy
 references; smooth fields give the second-order convergence check.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbulab import (ConfigurationError, DomainError, Grid2D, NumericError,
-                    ScalarField, gradient, laplacian, read_snapshot, sample,
-                    write_snapshot)
-from gbulab.grid import Axis
+                    ScalarField, SnapshotError, gradient, laplacian,
+                    read_snapshot, sample, write_snapshot)
+from gbulab import _kernels
+from gbulab.grid import Axis, graded_nodes
 
 
 def make_field(g, fn):
@@ -164,6 +167,43 @@ def test_graded_grid_rejects_bad_grading():
         Grid2D(Lx=1.0, Ly=1.0, nx=9, ny=9, coords=(x, x))  # y from -1
 
 
+def test_graded_axis_rejects_first_cell_below_100_ulp():
+    """On Ly = 3, ulp(3) = 4.4e-16: the cells at y = 3 keep their ratio only
+    if the first cell is many ulp wide."""
+    for y_first in (1e-15, 1e-14):
+        with pytest.raises(ConfigurationError, match="ulp"):
+            Grid2D.graded(2.0, 3.0, y_first, 1.4, 0.2, 1e-3, 1.1, 0.1)
+    g = Grid2D.graded(2.0, 3.0, 1e-13, 1.4, 0.2, 1e-3, 1.1, 0.1)
+    top = np.diff(g.y)[::-1][:5]
+    assert np.allclose(top[1:] / top[:-1], 1.4, rtol=0.02)
+
+
+def test_column_grid():
+    y = graded_nodes(1.0, 1e-4, 1.3, 0.05)
+    assert y[0] == 0.0 and y[-1] == 1.0 and y[1] == 1e-4
+    g = Grid2D.column(0.25, 1.0, y)
+    assert g.is_column and g.nx == 1 and g.ix0 == 0 and g.x[0] == 0.0
+    assert g.hy == pytest.approx(1e-4) and g.hx == np.inf
+    with pytest.raises(ConfigurationError):
+        Grid2D(Lx=1.0, Ly=1.0, nx=1, ny=9)  # a column needs its y nodes
+    with pytest.raises(ConfigurationError):
+        Grid2D(Lx=1.0, Ly=1.0, nx=1, ny=y.size, coords=((0.5,), y))
+
+
+def test_column_kernels_exact_on_quadratics():
+    """On a graded column, u = y^2 has u_yy = 2 and u_y = 2y exactly."""
+    g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
+    u = (g.y ** 2)[:, None]
+    out = np.zeros_like(u)
+    uy = _kernels.rhs_interior_1d(u, g.ay, 3.0, out)
+    y = g.y[1:-1, None]
+    assert np.allclose(uy, 2.0 * y, rtol=1e-9, atol=1e-12)
+    assert np.allclose(out[1:-1], 2.0 + (2.0 * y) ** 3, rtol=1e-9)
+    assert out[0, 0] == 0.0 and out[-1, 0] == 0.0
+    assert _kernels.grad_max_1d(u, g.ay) == pytest.approx(2.0, rel=1e-9)
+    assert _kernels.uy_wall(u, g)[0] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_graded_grid_equality():
     a = geometric_grid(20, 1.2)
     assert a == geometric_grid(20, 1.2)
@@ -311,6 +351,12 @@ def test_snapshot_corruption_detected(tmp_path):
     (tmp_path / "magic.bin").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ConfigurationError):
         read_snapshot(tmp_path / "magic.bin")
+
+    # a header that describes no grid (Lx < 0) is a corrupt snapshot too
+    (tmp_path / "lx.bin").write_bytes(raw[:8] + struct.pack("<d", -0.5)
+                                      + raw[16:])
+    with pytest.raises(SnapshotError, match="Lx"):
+        read_snapshot(tmp_path / "lx.bin")
 
 
 def test_uniform_snapshot_layout(tmp_path):

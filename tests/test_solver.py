@@ -1,6 +1,7 @@
 """Integrator tests: exactness oracles (zero data, shifted steady states),
 manufactured-solution convergence, qualitative invariants (nonnegativity,
-sup-norm bound), the half-domain symmetry reduction and run persistence."""
+sup-norm bound), the half-domain symmetry reduction, run persistence and the
+1D reduction on a column."""
 
 import hashlib
 import json
@@ -37,6 +38,14 @@ def test_zero_data_is_a_fixed_point():
     assert st.grad_max == 0.0
 
 
+def column_run(u0, Ly, cfg):
+    """Run the 1D reduction from the values u0 on uniform nodes of [0, Ly];
+    return the outcome and the final values."""
+    g = Grid2D.column(0.25, Ly, np.linspace(0.0, Ly, u0.size))
+    out = solver.run(ScalarField(g, u0[:, None]), cfg)
+    return out, out.final.field.values[:, 0]
+
+
 def test_steady_state_residual_1d():
     """V_a is a steady state: the 1D scheme must hold it to stencil accuracy."""
     pc = profile_constants(3.0)
@@ -44,9 +53,9 @@ def test_steady_state_residual_1d():
     y = np.linspace(0.0, Ly, n)
     v, _, _ = steady_state(a, y, pc)
     cfg = SolverConfig(p=3.0, t_max=2e-4, stop_grad_norm=1e9)
-    out = solver.run_1d(v, Ly, cfg)
+    out, final = column_run(v, Ly, cfg)
     assert out.reason == HORIZON
-    drift = np.max(np.abs(out.final - v))
+    drift = np.max(np.abs(final - v))
     # truncation residual ~ hy^2 * |V''''| near y = 0 integrates to O(1e-4)
     assert drift < 5e-4
 
@@ -159,6 +168,15 @@ def run_dirs_equal(d1, d2):
     return (d1 / "series.csv").read_bytes() == (d2 / "series.csv").read_bytes()
 
 
+def snapshot_steps(run_dir):
+    meta = json.loads((run_dir / "meta.json").read_text())
+    return [e["step"] for e in meta["outcome"]["snapshots"]]
+
+
+def cut_step(run_dir):
+    return len(solver.load_series(run_dir / "series.csv")["t"]) - 1
+
+
 def test_run_persistence(tmp_path):
     g = Grid2D(Lx=0.25, Ly=0.06, nx=65, ny=65)
     u0 = symmetric_cap(0.4, 0.18, g)
@@ -187,12 +205,16 @@ def test_resume_is_deterministic(tmp_path):
     t_mid = out_a.series["t"][len(out_a.series["t"]) // 2]
     cfg_short = SolverConfig(p=3.0, t_max=float(t_mid), stop_grad_norm=200.0)
     solver.run(u0.copy(), cfg_short, run_dir=str(tmp_path / "b"))
+    cut = cut_step(tmp_path / "b")
     out_b = solver.resume(str(tmp_path / "b"), cfg_full)
 
     assert out_b.reason == out_a.reason == BLOW_UP
     assert np.array_equal(out_b.final.field.values, out_a.final.field.values)
     assert out_b.final.t == out_a.final.t
     assert out_b.final.step == out_a.final.step
+    # the resumed run continues the snapshot cascade where the cut left it
+    assert snapshot_steps(tmp_path / "b") == \
+        sorted(set(snapshot_steps(tmp_path / "a")) | {cut})
 
 
 def test_concurrent_runs_share_nothing():
@@ -224,7 +246,7 @@ def test_concurrent_runs_share_nothing():
 
 
 # --------------------------------------------------------------------------
-# 1D reduction
+# 1D reduction on a column
 # --------------------------------------------------------------------------
 
 
@@ -233,9 +255,9 @@ def test_run_1d_sine_decays():
     y = np.linspace(0.0, Ly, n)
     u0 = 0.05 * np.sin(np.pi * y)
     cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=1e9)
-    out = solver.run_1d(u0, Ly, cfg)
+    out, final = column_run(u0, Ly, cfg)
     assert out.reason == HORIZON
-    assert out.final.max() < 0.05 * np.exp(-np.pi**2 * 0.05) * 1.5
+    assert final.max() < 0.05 * np.exp(-np.pi**2 * 0.05) * 1.5
 
 
 def test_run_1d_blow_up():
@@ -243,7 +265,7 @@ def test_run_1d_blow_up():
     y = np.linspace(0.0, Ly, n)
     u0 = 1.5 * np.sin(np.pi * y / 2.0)  # monotone, above the 1D threshold
     cfg = SolverConfig(p=3.0, t_max=2.0, stop_grad_norm=500.0)
-    out = solver.run_1d(u0, Ly, cfg)
+    out, _ = column_run(u0, Ly, cfg)
     assert out.reason == BLOW_UP
     # gradient maximum sits at the boundary y = 0
     assert out.series["uy_origin"][-1] == pytest.approx(
@@ -258,6 +280,11 @@ def test_run_1d_blow_up():
 def graded_grid():
     return Grid2D.graded(0.25, 0.06, y_first=1e-5, y_ratio=1.3, y_max=0.004,
                          x_first=2e-3, x_ratio=1.2, x_max=0.02)
+
+
+def graded_column():
+    """The y axis of graded_grid() as a 1D column."""
+    return Grid2D.column(0.25, 0.06, graded_grid().y)
 
 
 def test_graded_zero_data_is_a_fixed_point():
@@ -294,23 +321,29 @@ def test_graded_steps_track_grad_max_change():
 
 
 def test_graded_resume_is_deterministic(tmp_path):
-    g = graded_grid()
-    u0 = symmetric_cap(0.4, 0.18, g)
-    cfg_full = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=300.0)
-    out_a = solver.run(u0.copy(), cfg_full, run_dir=str(tmp_path / "a"))
-    t_mid = out_a.series["t"][len(out_a.series["t"]) // 2]
-    cfg_short = SolverConfig(p=3.0, t_max=float(t_mid), stop_grad_norm=300.0)
-    solver.run(u0.copy(), cfg_short, run_dir=str(tmp_path / "b"))
-    out_b = solver.resume(str(tmp_path / "b"), cfg_full)
-    assert out_b.final.field.grid == g
-    assert np.array_equal(out_b.final.field.values, out_a.final.field.values)
-    assert out_b.final.step == out_a.final.step
-    assert run_dirs_equal(tmp_path / "a", tmp_path / "b")
-    # the resumed run keeps the hashes of the snapshots it started from
-    meta = json.loads((tmp_path / "b" / "meta.json").read_text())
-    for e in meta["outcome"]["snapshots"]:
-        blob = (tmp_path / "b" / e["path"]).read_bytes()
-        assert e["sha256"] == hashlib.sha256(blob).hexdigest()
+    for g in (graded_grid(), graded_column()):
+        root = tmp_path / f"nx{g.nx}"
+        u0 = symmetric_cap(0.4, 0.18, g)
+        cfg_full = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=300.0)
+        out_a = solver.run(u0.copy(), cfg_full, run_dir=str(root / "a"))
+        t_mid = out_a.series["t"][len(out_a.series["t"]) // 2]
+        cfg_short = SolverConfig(p=3.0, t_max=float(t_mid),
+                                 stop_grad_norm=300.0)
+        solver.run(u0.copy(), cfg_short, run_dir=str(root / "b"))
+        cut = cut_step(root / "b")
+        out_b = solver.resume(str(root / "b"), cfg_full)
+        assert out_b.final.field.grid == g
+        assert np.array_equal(out_b.final.field.values,
+                              out_a.final.field.values)
+        assert out_b.final.step == out_a.final.step
+        assert run_dirs_equal(root / "a", root / "b")
+        assert snapshot_steps(root / "b") == \
+            sorted(set(snapshot_steps(root / "a")) | {cut})
+        # the resumed run keeps the hashes of the snapshots it started from
+        meta = json.loads((root / "b" / "meta.json").read_text())
+        for e in meta["outcome"]["snapshots"]:
+            blob = (root / "b" / e["path"]).read_bytes()
+            assert e["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_graded_rejects_forcing_and_half_mode():
