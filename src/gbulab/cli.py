@@ -11,6 +11,7 @@ runs on a column at x = 0 through the same run, snapshots, fit and check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,14 +22,14 @@ import yaml
 
 from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
-from .errors import (ConfigurationError, DtUnderflow, FitError, GbulabError,
-                     NumericError, SnapshotError)
+from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
+                     GbulabError, NumericError, SnapshotError)
 from .grid import Grid2D, ScalarField, graded_nodes, read_snapshot
 from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
                            manufactured_params, manufactured_solution,
-                           profile_constants)
+                           j_params, profile_constants)
 
-__all__ = ["RunConfig", "load_config", "preset_path", "main",
+__all__ = ["RunConfig", "load_config", "load_mms", "preset_path", "main",
            "cmd_run", "cmd_mms", "cmd_check", "cmd_barrier", "cmd_fit",
            "cmd_sweep"]
 
@@ -46,8 +47,73 @@ EXIT_SNAPSHOT = 5
 # --------------------------------------------------------------------------
 
 
+def _integer(v) -> int:
+    n = int(v)
+    if n != float(v):  # int() would truncate 64.5 silently
+        raise ValueError(v)
+    return n
+
+
+def _integers(v) -> list:
+    return [_integer(n) for n in v]
+
+
+_GRADED_KEYS = ("y_first", "y_ratio", "y_max", "x_first", "x_ratio", "x_max")
+
+# Every settable value of a run config but p, {section: {key: type}}.  The
+# defaults stay where the values are read, so meta.json echoes only the YAML.
+RUN_SCHEMA = {
+    "domain": {"Lx": float, "Ly": float},
+    "grid": {"nx": _integer, "ny": _integer,
+             **dict.fromkeys(_GRADED_KEYS, float)},
+    "initial_data": {"family": str, "C_amp": float, "epsilon": float,
+                     "amplitude": float, "width": float},
+    "solver": {"cfl_safety": float, "dt_floor": float,
+               "stop_grad_norm": float, "t_max": float,
+               "snapshot_stride": _integer},
+    "diagnostics": {"q": float},
+    "fits": {"level_frac": float, "extent": float},
+}
+# the initial_data keys each family needs
+_FAMILY_KEYS = {"bump": ("C_amp", "epsilon"), "cap": ("amplitude", "width"),
+                "sine_1d": ("amplitude",)}
+MMS_SCHEMA = {"p": float, "alpha": float, "T": float, "t_end": float,
+              "Lx": float, "Ly": float, "grids": _integers,
+              "cfl_safety": float}
+
+
+def convert(prefix, raw, types) -> dict:
+    """The mapping `raw` with each value converted to its type in `types`
+    and null values dropped.  An unknown key or a value that does not
+    convert raises a ConfigurationError naming prefix + key."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(
+            f"{prefix.rstrip('.') or 'config root'}: must be a mapping")
+    out = {}
+    for k, v in raw.items():
+        if k not in types:
+            raise ConfigurationError(f"unknown config field: {prefix}{k}")
+        if v is not None:
+            try:
+                out[k] = types[k](v)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"{prefix}{k}: expected "
+                    f"{types[k].__name__.lstrip('_')}, got {v!r}")
+    return out
+
+
+def _require(prefix, values, keys):
+    missing = [prefix + k for k in keys if k not in values]
+    if missing:
+        raise ConfigurationError(f"missing config field: {', '.join(missing)}")
+
+
 @dataclass
 class RunConfig:
+    """A run config, its values converted by RUN_SCHEMA."""
     p: float
     domain: dict = field(default_factory=lambda: {"Lx": 0.25, "Ly": 0.25})
     grid: dict = field(default_factory=lambda: {"nx": 129, "ny": 129})
@@ -56,39 +122,22 @@ class RunConfig:
     diagnostics: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
 
-    _FAMILIES = ("bump", "cap", "sine_1d")
-    _SOLVER_TYPES = {"cfl_safety": float, "dt_floor": float,
-                     "stop_grad_norm": float, "t_max": float,
-                     "snapshot_stride": int, "symmetry_mode": str}
-    _DIAG_KEYS = ("probe_box", "q", "threshold")
-    _FIT_KEYS = ("level_frac", "extent")
-    _GRADED_KEYS = ("y_first", "y_ratio", "y_max", "x_first", "x_ratio",
-                    "x_max")
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError("config root must be a mapping")
-        known = ("p", "domain", "grid", "initial_data", "solver",
-                 "diagnostics", "fits")
-        for key in d:
-            if key not in known:
-                raise ConfigurationError(f"unknown config field: {key}")
-        if "p" not in d:
-            raise ConfigurationError("missing config field: p")
-        cfg = cls(p=float(d["p"]))
-        cfg.domain.update(_subdict(d, "domain", ("Lx", "Ly")))
-        grid = _subdict(d, "grid", ("nx", "ny") + cls._GRADED_KEYS)
-        if any(k in grid for k in cls._GRADED_KEYS):
-            cfg.grid = grid  # graded: the node counts follow from the grading
+        # the root holds p and the sections, each converted below
+        top = convert("", d, {"p": float,
+                              **dict.fromkeys(RUN_SCHEMA, lambda v: v)})
+        _require("", top, ("p",))
+        sec = {s: convert(s + ".", top.get(s), types)
+               for s, types in RUN_SCHEMA.items()}
+        cfg = cls(p=top["p"], initial_data=sec["initial_data"],
+                  solver=sec["solver"], diagnostics=sec["diagnostics"],
+                  fits=sec["fits"])
+        cfg.domain.update(sec["domain"])
+        if any(k in sec["grid"] for k in _GRADED_KEYS):
+            cfg.grid = sec["grid"]  # graded: it sets the node counts
         else:
-            cfg.grid.update(grid)
-        cfg.initial_data = _subdict(
-            d, "initial_data",
-            ("family", "C_amp", "epsilon", "amplitude", "width"))
-        cfg.solver = _subdict(d, "solver", tuple(cls._SOLVER_TYPES))
-        cfg.diagnostics = _subdict(d, "diagnostics", cls._DIAG_KEYS)
-        cfg.fits = _subdict(d, "fits", cls._FIT_KEYS)
+            cfg.grid.update(sec["grid"])
         cfg.validate()
         return cfg
 
@@ -99,103 +148,82 @@ class RunConfig:
         if not self.p > 2:
             raise ConfigurationError(f"p: must be > 2, got {self.p}")
         fam = self.initial_data.get("family")
-        if fam not in self._FAMILIES:
+        if fam not in _FAMILY_KEYS:
             raise ConfigurationError(
-                f"initial_data.family: must be one of {self._FAMILIES}, "
+                f"initial_data.family: must be one of {tuple(_FAMILY_KEYS)}, "
                 f"got {fam!r}")
-        mode = self.solver.get("symmetry_mode", "full")
-        if mode not in ("full", "half"):
-            raise ConfigurationError(
-                f"solver.symmetry_mode: must be full or half, got {mode!r}")
-        if (self.graded or self.is_1d) and mode != "full":
-            raise ConfigurationError("solver.symmetry_mode: a graded grid or "
-                                     "a 1D run needs full")
-        if self.is_1d and any(k in self.grid for k in self._GRADED_KEYS[3:]):
+        _require("initial_data.", self.initial_data, _FAMILY_KEYS[fam])
+        if self.is_1d and any(k in self.grid for k in _GRADED_KEYS[3:]):
             raise ConfigurationError("grid: a 1D run takes no x grading")
-        # constructing these validates ranges and raises with context
+        # constructing these checks the ranges (j_params: diagnostics.q)
         self.make_grid()
         self.make_solver_config()
+        j_params(profile_constants(self.p), 0.5, self.diagnostics.get("q"))
 
     def make_grid(self) -> Grid2D:
         try:
-            Lx, Ly = float(self.domain["Lx"]), float(self.domain["Ly"])
+            Lx, Ly = self.domain["Lx"], self.domain["Ly"]
             if self.graded and ("nx" in self.grid or "ny" in self.grid):
                 raise ConfigurationError(
                     "grid: nx/ny and a grading are exclusive")
             if self.is_1d:  # one column at x = 0; nx is not read
                 if self.graded:
-                    y = graded_nodes(Ly, *(float(self.grid[k])
-                                           for k in self._GRADED_KEYS[:3]))
+                    y = graded_nodes(Ly, *(self.grid[k]
+                                           for k in _GRADED_KEYS[:3]))
                 else:
-                    y = np.linspace(0.0, Ly, int(self.grid["ny"]))
+                    y = np.linspace(0.0, Ly, self.grid["ny"])
                 return Grid2D.column(Lx, Ly, y)
             if self.graded:
                 return Grid2D.graded(Lx, Ly, **{
-                    k: float(self.grid[k]) for k in self._GRADED_KEYS})
-            return Grid2D(Lx=Lx, Ly=Ly,
-                          nx=int(self.grid["nx"]), ny=int(self.grid["ny"]))
+                    k: self.grid[k] for k in _GRADED_KEYS})
+            return Grid2D(Lx=Lx, Ly=Ly, nx=self.grid["nx"], ny=self.grid["ny"])
         except KeyError as exc:
             raise ConfigurationError(f"missing grid/domain field: {exc}")
 
     @property
     def graded(self) -> bool:
-        return any(k in self.grid for k in self._GRADED_KEYS)
+        return any(k in self.grid for k in _GRADED_KEYS)
 
     def make_solver_config(self) -> solver.SolverConfig:
-        """The solver settings, each converted to its type (YAML reads
-        1.0e5, without a sign in the exponent, as a string)."""
-        kw = {}
-        for k, v in self.solver.items():
-            if v is None:
-                continue
-            kind = self._SOLVER_TYPES[k]
-            try:
-                kw[k] = kind(v)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"solver.{k}: expected {kind.__name__}, got {v!r}")
-        return solver.SolverConfig(p=self.p, **kw)
+        return solver.SolverConfig(p=self.p, **self.solver)
 
     def make_initial(self, g: Grid2D):
         d = self.initial_data
         fam = d["family"]
         if fam == "bump":
-            bp = initial_data.BumpParams(C_amp=float(d["C_amp"]),
-                                         epsilon=float(d["epsilon"]), p=self.p)
+            bp = initial_data.BumpParams(C_amp=d["C_amp"],
+                                         epsilon=d["epsilon"], p=self.p)
             return initial_data.concentrated_bump(bp, g)
         if fam == "cap":
-            return initial_data.symmetric_cap(float(d["amplitude"]),
-                                              float(d["width"]), g)
+            return initial_data.symmetric_cap(d["amplitude"], d["width"], g)
         # sine_1d: the arch amplitude sin(pi y / Ly) on the column of a 1D run
-        amp = float(d["amplitude"])
-        return ScalarField(g, amp * np.sin(np.pi * g.y / g.Ly)[:, None])
+        return ScalarField(
+            g, d["amplitude"] * np.sin(np.pi * g.y / g.Ly)[:, None])
 
     @property
     def is_1d(self) -> bool:
         return self.initial_data.get("family") == "sine_1d"
 
 
-def _subdict(d, key, allowed):
-    sub = d.get(key, {})
-    if sub is None:
-        sub = {}
-    if not isinstance(sub, dict):
-        raise ConfigurationError(f"{key}: must be a mapping")
-    for k in sub:
-        if k not in allowed:
-            raise ConfigurationError(f"unknown config field: {key}.{k}")
-    return dict(sub)
-
-
-def load_config(path) -> RunConfig:
+def _read_yaml(path):
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse config {path}: {exc}")
-    return RunConfig.from_dict(raw)
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig.from_dict(_read_yaml(path))
+
+
+def load_mms(path) -> dict:
+    """An mms config, its values converted by MMS_SCHEMA."""
+    m = convert("", _read_yaml(path), MMS_SCHEMA)
+    _require("", m, ("p", "alpha", "T", "t_end"))
+    return m
 
 
 def preset_path(name: str) -> str:
@@ -259,13 +287,14 @@ def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
         attempt("time_rate", timerate)
         return out
 
-    extent = float(cfg.fits.get("extent", 0.1))
-    level_frac = float(cfg.fits.get("level_frac", 0.5))
+    extent = cfg.fits.get("extent", 0.1)
+    level_frac = cfg.fits.get("level_frac", 0.5)
     _, last = snaps[-1]
     # the near-wall windows start at the layer's resolution crossover only
     # in a run that built a layer, i.e. blew up (profile_fit.wall_floor)
     blew_up = meta["outcome"]["reason"] == solver.BLOW_UP
 
+    @functools.cache  # one wall_floor for the three near-wall fits
     def floor():
         return profile_fit.wall_floor(last, pc, layer=blew_up)
 
@@ -294,12 +323,13 @@ def _write_fits(run_dir, meta, snaps, cfg: RunConfig):
     with open(os.path.join(run_dir, "fits.json"), "w") as fh:
         fh.write(profile_fit.fits_to_json(fits))
     if not cfg.is_1d:
-        _emit_profile_csvs(snaps, cfg, run_dir)
-        _run_diagnostics(snaps, cfg, run_dir)
+        _emit_profile_csvs(snaps, cfg, run_dir, fits)
+        report = diag.build_report(snaps, profile_constants(cfg.p),
+                                   q=cfg.diagnostics.get("q"))
+        diag.write_report(report, run_dir)
 
 
-def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir):
-    pc = profile_constants(cfg.p)
+def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir, fits):
     _, last = snaps[-1]
     g = last.grid
     uy = profile_fit.normal_derivative_field(last)
@@ -311,29 +341,16 @@ def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir):
         fh.write("x,uy\n")
         for xv, vv in zip(g.x[g.ix0:], uy[0, g.ix0:]):
             fh.write(f"{float(xv)!r},{float(vv)!r}\n")
-    fits_path = os.path.join(run_dir, "fits.json")
-    if os.path.exists(fits_path):
-        with open(fits_path) as fh:
-            fits = json.load(fh)
-        lvl = fits.get("level_set", {})
-        if isinstance(lvl, dict) and "level" in lvl:
-            try:
-                xs, ys = profile_fit.level_set_curve(
-                    last, lvl["level"], extent=float(cfg.fits.get("extent", 0.1)))
-            except FitError:
-                return
-            with open(os.path.join(run_dir, "profile_levelset.csv"), "w") as fh:
-                fh.write("x,y\n")
-                for xv, yv in zip(xs, ys):
-                    fh.write(f"{float(xv)!r},{float(yv)!r}\n")
-
-
-def _run_diagnostics(snaps, cfg: RunConfig, run_dir):
-    pc = profile_constants(cfg.p)
-    q = cfg.diagnostics.get("q")
-    box = cfg.diagnostics.get("probe_box")
-    box = tuple(box) if box else None
-    diag.write_report(diag.build_report(snaps, pc, q=q, box=box), run_dir)
+    if (level := fits["level_set"].get("level")) is not None:
+        try:
+            xs, ys = profile_fit.level_set_curve(
+                last, level, extent=cfg.fits.get("extent", 0.1))
+        except FitError:
+            return
+        with open(os.path.join(run_dir, "profile_levelset.csv"), "w") as fh:
+            fh.write("x,y\n")
+            for xv, yv in zip(xs, ys):
+                fh.write(f"{float(xv)!r},{float(yv)!r}\n")
 
 
 # --------------------------------------------------------------------------
@@ -364,22 +381,16 @@ def cmd_run(config_path, out_dir) -> int:
 
 
 def cmd_mms(config_path) -> int:
-    with open(preset_path(config_path)) as fh:
-        raw = yaml.safe_load(fh)
-    for key in raw:
-        if key not in ("p", "alpha", "T", "t_end", "Lx", "Ly", "grids",
-                       "cfl_safety"):
-            raise ConfigurationError(f"unknown config field: {key}")
-    p = float(raw["p"])
+    m = load_mms(preset_path(config_path))
+    p, t_end = m["p"], m["t_end"]
     pc = profile_constants(p)
-    mp = manufactured_params(pc, float(raw["alpha"]), float(raw["T"]))
-    t_end = float(raw["t_end"])
+    mp = manufactured_params(pc, m["alpha"], m["T"])
     if not t_end < mp.T:
         raise ConfigurationError(f"t_end: must precede T={mp.T}, got {t_end}")
-    Lx = float(raw.get("Lx", 0.5))
-    Ly = float(raw.get("Ly", 0.5))
-    grids = [int(n) for n in raw.get("grids", [33, 65, 129])]
-    cfl = float(raw.get("cfl_safety", 0.4))
+    Lx, Ly = m.get("Lx", 0.5), m.get("Ly", 0.5)
+    grids = m.get("grids", [33, 65, 129])
+    # SolverConfig holds the default step safety factor
+    cfl = {"cfl_safety": m["cfl_safety"]} if "cfl_safety" in m else {}
 
     def exact(x, y, t):
         return manufactured_solution(mp, pc, x, y, t)[0]
@@ -390,9 +401,8 @@ def cmd_mms(config_path) -> int:
         X, Y = g.meshgrid()
         u0 = ScalarField(g, exact(X, Y, 0.0))
         forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
-        scfg = solver.SolverConfig(p=p, cfl_safety=cfl, t_max=t_end,
-                                   stop_grad_norm=1e30, forcing=forcing,
-                                   boundary=boundary)
+        scfg = solver.SolverConfig(p=p, t_max=t_end, stop_grad_norm=1e30,
+                                   forcing=forcing, boundary=boundary, **cfl)
         outcome = solver.run(u0, scfg)
         uex = exact(X, Y, outcome.t_stop)
         err = float(np.max(np.abs(outcome.final.field.values - uex)))
@@ -541,7 +551,7 @@ def main(argv=None) -> int:
     except SnapshotError as exc:
         print(f"corrupt run directory: {exc}", file=sys.stderr)
         return EXIT_SNAPSHOT
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, DtUnderflow) as exc:

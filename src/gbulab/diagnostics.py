@@ -18,7 +18,7 @@ from . import _kernels
 from .errors import DomainError, FitError
 from .grid import ScalarField, gradient
 from .profile_fit import PowerLawFit, powerlaw_fit
-from .profile_math import JParams, ProfileConstants, j_model
+from .profile_math import JParams, ProfileConstants, j_model, j_params
 
 __all__ = [
     "MonitorEnvelope",
@@ -53,6 +53,9 @@ class DiagnosticReport:
     xi_range: tuple
     theta_range: tuple
     h_boundary: dict  # t, x, h table
+
+
+XI_THETA_FLOOR = 1e-8  # xi divides by u: smaller u is left out
 
 
 def default_probe_box(g) -> tuple:
@@ -125,16 +128,14 @@ def bernstein_monitor(snapshot: ScalarField, t: float,
     return _env("bernstein", vals, X[interior], Y[interior], t)
 
 
-def j_monitor(snapshot: ScalarField, jp: JParams, pc: ProfileConstants,
-              box=None) -> float:
+def j_monitor(snapshot: ScalarField, jp: JParams,
+              pc: ProfileConstants) -> float:
     """Maximum of J = u_x + k x y^-gamma (1+y) u^q over probe-box nodes.
 
     Nodes at y = 0 are excluded (the weight is singular there).
     """
     g = snapshot.grid
-    if box is None:
-        box = default_probe_box(g)
-    x1, y1 = box
+    x1, y1 = default_probe_box(g)
     X, Y = g.meshgrid()
     mask = (X > 0) & (X <= x1) & (Y > 0) & (Y <= y1)
     if not np.any(mask):
@@ -144,22 +145,17 @@ def j_monitor(snapshot: ScalarField, jp: JParams, pc: ProfileConstants,
     return float(np.max(j_model(jp, pc, u, fx.values[mask], X[mask], Y[mask])))
 
 
-def j_k_ladder(snapshots, pc: ProfileConstants, q: float = None, box=None,
-               ladder=None):
-    """Largest power-of-two k in (0, 1) with max J <= 0 on every snapshot.
+def j_k_ladder(snapshots, pc: ProfileConstants, q: float = None):
+    """Largest k = 2^-n, n = 1..20, with max J <= 0 on every snapshot.
 
     Returns (k, table) with k = 0.0 if no rung passes; table maps each tried
     k to its worst max-J over the window.
     """
-    from .profile_math import j_params
-
-    if ladder is None:
-        ladder = [2.0**-n for n in range(1, 21)]
     table = {}
     best = 0.0
-    for k in sorted(ladder, reverse=True):
+    for k in (2.0**-n for n in range(1, 21)):
         jp = j_params(pc, k, q)
-        worst = max(j_monitor(s, jp, pc, box) for s in snapshots)
+        worst = max(j_monitor(s, jp, pc) for s in snapshots)
         table[k] = worst
         if worst <= 0.0:
             best = k
@@ -167,17 +163,16 @@ def j_k_ladder(snapshots, pc: ProfileConstants, q: float = None, box=None,
     return best, table
 
 
-def xi_theta_fields(snapshot: ScalarField, pc: ProfileConstants,
-                    threshold: float = 1e-8):
+def xi_theta_fields(snapshot: ScalarField, pc: ProfileConstants):
     """Node-wise xi = y u_y / u and Theta = y (u_y)^(p-1).
 
-    Defined on {y > 0, u > threshold}; NaN marks absent nodes.
+    Defined on {y > 0, u > XI_THETA_FLOOR}; NaN marks absent nodes.
     """
     g = snapshot.grid
     _, fy = gradient(snapshot)
     _, Y = g.meshgrid()
     u = snapshot.values
-    ok = (Y > 0) & (u > threshold)
+    ok = (Y > 0) & (u > XI_THETA_FLOOR)
     xi = np.full_like(u, np.nan)
     theta = np.full_like(u, np.nan)
     xi[ok] = Y[ok] * fy.values[ok] / u[ok]
@@ -186,14 +181,11 @@ def xi_theta_fields(snapshot: ScalarField, pc: ProfileConstants,
     return ScalarField(g, xi), ScalarField(g, theta)
 
 
-def xi_theta_ranges(snapshot: ScalarField, pc: ProfileConstants, box=None,
-                    threshold: float = 1e-8):
+def xi_theta_ranges(snapshot: ScalarField, pc: ProfileConstants):
     """(min, max) of xi and Theta over the probe box."""
     g = snapshot.grid
-    if box is None:
-        box = default_probe_box(g)
-    x1, y1 = box
-    xi, theta = xi_theta_fields(snapshot, pc, threshold)
+    x1, y1 = default_probe_box(g)
+    xi, theta = xi_theta_fields(snapshot, pc)
     X, Y = g.meshgrid()
     mask = (np.abs(X) <= x1) & (Y > 0) & (Y <= y1) & np.isfinite(xi.values)
     if not np.any(mask):
@@ -259,8 +251,8 @@ def modulation_h(ts, xs, uy_rows, pc: ProfileConstants, T_hat=None):
     return out
 
 
-def build_report(snapshots, pc: ProfileConstants, q: float = None, box=None,
-                 T_hat=None) -> DiagnosticReport:
+def build_report(snapshots, pc: ProfileConstants,
+                 q: float = None) -> DiagnosticReport:
     """Full diagnostic pass over a list of (t, ScalarField) snapshot pairs."""
     envelopes = []
     prev = prev_t = None
@@ -269,16 +261,14 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None, box=None,
         envelopes.append(bernstein_monitor(f, t, pc))
         prev, prev_t = f, t
 
-    from .profile_math import j_params
-
     t_last, f_last = snapshots[-1]
     k, _table = j_k_ladder([f for _, f in snapshots[len(snapshots) * 3 // 4:]],
-                           pc, q, box)
+                           pc, q)
     jp = j_params(pc, k if k > 0 else 0.5, q)
-    j_max = [(t, j_monitor(f, jp, pc, box)) for t, f in snapshots]
-    xi_range, theta_range = xi_theta_ranges(f_last, pc, box)
+    j_max = [(t, j_monitor(f, jp, pc)) for t, f in snapshots]
+    xi_range, theta_range = xi_theta_ranges(f_last, pc)
     ts, xs, rows = boundary_normal_series(snapshots)
-    h = modulation_h(ts, xs, rows, pc, T_hat)
+    h = modulation_h(ts, xs, rows, pc)
     return DiagnosticReport(envelopes=envelopes, j_max=j_max, j_k=k,
                             xi_range=xi_range, theta_range=theta_range,
                             h_boundary=h)

@@ -233,21 +233,19 @@ def _pow0(base, expo):
 
 def calibrate_barrier_c0(pc: ProfileConstants, x0: float, r: float, d: float,
                          t0: float, T: float, eta: float,
-                         lattice=(20, 20, 10), c0_ladder=None):
-    """Find the smallest power-of-two C0 whose kappa makes the sampled barrier
-    residual nonnegative on an interior lattice.
+                         lattice=(20, 20, 10)):
+    """Find the smallest C0 = 2^k, k = -10..10, whose kappa makes the sampled
+    barrier residual nonnegative on an interior lattice.
 
     Returns (C0, BarrierParams, min_residual).  Raises DomainError if no ladder
     entry works.
     """
-    if c0_ladder is None:
-        c0_ladder = [2.0**k for k in range(-10, 11)]
     nx, ny, nt = lattice
     xs = x0 + np.linspace(-r, r, nx + 2)[1:-1]
     ys = np.linspace(0.0, d, ny + 1)[1:]
     ts = t0 + (T - t0) * np.linspace(0.0, 1.0, nt + 1)[:-1]
     X, Y, Tm = np.meshgrid(xs, ys, ts, indexing="ij")
-    for C0 in sorted(c0_ladder):
+    for C0 in (2.0**k for k in range(-10, 11)):
         bp = barrier_params(pc, x0, r, d, t0, T, eta, C0)
         _, _, res = barrier_eval(bp, pc, X, Y, Tm)
         rmin = float(np.min(res))

@@ -1,8 +1,8 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps program entry points by
 module attribute name.  Renaming or deleting one of them breaks every traced
 benchmark run, so this test installs the tracer against src/ and drives a
-small 1D run through the CLI.  It runs in a subprocess, which keeps the
-tracer's patches out of the other tests."""
+small 1D run and a small uniform 2D run through the CLI.  It runs in a
+subprocess, which keeps the tracer's patches out of the other tests."""
 
 import os
 import subprocess
@@ -15,29 +15,37 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = textwrap.dedent("""
     import sys
-    perfbench, src, config, out = sys.argv[1:]
+    perfbench, src, root = sys.argv[1:]
     sys.path[:0] = [perfbench, src]
     from tracer import Tracer, install
     tracer = Tracer("contract")
     install(tracer)
     from gbulab import cli
-    rc = cli.main(["run", config, "-o", out])
-    assert rc == 0, f"gbulab run exited {rc}"
+    for name in ("oned", "twod"):
+        rc = cli.main(["run", f"{root}/{name}.yaml", "-o", f"{root}/{name}"])
+        assert rc == 0, f"gbulab run {name} exited {rc}"
     called = {tracer.names[row[0]] for row in tracer.rows}
     live = {"_kernels.rhs1d", "_kernels.gradmax1d", "solver.run",
-            "solver.step", "solver.write_snapshot", "grid.read_snapshot"}
+            "solver.step", "solver.write_snapshot", "grid.read_snapshot",
+            "_kernels.rhs", "_kernels.gradmax", "cli.load_config",
+            "initial_data.make_initial", "cli.emit_profile_csvs",
+            "diagnostics.build_report", "profile_fit.fit_normal"}
     assert live <= called, f"never called: {sorted(live - called)}"
 """)
 
 
 def test_tracer_installs_and_sees_the_1d_kernels(tmp_path):
-    config = tmp_path / "oned.yaml"
-    config.write_text(yaml.safe_dump({
+    (tmp_path / "oned.yaml").write_text(yaml.safe_dump({
         "p": 3.0, "domain": {"Lx": 0.25, "Ly": 1.0}, "grid": {"ny": 65},
         "initial_data": {"family": "sine_1d", "amplitude": 1.5},
         "solver": {"stop_grad_norm": 100.0, "t_max": 0.01}}))
+    (tmp_path / "twod.yaml").write_text(yaml.safe_dump({
+        "p": 3.0, "domain": {"Lx": 0.25, "Ly": 0.25},
+        "grid": {"nx": 65, "ny": 65},
+        "initial_data": {"family": "cap", "amplitude": 0.1, "width": 0.18},
+        "solver": {"t_max": 0.001}}))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, os.path.join(ROOT, "perfbench"),
-         os.path.join(ROOT, "src"), str(config), str(tmp_path / "run")],
+         os.path.join(ROOT, "src"), str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,9 @@ from gbulab import cli
 from gbulab.errors import ConfigurationError
 
 
+ABSENT = object()  # an override that deletes the key
+
+
 def write_config(tmp_path, name="cfg.yaml", **over):
     cfg = {
         "p": 3.0,
@@ -24,7 +27,10 @@ def write_config(tmp_path, name="cfg.yaml", **over):
     }
     for key, val in over.items():
         if isinstance(val, dict):
-            cfg.setdefault(key, {}).update(val)
+            sec = cfg.setdefault(key, {})
+            sec.update(val)
+            for k in [k for k, v in val.items() if v is ABSENT]:
+                del sec[k]
         else:
             cfg[key] = val
     path = tmp_path / name
@@ -69,13 +75,46 @@ def test_invalid_yaml_exit_code(tmp_path):
     assert not (tmp_path / "r").exists()  # validated before mkdir
 
 
-@pytest.mark.parametrize("value, code", [("2.0e2", cli.EXIT_OK),
-                                         ("abc", cli.EXIT_CONFIG)])
-def test_solver_values_from_yaml_are_converted(tmp_path, value, code):
-    """YAML reads 2.0e2 (no sign in the exponent) as a string: it is
-    converted to a float, and a value that is no number exits 2."""
-    path = write_config(tmp_path, solver={"stop_grad_norm": value})
-    assert cli.main(["run", path, "-o", str(tmp_path / "r")]) == code
+def bad(over, name, case):
+    return pytest.param(over, cli.EXIT_CONFIG, name, id=case)
+
+
+@pytest.mark.parametrize("over, code, name", [
+    pytest.param({"solver": {"stop_grad_norm": "2.0e2"}}, cli.EXIT_OK, None,
+                 id="2.0e2-0"),
+    bad({"solver": {"stop_grad_norm": "abc"}}, "solver.stop_grad_norm",
+        "abc-2"),
+    pytest.param({"diagnostics": {"q": "3e0"}}, cli.EXIT_OK, None,
+                 id="q-3e0-0"),
+    bad({"fits": {"extent": "abc"}}, "fits.extent", "extent-abc-2"),
+    bad({"grid": {"nx": "3.3e1"}}, "grid.nx", "nx-3.3e1-2"),
+    bad({"grid": {"nx": 64.5}}, "grid.nx", "nx-64.5-2"),
+    bad({"p": "abc"}, "p: expected float", "p-abc-2"),
+    bad({"domain": {"Lx": "abc"}}, "domain.Lx", "Lx-abc-2"),
+    bad({"initial_data": {"amplitude": "abc"}}, "initial_data.amplitude",
+        "amplitude-abc-2"),
+    bad({"initial_data": {"amplitude": ABSENT}}, "initial_data.amplitude",
+        "cap-without-amplitude-2"),
+    bad({"diagnostics": {"q": 1.5}}, "q=1.5", "q-1.5-2"),
+    bad({"diagnostics": {"threshold": 5.0}}, "diagnostics.threshold",
+        "threshold-2"),
+    bad({"diagnostics": {"probe_box": [0.1, 0.1]}}, "diagnostics.probe_box",
+        "probe_box-2"),
+    bad({"solver": {"symmetry_mode": "full"}}, "solver.symmetry_mode",
+        "symmetry_mode-2"),
+])
+def test_solver_values_from_yaml_are_converted(tmp_path, capsys, over, code,
+                                               name):
+    """YAML reads 2.0e2 and 3e0 (no dot, or no sign in the exponent) as
+    strings: every config value is converted to its type.  A value that does
+    not convert, a missing or an unknown key exits 2, names the key and
+    leaves no run directory."""
+    path = write_config(tmp_path, **over)
+    out = tmp_path / "r"
+    assert cli.main(["run", path, "-o", str(out)]) == code
+    assert out.exists() == (code == cli.EXIT_OK)
+    if name:
+        assert name in capsys.readouterr().err
 
 
 GRADED = {"y_first": 1e-5, "y_ratio": 1.3, "y_max": 0.004,
@@ -137,10 +176,18 @@ def test_graded_run_fit_and_check_replay(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["p25-blowup", "p3-blowup", "p3-rate-1d",
-                                  "small-data"])
+                                  "small-data", "mms-p3"])
 def test_preset_builds(name):
-    """Every shipped run preset parses and builds its grid and initial data."""
-    cfg = cli.load_config(cli.preset_path(name))
+    """Every shipped preset parses.  A run preset round-trips through its
+    config echo and builds its grid and initial data."""
+    path = cli.preset_path(name)
+    if name == "mms-p3":
+        assert cli.load_mms(path) == {
+            "p": 3.0, "alpha": 3.0, "T": 1.0, "t_end": 0.01, "Lx": 0.5,
+            "Ly": 0.5, "grids": [33, 65, 129]}
+        return
+    cfg = cli.load_config(path)
+    assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
     u0 = cfg.make_initial(cfg.make_grid())
     assert np.all(np.isfinite(u0.values)) and np.max(u0.values) > 0
 
@@ -231,6 +278,25 @@ def test_check_verifies_every_snapshot(run_dir, tmp_path):
     assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("fits", "extent", "abc"), ("initial_data", "amplitude", ABSENT)],
+    ids=["extent-abc", "no-amplitude"])
+def test_fit_and_check_reject_a_bad_config_echo(run_dir, tmp_path, section,
+                                                key, value):
+    """fit and check validate the config echoed in meta.json as run does."""
+    import shutil
+    clone = tmp_path / "clone4"
+    shutil.copytree(run_dir, clone)
+    meta = json.loads((clone / "meta.json").read_text())
+    if value is ABSENT:
+        del meta["config"][section][key]
+    else:
+        meta["config"][section][key] = value
+    (clone / "meta.json").write_text(json.dumps(meta))
+    assert cli.main(["check", str(clone)]) == cli.EXIT_CONFIG
+    assert cli.main(["fit", str(clone)]) == cli.EXIT_CONFIG
+
+
 def test_check_regenerates_missing_fits(run_dir, tmp_path):
     import shutil
     clone = tmp_path / "clone2"
@@ -300,6 +366,19 @@ def test_mms_study(tmp_path, capsys):
     assert cli.main(["mms", str(path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "order(33->65)" in out
+
+
+@pytest.mark.parametrize("alpha", [ABSENT, "abc", 1.0],
+                         ids=["no-alpha", "alpha-abc", "alpha-below-2"])
+def test_mms_config_errors(tmp_path, alpha):
+    """A missing, malformed or out-of-range mms value exits 2 before any grid
+    is run (alpha >= (p-1)/(p-2) = 2 at p = 3)."""
+    cfg = {"p": 3.0, "alpha": alpha, "T": 1.0, "t_end": 0.02}
+    if alpha is ABSENT:
+        del cfg["alpha"]
+    path = tmp_path / "mms.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["mms", str(path)]) == cli.EXIT_CONFIG
 
 
 def test_barrier_report(tmp_path):
