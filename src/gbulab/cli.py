@@ -2,17 +2,17 @@
 registry and post-hoc fit/diagnostic emission.
 
 Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
-2 invalid config, 3 numeric failure, 4 convergence failure, 5 corrupt
-snapshot or run directory.  All outputs are deterministic data files
-(CSV/JSON); plotting is left to external tools.  A 1D run (family sine_1d)
-runs on a column at x = 0 through the same run, snapshots, fit and check.
+1 `check` recomputed a different fits.json, 2 invalid config, 3 numeric
+failure, 4 convergence failure, 5 corrupt or malformed run directory.  All
+outputs are deterministic CSV/JSON files written by `grid`; plotting is left
+to external tools.  A 1D run (family sine_1d) runs on a column at x = 0
+through the same run, snapshots, fit and check.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -22,9 +22,10 @@ import yaml
 
 from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
-from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
-                     GbulabError, NumericError, SnapshotError)
-from .grid import Grid2D, ScalarField, graded_nodes, read_snapshot
+from .errors import (ConfigurationError, DomainError, FitError, GbulabError,
+                     NumericError, SnapshotError)
+from .grid import (Grid2D, ScalarField, graded_nodes, read_snapshot, to_json,
+                   write_json, write_rows)
 from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
                            manufactured_params, manufactured_solution,
                            j_params, profile_constants)
@@ -245,17 +246,12 @@ def preset_path(name: str) -> str:
 
 
 def _load_run(run_dir):
-    meta_path = os.path.join(run_dir, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"cannot read {meta_path}: {exc}")
+    """(meta, [(t, field)]) of a run directory, each snapshot checked against
+    its sha256 if meta.json records one."""
+    meta, refs = solver.open_run(run_dir)
     snaps = []
-    for ref in meta["outcome"]["snapshots"]:
-        # run directories written before snapshots carried a sha256 have none
-        f, t = read_snapshot(os.path.join(run_dir, ref["path"]),
-                             ref.get("sha256"))
+    for ref in refs:
+        f, t = read_snapshot(ref.path, ref.sha256)
         snaps.append((t, f))
     return meta, snaps
 
@@ -308,6 +304,8 @@ def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
         uy = profile_fit.normal_derivative_field(last)
         X, Y = g.meshgrid()
         sel = (np.abs(X) <= extent) & (Y >= floor()) & (Y <= extent)
+        if not np.any(sel):
+            raise FitError(f"level-set window (extent {extent}) has no nodes")
         level = level_frac * float(np.max(uy[sel]))
         fitv = profile_fit.level_set_shape(last, pc, level, extent=extent)
         return {"level": level, "fit": fitv}
@@ -320,8 +318,7 @@ def _write_fits(run_dir, meta, snaps, cfg: RunConfig):
     """Write fits.json into a run directory, and for a 2D run its profile
     CSVs and report."""
     fits = compute_fits(meta, snaps, cfg, run_dir)
-    with open(os.path.join(run_dir, "fits.json"), "w") as fh:
-        fh.write(profile_fit.fits_to_json(fits))
+    write_json(os.path.join(run_dir, "fits.json"), fits)
     if not cfg.is_1d:
         _emit_profile_csvs(snaps, cfg, run_dir, fits)
         report = diag.build_report(snaps, profile_constants(cfg.p),
@@ -333,24 +330,18 @@ def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir, fits):
     _, last = snaps[-1]
     g = last.grid
     uy = profile_fit.normal_derivative_field(last)
-    with open(os.path.join(run_dir, "profile_normal.csv"), "w") as fh:
-        fh.write("y,uy\n")
-        for yv, vv in zip(g.y, uy[:, g.ix0]):
-            fh.write(f"{float(yv)!r},{float(vv)!r}\n")
-    with open(os.path.join(run_dir, "profile_tangential.csv"), "w") as fh:
-        fh.write("x,uy\n")
-        for xv, vv in zip(g.x[g.ix0:], uy[0, g.ix0:]):
-            fh.write(f"{float(xv)!r},{float(vv)!r}\n")
+    write_rows(os.path.join(run_dir, "profile_normal.csv"), ("y", "uy"),
+               zip(g.y, uy[:, g.ix0]))
+    write_rows(os.path.join(run_dir, "profile_tangential.csv"), ("x", "uy"),
+               zip(g.x[g.ix0:], uy[0, g.ix0:]))
     if (level := fits["level_set"].get("level")) is not None:
         try:
             xs, ys = profile_fit.level_set_curve(
                 last, level, extent=cfg.fits.get("extent", 0.1))
         except FitError:
             return
-        with open(os.path.join(run_dir, "profile_levelset.csv"), "w") as fh:
-            fh.write("x,y\n")
-            for xv, yv in zip(xs, ys):
-                fh.write(f"{float(xv)!r},{float(yv)!r}\n")
+        write_rows(os.path.join(run_dir, "profile_levelset.csv"), ("x", "y"),
+                   zip(xs, ys))
 
 
 # --------------------------------------------------------------------------
@@ -362,14 +353,12 @@ def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(preset_path(config_path))  # validates before any mkdir
     u0 = cfg.make_initial(cfg.make_grid())
     scfg = cfg.make_solver_config()
-    os.makedirs(out_dir, exist_ok=True)
     try:
         outcome = solver.run(u0, scfg, run_dir=out_dir,
                              config_echo=cfg.to_dict())
     except NumericError as exc:
         dump = os.path.join(out_dir, "crash.json")
-        with open(dump, "w") as fh:
-            json.dump({"error": str(exc)}, fh, indent=2)
+        write_json(dump, {"error": str(exc)})
         print(f"numeric failure: {exc}\nstate dump: {dump}", file=sys.stderr)
         return EXIT_NUMERIC
     series = outcome.series
@@ -430,7 +419,7 @@ def cmd_check(run_dir) -> int:
     meta, snaps = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
     fits = compute_fits(meta, snaps, cfg, run_dir)
-    blob = profile_fit.fits_to_json(fits).encode()
+    blob = to_json(fits).encode()
     fits_path = os.path.join(run_dir, "fits.json")
     if os.path.exists(fits_path):
         with open(fits_path, "rb") as fh:
@@ -443,8 +432,7 @@ def cmd_check(run_dir) -> int:
         print(f"{run_dir}: fits.json replayed byte-identically "
               f"({len(snaps)} snapshots, {hashed} verified by sha256)")
     else:
-        with open(fits_path, "wb") as fh:
-            fh.write(blob)
+        write_json(fits_path, fits)
         print(f"{run_dir}: fits.json regenerated ({len(snaps)} snapshots)")
     return EXIT_OK
 
@@ -470,14 +458,11 @@ def cmd_barrier(args) -> int:
     if first_fail is not None:
         print(f"first failing eta: {first_fail:g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, report)
     return EXIT_OK
 
 
 def cmd_sweep(configs, out_root) -> int:
-    os.makedirs(out_root, exist_ok=True)
     worst = EXIT_OK
     for cfg_path in configs:
         stem = os.path.splitext(os.path.basename(preset_path(cfg_path)))[0]
@@ -554,7 +539,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, DtUnderflow) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -8,7 +8,6 @@ offline is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, FitError
-from .grid import ScalarField, gradient
-from .profile_fit import PowerLawFit, powerlaw_fit
+from .grid import ScalarField, gradient, write_json, write_rows
+from .profile_fit import powerlaw_fit
 from .profile_math import JParams, ProfileConstants, j_model, j_params
 
 __all__ = [
@@ -276,33 +275,17 @@ def build_report(snapshots, pc: ProfileConstants,
 
 def write_report(report: DiagnosticReport, run_dir):
     """Emit report.json and h_table.csv into the run directory."""
-    def fit_dict(f: PowerLawFit):
-        return None if f is None else {
-            "exponent": f.exponent, "amplitude": f.amplitude,
-            "r_squared": f.r_squared, "window": list(f.window),
-            "n_points": f.n_points}
-
-    doc = {
-        "envelopes": [
-            {"name": e.name, "worst_value": e.worst_value,
-             "worst_location": list(e.worst_location),
-             "envelope_constant": e.envelope_constant}
-            for e in report.envelopes
-        ],
-        "j_max": [[t, v] for t, v in report.j_max],
-        "j_k": report.j_k,
-        "xi_range": list(report.xi_range),
-        "theta_range": list(report.theta_range),
-        "h_excluded": report.h_boundary["n_excluded"],
-        "h_fit_space": fit_dict(report.h_boundary["fit_space"]),
-        "h_fit_time": fit_dict(report.h_boundary["fit_time"]),
-    }
-    with open(os.path.join(run_dir, "report.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     hb = report.h_boundary
-    with open(os.path.join(run_dir, "h_table.csv"), "w") as fh:
-        fh.write("t," + ",".join(repr(float(x)) for x in hb["x"]) + "\n")
-        for i, t in enumerate(hb["t"]):
-            fh.write(repr(float(t)) + ","
-                     + ",".join(repr(float(v)) for v in hb["h"][i]) + "\n")
+    write_json(os.path.join(run_dir, "report.json"), {
+        "envelopes": report.envelopes,
+        "j_max": report.j_max,
+        "j_k": report.j_k,
+        "xi_range": report.xi_range,
+        "theta_range": report.theta_range,
+        "h_excluded": hb["n_excluded"],
+        "h_fit_space": hb["fit_space"],
+        "h_fit_time": hb["fit_time"],
+    })
+    write_rows(os.path.join(run_dir, "h_table.csv"),
+               ["t", *(repr(float(x)) for x in hb["x"])],
+               ([t, *row] for t, row in zip(hb["t"], hb["h"])))

@@ -1,5 +1,5 @@
-"""Tensor grid on [-Lx, Lx] x [0, Ly], nodal fields and second-order
-finite-difference stencils.
+"""Tensor grid on [-Lx, Lx] x [0, Ly], nodal fields, second-order
+finite-difference stencils and the run-directory file format.
 
 Fields store values in a (ny, nx) array, row-major with y as the outer index.
 nx is forced odd so the symmetry line x = 0 is a node.
@@ -16,8 +16,9 @@ in `_kernels`.
 
 from __future__ import annotations
 
+import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -37,6 +38,9 @@ __all__ = [
     "sample",
     "write_snapshot",
     "read_snapshot",
+    "to_json",
+    "write_json",
+    "write_rows",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_MAGIC_GRADED",
 ]
@@ -310,16 +314,8 @@ def sample(f: ScalarField, x: float, y: float) -> float:
     g = f.grid
     if not (-g.Lx <= x <= g.Lx and 0.0 <= y <= g.Ly):
         raise DomainError(f"sample point ({x}, {y}) outside the grid rectangle")
-    if g.uniform:
-        sx = (x + g.Lx) / g.hx
-        sy = y / g.hy
-        i = min(int(sx), g.nx - 2)
-        j = min(int(sy), g.ny - 2)
-        tx = sx - i
-        ty = sy - j
-    else:
-        i, tx = _cell(g.x, x)
-        j, ty = _cell(g.y, y)
+    i, tx = _cell(g.x, x)
+    j, ty = _cell(g.y, y)
     u = f.values
     return float(
         (1 - tx) * (1 - ty) * u[j, i]
@@ -330,8 +326,40 @@ def sample(f: ScalarField, x: float, y: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Serialization
+# Serialization: the run-directory format, which `check` replays byte for byte
 # --------------------------------------------------------------------------
+
+
+def _encode(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not serializable: {type(obj)}")
+
+
+def to_json(doc) -> str:
+    """JSON text of doc with sorted keys, two-space indent and a final
+    newline; dataclasses and numpy values are converted."""
+    return json.dumps(doc, default=_encode, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, doc):
+    """Write `to_json(doc)` to path."""
+    with open(path, "w") as fh:
+        fh.write(to_json(doc))
+
+
+def write_rows(path, header, rows):
+    """Write a CSV of the header names, then rows of floats as their repr."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def write_snapshot(f: ScalarField, path, time: float) -> str:

@@ -11,8 +11,7 @@ larger of the third node beside x = 0 and its own crossover.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "fit_aniso",
     "level_set_curve",
     "level_set_shape",
-    "fits_to_json",
 ]
 
 
@@ -53,6 +51,16 @@ class AnisoFit:
     residual_rel: float
 
 
+def _line_fit(x, y):
+    """(slope, intercept, r_squared) of the least-squares line y ~ x."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return slope, intercept, r2
+
+
 def powerlaw_fit(s, v, window) -> PowerLawFit:
     """OLS fit of log v against log s over s in [window[0], window[1]].
 
@@ -67,13 +75,7 @@ def powerlaw_fit(s, v, window) -> PowerLawFit:
     if n < 5:
         raise FitError(f"powerlaw_fit: {n} usable samples in window "
                        f"[{lo:.4g}, {hi:.4g}], need >= 5")
-    ls = np.log(s[mask])
-    lv = np.log(v[mask])
-    A = np.vstack([ls, np.ones_like(ls)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, lv, rcond=None)
-    resid = lv - (slope * ls + intercept)
-    ss_tot = float(np.sum((lv - lv.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    slope, intercept, r2 = _line_fit(np.log(s[mask]), np.log(v[mask]))
     return PowerLawFit(exponent=float(slope), amplitude=float(np.exp(intercept)),
                        r_squared=min(max(r2, 0.0), 1.0),
                        window=(float(lo), float(hi)), n_points=n)
@@ -194,14 +196,9 @@ def time_rate_linear(series: dict, pc: ProfileConstants):
     t = np.asarray(series["t"], dtype=float)
     g = np.asarray(series["grad_max"], dtype=float)
     sel = _last_growth_decade(t, g)
-    ts, ws = t[sel], g[sel] ** (-(pc.p - 2.0))
-    A = np.vstack([ts, np.ones_like(ts)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, ws, rcond=None)
+    slope, intercept, r2 = _line_fit(t[sel], g[sel] ** (-(pc.p - 2.0)))
     if not slope < 0:
         raise FitError("time-rate fit: grad_max^-(p-2) is not decreasing")
-    resid = ws - (slope * ts + intercept)
-    ss_tot = float(np.sum((ws - ws.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     T_hat = -intercept / slope
     return float(slope), float(intercept), float(r2), float(T_hat)
 
@@ -329,19 +326,3 @@ def level_set_shape(final_snapshot: ScalarField, pc: ProfileConstants,
     xs, sag = xs[keep], sag[keep]
     return powerlaw_fit(xs, sag, (float(np.min(xs)), float(np.max(xs))))
 
-
-def fits_to_json(fits: dict) -> str:
-    """Deterministic serialization: sorted keys, dataclasses expanded."""
-
-    def enc(obj):
-        if isinstance(obj, (PowerLawFit, AnisoFit)):
-            return asdict(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        raise TypeError(f"not serializable: {type(obj)}")
-
-    return json.dumps(fits, default=enc, indent=2, sort_keys=True) + "\n"

@@ -44,8 +44,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError, DtUnderflow, NumericError
-from .grid import Grid2D, ScalarField, read_snapshot, write_snapshot
+from .errors import ConfigurationError, DtUnderflow, NumericError, \
+    SnapshotError
+from .grid import (Grid2D, ScalarField, read_snapshot, write_json,
+                   write_rows, write_snapshot)
 
 __all__ = [
     "SolverConfig",
@@ -57,6 +59,7 @@ __all__ = [
     "step",
     "run",
     "resume",
+    "open_run",
     "load_series",
     "write_series",
 ]
@@ -86,6 +89,12 @@ class SolverConfig:
             raise ConfigurationError("cfl_safety must be in (0, 1)")
         if not self.dt_floor > 0:
             raise ConfigurationError("dt_floor must be positive")
+        if not self.t_max > 0:
+            raise ConfigurationError("t_max must be positive")
+        if self.stop_grad_norm is not None and not self.stop_grad_norm > 0:
+            raise ConfigurationError("stop_grad_norm must be positive")
+        if self.snapshot_stride < 0:
+            raise ConfigurationError("snapshot_stride must be >= 0")
         if self.symmetry_mode not in ("full", "half"):
             raise ConfigurationError(f"unknown symmetry_mode {self.symmetry_mode!r}")
         if self.symmetry_mode == "half" and (self.forcing or self.boundary):
@@ -108,13 +117,10 @@ class SimulationState:
 class SnapshotRef:
     step: int
     t: float
-    path: Optional[str] = None
-    field: Optional[ScalarField] = None
+    path: str
     sha256: Optional[str] = None  # of the file, recorded when written
 
     def load(self) -> ScalarField:
-        if self.field is not None:
-            return self.field
         f, _ = read_snapshot(self.path, self.sha256)
         return f
 
@@ -360,15 +366,17 @@ class _Series:
 
 
 def write_series(series: dict, path):
-    with open(path, "w") as fh:
-        fh.write("t,grad_max,uy_origin,dt\n")
-        for row in zip(series["t"], series["grad_max"],
-                       series["uy_origin"], series["dt"]):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_rows(path, _Series.cols, zip(*(series[c] for c in _Series.cols)))
 
 
 def load_series(path) -> dict:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The columns of a series.csv; SnapshotError if it is malformed."""
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"cannot read {path}: {exc}")
+    if raw.shape[1] != len(_Series.cols):
+        raise SnapshotError(f"{path}: wrong number of columns")
     return {c: raw[:, i] for i, c in enumerate(_Series.cols)}
 
 
@@ -393,6 +401,8 @@ class _SnapshotWriter:
         return crossed
 
     def maybe(self, state: SimulationState, force=False):
+        if self.run_dir is None:
+            return
         due = self.crossed(state.grad_max) or force
         if self.stride and state.step % self.stride == 0:
             due = True
@@ -400,34 +410,34 @@ class _SnapshotWriter:
             return
         if self.refs and self.refs[-1].step == state.step:
             return
-        if self.run_dir is None:
-            ref = SnapshotRef(state.step, state.t, field=state.field.copy())
-        else:
-            path = os.path.join(self.run_dir, "snapshots",
-                                f"{len(self.refs):04d}.bin")
-            digest = write_snapshot(state.field, path, state.t)
-            ref = SnapshotRef(state.step, state.t, path=path, sha256=digest)
-        self.refs.append(ref)
+        path = os.path.join(self.run_dir, "snapshots",
+                            f"{len(self.refs):04d}.bin")
+        digest = write_snapshot(state.field, path, state.t)
+        self.refs.append(SnapshotRef(state.step, state.t, path, digest))
 
 
-def run(u0: ScalarField, cfg: SolverConfig, run_dir=None, config_echo=None,
-        _initial=None, _series=None, _snapwriter=None) -> RunOutcome:
+def run(u0: ScalarField, cfg: SolverConfig, run_dir=None,
+        config_echo=None) -> RunOutcome:
     """Iterate step() until blow-up, horizon, or dt underflow.
 
-    With run_dir set, persists series.csv, snapshots/NNNN.bin and meta.json.
+    With run_dir set, persists series.csv, snapshots/NNNN.bin and meta.json;
+    without it, the outcome lists no snapshots.
     """
-    g = u0.grid
+    state = make_state(u0.copy())
+    series = _Series()
+    series.append(state.t, state.grad_max, state.uy_origin, 0.0)
+    snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride, state.grad_max)
+    snaps.maybe(state, force=True)
+    return _advance(state, cfg, series, snaps, run_dir, config_echo)
+
+
+def _advance(state: SimulationState, cfg: SolverConfig, series: _Series,
+             snaps: _SnapshotWriter, run_dir, config_echo) -> RunOutcome:
+    """The loop of `run` and `resume` from a state recorded in series."""
+    g = state.field.grid
     if cfg.stop_grad_norm is None:
         cfg = replace(cfg, stop_grad_norm=default_stop_grad_norm(
             min(g.hx, g.hy), cfg.p))
-    state = _initial if _initial is not None else make_state(u0.copy())
-    series = _series if _series is not None else _Series()
-    snaps = _snapwriter if _snapwriter is not None else \
-        _SnapshotWriter(run_dir, cfg.snapshot_stride, state.grad_max)
-    if _initial is None:
-        series.append(state.t, state.grad_max, state.uy_origin, 0.0)
-        snaps.maybe(state, force=True)
-
     reason = HORIZON
     while True:
         if state.grad_max >= cfg.stop_grad_norm:
@@ -459,7 +469,6 @@ run_1d = run
 
 def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
              config_echo):
-    os.makedirs(run_dir, exist_ok=True)
     write_series(outcome.series, os.path.join(run_dir, "series.csv"))
     meta = {
         "config": config_echo,
@@ -476,9 +485,7 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
                           for r in outcome.snapshots],
         },
     }
-    with open(os.path.join(run_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(run_dir, "meta.json"), meta)
 
 
 def _snapshot_entry(ref: SnapshotRef, run_dir) -> dict:
@@ -491,17 +498,33 @@ def _snapshot_entry(ref: SnapshotRef, run_dir) -> dict:
     return entry
 
 
+def open_run(run_dir):
+    """(meta, a SnapshotRef per snapshot) of a run directory.  SnapshotError
+    if meta.json is unreadable or lacks `config` (null is allowed),
+    `outcome.reason`, a snapshot, or a snapshot's `step`, `t` or `path`."""
+    path = os.path.join(run_dir, "meta.json")
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"cannot read {path}: {exc}")
+    outcome = meta.get("outcome") if isinstance(meta, dict) else None
+    entries = outcome.get("snapshots") if isinstance(outcome, dict) else None
+    if not (isinstance(entries, list) and entries and "config" in meta
+            and "reason" in outcome):
+        raise SnapshotError(f"{path}: needs config, outcome.reason and "
+                            "outcome.snapshots")
+    if not all(isinstance(s, dict) and "step" in s and "t" in s
+               and isinstance(s.get("path"), str) for s in entries):
+        raise SnapshotError(f"{path}: a snapshot lacks step, t or path")
+    return meta, [SnapshotRef(s["step"], s["t"],
+                              os.path.join(run_dir, s["path"]),
+                              s.get("sha256")) for s in entries]
+
+
 def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     """Restart a persisted run from its last snapshot, deterministically."""
-    with open(os.path.join(run_dir, "meta.json")) as fh:
-        meta = json.load(fh)
-    snaps_meta = meta["outcome"]["snapshots"]
-    if not snaps_meta:
-        raise ConfigurationError(f"{run_dir}: no snapshots to resume from")
-    refs = [SnapshotRef(s["step"], s["t"],
-                        path=os.path.join(run_dir, s["path"]),
-                        sha256=s.get("sha256"))
-            for s in snaps_meta]
+    meta, refs = open_run(run_dir)
     last = refs[-1]
     fld, t_snap = read_snapshot(last.path, last.sha256)
     st = make_state(fld)
@@ -515,11 +538,10 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     series = _Series()
     snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride,
                             float(old["grad_max"][0]))
-    snaps.refs = refs[:]
+    snaps.refs = refs
     # series rows are one per step starting at step 0; replaying the
     # cascade's doubling over them restores its next level bit for bit
     for row in zip(*(old[c][:last.step + 1] for c in _Series.cols)):
         series.append(*row)
         snaps.crossed(row[1])
-    return run(fld, cfg, run_dir=run_dir, config_echo=meta.get("config"),
-               _initial=st, _series=series, _snapwriter=snaps)
+    return _advance(st, cfg, series, snaps, run_dir, meta["config"])

@@ -29,7 +29,8 @@ SCRIPT = textwrap.dedent("""
             "solver.step", "solver.write_snapshot", "grid.read_snapshot",
             "_kernels.rhs", "_kernels.gradmax", "cli.load_config",
             "initial_data.make_initial", "cli.emit_profile_csvs",
-            "diagnostics.build_report", "profile_fit.fit_normal"}
+            "diagnostics.build_report", "diagnostics.write_report",
+            "solver.write_series", "profile_fit.fit_normal"}
     assert live <= called, f"never called: {sorted(live - called)}"
 """)
 

@@ -3,13 +3,14 @@ byte-identical replay, exit codes, and the MMS study."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 import yaml
 
-from gbulab import cli
-from gbulab.errors import ConfigurationError
+from gbulab import cli, solver
+from gbulab.errors import ConfigurationError, SnapshotError
 
 
 ABSENT = object()  # an override that deletes the key
@@ -102,13 +103,18 @@ def bad(over, name, case):
         "probe_box-2"),
     bad({"solver": {"symmetry_mode": "full"}}, "solver.symmetry_mode",
         "symmetry_mode-2"),
+    bad({"solver": {"t_max": -1.0}}, "t_max", "t_max-negative-2"),
+    bad({"solver": {"stop_grad_norm": -1.0}}, "stop_grad_norm",
+        "stop_grad_norm-negative-2"),
+    bad({"solver": {"snapshot_stride": -3}}, "snapshot_stride",
+        "snapshot_stride-negative-2"),
 ])
 def test_solver_values_from_yaml_are_converted(tmp_path, capsys, over, code,
                                                name):
     """YAML reads 2.0e2 and 3e0 (no dot, or no sign in the exponent) as
     strings: every config value is converted to its type.  A value that does
-    not convert, a missing or an unknown key exits 2, names the key and
-    leaves no run directory."""
+    not convert or is out of range, a missing or an unknown key exits 2,
+    names the key and leaves no run directory."""
     path = write_config(tmp_path, **over)
     out = tmp_path / "r"
     assert cli.main(["run", path, "-o", str(out)]) == code
@@ -313,6 +319,79 @@ def test_dt_underflow_reported_as_outcome(tmp_path):
     assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_OK
     meta = json.loads((out / "meta.json").read_text())
     assert meta["outcome"]["reason"] == "dt_underflow"
+
+
+def test_numeric_failure_writes_crash_json(tmp_path):
+    """A cap of amplitude 1e150 overflows the source term on its first step:
+    exit 3 and crash.json, in the run-directory JSON format.  The directory
+    has no meta.json, so check reports it as malformed."""
+    cfg = write_config(tmp_path, initial_data={"amplitude": 1e150},
+                       solver={"stop_grad_norm": 1e300, "dt_floor": 1e-320})
+    out = tmp_path / "r"
+    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_NUMERIC
+    text = (out / "crash.json").read_text()
+    assert "non-finite" in json.loads(text)["error"] and text.endswith("\n")
+    assert cli.main(["check", str(out)]) == cli.EXIT_SNAPSHOT
+
+
+def test_empty_level_set_window_is_a_fit_error(tmp_path):
+    """fits.extent below the wall floor leaves the level-set window without
+    nodes: fits.json records a FitError there, as for the other fits, and
+    the run completes with its report."""
+    cfg = write_config(tmp_path, fits={"extent": -1.0},
+                       initial_data={"amplitude": 0.1},
+                       solver={"t_max": 0.001})
+    out = tmp_path / "r"
+    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_OK
+    fits = json.loads((out / "fits.json").read_text())
+    assert "error" in fits["level_set"]
+    assert (out / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def run_dir_1d(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli1d")
+    cfg = write_config(tmp, domain={"Lx": 0.25, "Ly": 1.0}, grid={"ny": 65},
+                       initial_data={"family": "sine_1d", "amplitude": 1.5},
+                       solver={"stop_grad_norm": 100.0, "t_max": 0.01})
+    out = tmp / "run"
+    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_OK
+    return out
+
+
+def edit_meta(edit):
+    def damage(run_dir):
+        meta = json.loads((run_dir / "meta.json").read_text())
+        edit(meta)
+        (run_dir / "meta.json").write_text(json.dumps(meta))
+    return damage
+
+
+def cut_series_row(run_dir):
+    lines = (run_dir / "series.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    (run_dir / "series.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("source, damage", [
+    ("run_dir", edit_meta(lambda m: m.pop("outcome"))),
+    ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"].clear())),
+    ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"][0].pop("path"))),
+    ("run_dir_1d", cut_series_row)],
+    ids=["no-outcome", "no-snapshots", "entry-without-path",
+         "1d-short-series-row"])
+def test_malformed_run_directory_exits_5(request, tmp_path, source, damage):
+    """fit, check and resume read a run directory through solver.open_run
+    and solver.load_series: a malformed meta.json or series.csv is a
+    SnapshotError, exit 5, not a traceback."""
+    clone = tmp_path / "clone"
+    shutil.copytree(request.getfixturevalue(source), clone)
+    damage(clone)
+    assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
+    assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
+    if source == "run_dir":
+        with pytest.raises(SnapshotError):
+            solver.resume(str(clone), solver.SolverConfig(p=3.0))
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbulab import FitError, Grid2D, ScalarField, profile_constants
-from gbulab import profile_fit
+from gbulab import grid, profile_fit
 
 PC3 = profile_constants(3.0)
 
@@ -244,8 +244,8 @@ def test_fits_to_json_deterministic():
         np.geomspace(0.01, 1, 20), np.geomspace(0.01, 1, 20) ** -0.5,
         (0.01, 1.0))
     d = {"normal": fit, "b": np.float64(2.0), "a": np.arange(3)}
-    s1 = profile_fit.fits_to_json(d)
-    s2 = profile_fit.fits_to_json({"a": np.arange(3), "b": np.float64(2.0),
+    s1 = grid.to_json(d)
+    s2 = grid.to_json({"a": np.arange(3), "b": np.float64(2.0),
                                    "normal": fit})
     assert s1 == s2
     assert s1.endswith("\n")
