@@ -69,8 +69,7 @@ RUN_SCHEMA = {
              **dict.fromkeys(_GRADED_KEYS, float)},
     "initial_data": {"family": str, "C_amp": float, "epsilon": float,
                      "amplitude": float, "width": float},
-    "solver": {"cfl_safety": float, "dt_floor": float,
-               "stop_grad_norm": float, "t_max": float,
+    "solver": {"dt_floor": float, "stop_grad_norm": float, "t_max": float,
                "snapshot_stride": _integer},
     "diagnostics": {"q": float},
     "fits": {"level_frac": float, "extent": float},
@@ -79,8 +78,7 @@ RUN_SCHEMA = {
 _FAMILY_KEYS = {"bump": ("C_amp", "epsilon"), "cap": ("amplitude", "width"),
                 "sine_1d": ("amplitude",)}
 MMS_SCHEMA = {"p": float, "alpha": float, "T": float, "t_end": float,
-              "Lx": float, "Ly": float, "grids": _integers,
-              "cfl_safety": float}
+              "Lx": float, "Ly": float, "grids": _integers}
 
 
 def convert(prefix, raw, types) -> dict:
@@ -156,6 +154,9 @@ class RunConfig:
         _require("initial_data.", self.initial_data, _FAMILY_KEYS[fam])
         if self.is_1d and any(k in self.grid for k in _GRADED_KEYS[3:]):
             raise ConfigurationError("grid: a 1D run takes no x grading")
+        if not 0 < (frac := self.fits.get("level_frac", 0.5)) <= 1:
+            raise ConfigurationError(
+                f"fits.level_frac: must be in (0, 1], got {frac}")
         # constructing these checks the ranges (j_params: diagnostics.q)
         self.make_grid()
         self.make_solver_config()
@@ -276,8 +277,7 @@ def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
         series = solver.load_series(os.path.join(run_dir, "series.csv"))
 
         def timerate():
-            fitv, T_hat = profile_fit.fit_time_rate(series, pc)
-            _, _, r2, _ = profile_fit.time_rate_linear(series, pc)
+            fitv, T_hat, r2 = profile_fit.fit_time_rate(series, pc)
             return {"fit": fitv, "T_hat": T_hat, "linear_r_squared": r2}
 
         attempt("time_rate", timerate)
@@ -378,8 +378,6 @@ def cmd_mms(config_path) -> int:
         raise ConfigurationError(f"t_end: must precede T={mp.T}, got {t_end}")
     Lx, Ly = m.get("Lx", 0.5), m.get("Ly", 0.5)
     grids = m.get("grids", [33, 65, 129])
-    # SolverConfig holds the default step safety factor
-    cfl = {"cfl_safety": m["cfl_safety"]} if "cfl_safety" in m else {}
 
     def exact(x, y, t):
         return manufactured_solution(mp, pc, x, y, t)[0]
@@ -391,7 +389,7 @@ def cmd_mms(config_path) -> int:
         u0 = ScalarField(g, exact(X, Y, 0.0))
         forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
         scfg = solver.SolverConfig(p=p, t_max=t_end, stop_grad_norm=1e30,
-                                   forcing=forcing, boundary=boundary, **cfl)
+                                   forcing=forcing, boundary=boundary)
         outcome = solver.run(u0, scfg)
         uex = exact(X, Y, outcome.t_stop)
         err = float(np.max(np.abs(outcome.final.field.values - uex)))

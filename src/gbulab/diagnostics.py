@@ -21,7 +21,6 @@ from .profile_math import JParams, ProfileConstants, j_model, j_params
 
 __all__ = [
     "MonitorEnvelope",
-    "DiagnosticReport",
     "monitor_bounds",
     "bernstein_monitor",
     "j_monitor",
@@ -42,16 +41,6 @@ class MonitorEnvelope:
     worst_value: float
     worst_location: tuple  # (x, y, t)
     envelope_constant: float
-
-
-@dataclass
-class DiagnosticReport:
-    envelopes: list
-    j_max: list  # (t, max J) per snapshot
-    j_k: float  # largest passing ladder k (0 if none)
-    xi_range: tuple
-    theta_range: tuple
-    h_boundary: dict  # t, x, h table
 
 
 XI_THETA_FLOOR = 1e-8  # xi divides by u: smaller u is left out
@@ -250,42 +239,48 @@ def modulation_h(ts, xs, uy_rows, pc: ProfileConstants, T_hat=None):
     return out
 
 
-def build_report(snapshots, pc: ProfileConstants,
-                 q: float = None) -> DiagnosticReport:
-    """Full diagnostic pass over a list of (t, ScalarField) snapshot pairs."""
+def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
+    """Full diagnostic pass over a list of (t, ScalarField) snapshot pairs:
+    the mapping report.json holds, plus the (t, x, h) table of h_table.csv
+    under `h_table`.  A monitor whose probe box holds no usable node records
+    {"error": ...} under the keys it fills, as a failed fit does in
+    fits.json."""
     envelopes = []
     prev = prev_t = None
     for t, f in snapshots:
         envelopes.extend(monitor_bounds(f, t, prev, prev_t))
         envelopes.append(bernstein_monitor(f, t, pc))
         prev, prev_t = f, t
+    out = {"envelopes": envelopes}
 
-    t_last, f_last = snapshots[-1]
-    k, _table = j_k_ladder([f for _, f in snapshots[len(snapshots) * 3 // 4:]],
-                           pc, q)
-    jp = j_params(pc, k if k > 0 else 0.5, q)
-    j_max = [(t, j_monitor(f, jp, pc)) for t, f in snapshots]
-    xi_range, theta_range = xi_theta_ranges(f_last, pc)
-    ts, xs, rows = boundary_normal_series(snapshots)
-    h = modulation_h(ts, xs, rows, pc)
-    return DiagnosticReport(envelopes=envelopes, j_max=j_max, j_k=k,
-                            xi_range=xi_range, theta_range=theta_range,
-                            h_boundary=h)
+    def attempt(keys, fn):
+        try:
+            out.update(zip(keys, fn()))
+        except DomainError as exc:
+            out.update(dict.fromkeys(keys, {"error": str(exc)}))
+
+    def ladder():
+        # j_k: the largest passing rung (0 if none); j_max: (t, max J) per
+        # snapshot at that rung, or at k = 1/2 if none passed
+        k, _ = j_k_ladder([f for _, f in snapshots[len(snapshots) * 3 // 4:]],
+                          pc, q)
+        jp = j_params(pc, k if k > 0 else 0.5, q)
+        return k, [(t, j_monitor(f, jp, pc)) for t, f in snapshots]
+
+    attempt(("j_k", "j_max"), ladder)
+    attempt(("xi_range", "theta_range"),
+            lambda: xi_theta_ranges(snapshots[-1][1], pc))
+    h = modulation_h(*boundary_normal_series(snapshots), pc)
+    out.update(h_excluded=h["n_excluded"], h_fit_space=h["fit_space"],
+               h_fit_time=h["fit_time"], h_table=(h["t"], h["x"], h["h"]))
+    return out
 
 
-def write_report(report: DiagnosticReport, run_dir):
+def write_report(report: dict, run_dir):
     """Emit report.json and h_table.csv into the run directory."""
-    hb = report.h_boundary
-    write_json(os.path.join(run_dir, "report.json"), {
-        "envelopes": report.envelopes,
-        "j_max": report.j_max,
-        "j_k": report.j_k,
-        "xi_range": report.xi_range,
-        "theta_range": report.theta_range,
-        "h_excluded": hb["n_excluded"],
-        "h_fit_space": hb["fit_space"],
-        "h_fit_time": hb["fit_time"],
-    })
+    ts, xs, h = report["h_table"]
+    write_json(os.path.join(run_dir, "report.json"),
+               {k: v for k, v in report.items() if k != "h_table"})
     write_rows(os.path.join(run_dir, "h_table.csv"),
-               ["t", *(repr(float(x)) for x in hb["x"])],
-               ([t, *row] for t, row in zip(hb["t"], hb["h"])))
+               ["t", *(repr(float(x)) for x in xs)],
+               ([t, *row] for t, row in zip(ts, h)))

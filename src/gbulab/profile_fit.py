@@ -204,9 +204,10 @@ def time_rate_linear(series: dict, pc: ProfileConstants):
 
 
 def fit_time_rate(series: dict, pc: ProfileConstants):
-    """(power-law fit of grad_max vs T_hat - t, T_hat); expected slope
-    -1/(p-2).  T_hat comes from the linear extrapolation of grad_max^-(p-2)."""
-    _, _, _, T_hat = time_rate_linear(series, pc)
+    """(power-law fit of grad_max vs T_hat - t, T_hat, r_squared); expected
+    slope -1/(p-2).  T_hat and r_squared come from the linear fit of
+    grad_max^-(p-2) against t (time_rate_linear)."""
+    _, _, r2, T_hat = time_rate_linear(series, pc)
     t = np.asarray(series["t"], dtype=float)
     g = np.asarray(series["grad_max"], dtype=float)
     sel = _last_growth_decade(t, g)
@@ -214,7 +215,7 @@ def fit_time_rate(series: dict, pc: ProfileConstants):
     keep = dt > 0
     fit = powerlaw_fit(dt[keep], g[sel][keep],
                        (float(np.min(dt[keep])), float(np.max(dt[keep]))))
-    return fit, T_hat
+    return fit, T_hat, r2
 
 
 def _aniso_region(final_snapshot: ScalarField, pc: ProfileConstants,

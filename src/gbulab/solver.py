@@ -120,10 +120,6 @@ class SnapshotRef:
     path: str
     sha256: Optional[str] = None  # of the file, recorded when written
 
-    def load(self) -> ScalarField:
-        f, _ = read_snapshot(self.path, self.sha256)
-        return f
-
 
 @dataclass
 class RunOutcome:
@@ -501,7 +497,8 @@ def _snapshot_entry(ref: SnapshotRef, run_dir) -> dict:
 def open_run(run_dir):
     """(meta, a SnapshotRef per snapshot) of a run directory.  SnapshotError
     if meta.json is unreadable or lacks `config` (null is allowed),
-    `outcome.reason`, a snapshot, or a snapshot's `step`, `t` or `path`."""
+    `outcome.reason`, a snapshot, or a snapshot's integer `step`, `t` or
+    `path`."""
     path = os.path.join(run_dir, "meta.json")
     try:
         with open(path) as fh:
@@ -514,9 +511,11 @@ def open_run(run_dir):
             and "reason" in outcome):
         raise SnapshotError(f"{path}: needs config, outcome.reason and "
                             "outcome.snapshots")
-    if not all(isinstance(s, dict) and "step" in s and "t" in s
-               and isinstance(s.get("path"), str) for s in entries):
-        raise SnapshotError(f"{path}: a snapshot lacks step, t or path")
+    if not all(isinstance(s, dict) and type(s.get("step")) is int
+               and "t" in s and isinstance(s.get("path"), str)
+               for s in entries):
+        raise SnapshotError(f"{path}: a snapshot lacks an integer step, "
+                            "t or path")
     return meta, [SnapshotRef(s["step"], s["t"],
                               os.path.join(run_dir, s["path"]),
                               s.get("sha256")) for s in entries]
@@ -531,6 +530,9 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     st.t, st.step = t_snap, last.step
 
     old = load_series(os.path.join(run_dir, "series.csv"))
+    if not 0 <= last.step < len(old["t"]):
+        raise SnapshotError(f"{run_dir}: snapshot step {last.step} is not a "
+                            f"row of series.csv ({len(old['t'])} rows)")
     # the graded step sizes dt from the last step's dt and grad_max change
     st.dt_last = float(old["dt"][last.step])
     if last.step > 0:

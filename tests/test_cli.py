@@ -3,6 +3,7 @@ byte-identical replay, exit codes, and the MMS study."""
 
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -108,6 +109,9 @@ def bad(over, name, case):
         "stop_grad_norm-negative-2"),
     bad({"solver": {"snapshot_stride": -3}}, "snapshot_stride",
         "snapshot_stride-negative-2"),
+    bad({"solver": {"cfl_safety": 0.4}}, "solver.cfl_safety", "cfl_safety-2"),
+    bad({"fits": {"level_frac": -2.0}}, "fits.level_frac",
+        "level_frac-negative-2"),
 ])
 def test_solver_values_from_yaml_are_converted(tmp_path, capsys, over, code,
                                                name):
@@ -121,6 +125,22 @@ def test_solver_values_from_yaml_are_converted(tmp_path, capsys, over, code,
     assert out.exists() == (code == cli.EXIT_OK)
     if name:
         assert name in capsys.readouterr().err
+
+
+def test_readme_config_keys_match_the_schema():
+    """README's "Config keys" table lists p and every RUN_SCHEMA key, and
+    its mms sentence every MMS_SCHEMA key, each once."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("\n## Config keys\n")[1].split("\n## ")[0]
+    table = [key for row in re.findall(r"^\| (`.*?) \|", section, re.MULTILINE)
+             for key in re.findall(r"`([^`]+)`", row)]
+    assert sorted(table) == sorted(
+        ["p", *(f"{s}.{k}" for s, keys in cli.RUN_SCHEMA.items()
+                for k in keys)])
+    mms = section.split("one flat mapping:")[1].split("\n\n")[0]
+    assert sorted(re.findall(r"`(\w+)`", mms)) == sorted(cli.MMS_SCHEMA)
 
 
 GRADED = {"y_first": 1e-5, "y_ratio": 1.3, "y_max": 0.004,
@@ -348,6 +368,28 @@ def test_empty_level_set_window_is_a_fit_error(tmp_path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("over, failed", [
+    ({"grid": {"nx": 5, "ny": 5}}, ("j_k", "j_max")),
+    ({"grid": {"nx": 33, "ny": 33}, "initial_data": {"amplitude": 1e-9}},
+     ("xi_range", "theta_range"))],
+    ids=["5x5-grid", "amplitude-1e-9"])
+def test_monitor_without_nodes_is_recorded(tmp_path, over, failed):
+    """A grid with no node in the J probe box, or data below the xi/Theta
+    floor everywhere, records the monitor's error in report.json, as a
+    failed fit is recorded in fits.json: the run, fit and check exit 0."""
+    cfg = write_config(tmp_path, solver={"t_max": 0.001},
+                       **{"initial_data": {"amplitude": 0.1}, **over})
+    out = tmp_path / "r"
+    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    for key in ("j_k", "j_max", "xi_range", "theta_range"):
+        assert isinstance(report[key], dict) == (key in failed), key
+    error = report[failed[0]]
+    assert report[failed[1]] == error and "probe box" in error["error"]
+    assert cli.main(["fit", str(out)]) == cli.EXIT_OK
+    assert cli.main(["check", str(out)]) == cli.EXIT_OK
+
+
 @pytest.fixture(scope="module")
 def run_dir_1d(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli1d")
@@ -373,22 +415,34 @@ def cut_series_row(run_dir):
     (run_dir / "series.csv").write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("source, damage", [
-    ("run_dir", edit_meta(lambda m: m.pop("outcome"))),
-    ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"].clear())),
-    ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"][0].pop("path"))),
-    ("run_dir_1d", cut_series_row)],
+def set_last_step(step):
+    def edit(meta):
+        meta["outcome"]["snapshots"][-1]["step"] = step
+    return edit_meta(edit)
+
+
+@pytest.mark.parametrize("source, damage, code", [
+    ("run_dir", edit_meta(lambda m: m.pop("outcome")), cli.EXIT_SNAPSHOT),
+    ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"].clear()),
+     cli.EXIT_SNAPSHOT),
+    ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"][0].pop("path")),
+     cli.EXIT_SNAPSHOT),
+    ("run_dir_1d", cut_series_row, cli.EXIT_SNAPSHOT),
+    ("run_dir", set_last_step("5"), cli.EXIT_SNAPSHOT),
+    ("run_dir", set_last_step(1000000), cli.EXIT_OK)],
     ids=["no-outcome", "no-snapshots", "entry-without-path",
-         "1d-short-series-row"])
-def test_malformed_run_directory_exits_5(request, tmp_path, source, damage):
+         "1d-short-series-row", "string-step", "step-past-series"])
+def test_malformed_run_directory_exits_5(request, tmp_path, source, damage,
+                                         code):
     """fit, check and resume read a run directory through solver.open_run
     and solver.load_series: a malformed meta.json or series.csv is a
-    SnapshotError, exit 5, not a traceback."""
+    SnapshotError, exit 5, not a traceback.  Only resume reads a snapshot's
+    step against series.csv, so fit and check pass a step past its end."""
     clone = tmp_path / "clone"
     shutil.copytree(request.getfixturevalue(source), clone)
     damage(clone)
-    assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
-    assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
+    assert cli.main(["fit", str(clone)]) == code
+    assert cli.main(["check", str(clone)]) == code
     if source == "run_dir":
         with pytest.raises(SnapshotError):
             solver.resume(str(clone), solver.SolverConfig(p=3.0))
@@ -447,17 +501,18 @@ def test_mms_study(tmp_path, capsys):
     assert "order(33->65)" in out
 
 
-@pytest.mark.parametrize("alpha", [ABSENT, "abc", 1.0],
-                         ids=["no-alpha", "alpha-abc", "alpha-below-2"])
-def test_mms_config_errors(tmp_path, alpha):
-    """A missing, malformed or out-of-range mms value exits 2 before any grid
-    is run (alpha >= (p-1)/(p-2) = 2 at p = 3)."""
-    cfg = {"p": 3.0, "alpha": alpha, "T": 1.0, "t_end": 0.02}
-    if alpha is ABSENT:
-        del cfg["alpha"]
+@pytest.mark.parametrize("over", [
+    {"alpha": ABSENT}, {"alpha": "abc"}, {"alpha": 1.0}, {"cfl_safety": 0.4}],
+    ids=["no-alpha", "alpha-abc", "alpha-below-2", "cfl_safety"])
+def test_mms_config_errors(tmp_path, capsys, over):
+    """A missing, malformed, out-of-range or unknown mms value exits 2 before
+    any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3)."""
+    cfg = {"p": 3.0, "alpha": 3.0, "T": 1.0, "t_end": 0.02, **over}
+    cfg = {k: v for k, v in cfg.items() if v is not ABSENT}
     path = tmp_path / "mms.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert cli.main(["mms", str(path)]) == cli.EXIT_CONFIG
+    assert "n=" not in capsys.readouterr().out
 
 
 def test_barrier_report(tmp_path):

@@ -163,8 +163,9 @@ def test_time_rate_linear_recovers_T():
 
 
 def test_fit_time_rate_exponent():
-    fit, T_hat = profile_fit.fit_time_rate(synthetic_series(), PC3)
+    fit, T_hat, r2 = profile_fit.fit_time_rate(synthetic_series(), PC3)
     assert T_hat == pytest.approx(1.0, abs=1e-9)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
     assert fit.exponent == pytest.approx(-1.0, abs=1e-6)
     assert fit.amplitude == pytest.approx(2.0, rel=1e-6)
     assert fit.r_squared > 0.999999

@@ -15,6 +15,7 @@ from gbulab import (ConfigurationError, DtUnderflow, Grid2D, ScalarField,
                     SolverConfig, manufactured_callbacks, manufactured_params,
                     manufactured_solution, profile_constants, solver,
                     steady_state, symmetric_cap)
+from gbulab.grid import read_snapshot
 from gbulab.solver import BLOW_UP, HORIZON, UNDERFLOW
 
 
@@ -186,8 +187,8 @@ def test_run_persistence(tmp_path):
     assert (tmp_path / "r" / "meta.json").exists()
     assert len(out.snapshots) >= 2
     for ref in out.snapshots:
-        f = ref.load()
-        assert f.grid == g
+        f, t = read_snapshot(ref.path, ref.sha256)
+        assert f.grid == g and t == ref.t
     series = solver.load_series(tmp_path / "r" / "series.csv")
     assert len(series["t"]) == out.final.step + 1
     assert series["grad_max"][-1] == pytest.approx(out.final.grad_max)
