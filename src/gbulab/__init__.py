@@ -11,8 +11,8 @@ end (cli).
 from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
                      GbulabError, NumericError, SingularityError,
                      SnapshotError)
-from .grid import Grid2D, ScalarField, gradient, laplacian, read_snapshot, \
-    sample, write_snapshot
+from .grid import (Grid2D, ScalarField, gradient, laplacian, read_snapshot,
+                   write_snapshot)
 from .initial_data import BumpParams, concentrated_bump, symmetric_cap
 from .profile_math import (BarrierParams, BoundManufactured, JParams,
                            ManufacturedParams, ProfileConstants, barrier_eval,
@@ -30,7 +30,7 @@ __all__ = [
     "ConfigurationError", "DomainError", "DtUnderflow", "FitError",
     "GbulabError", "NumericError", "SingularityError", "SnapshotError",
     "Grid2D", "ScalarField", "gradient", "laplacian", "read_snapshot",
-    "sample", "write_snapshot",
+    "write_snapshot",
     "BumpParams", "concentrated_bump", "symmetric_cap",
     "BarrierParams", "BoundManufactured", "JParams", "ManufacturedParams",
     "ProfileConstants", "barrier_eval", "barrier_params",

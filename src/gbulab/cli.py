@@ -2,19 +2,23 @@
 registry and post-hoc fit/diagnostic emission.
 
 Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
-1 `check` recomputed a different fits.json, 2 invalid config, 3 numeric
-failure, 4 convergence failure, 5 corrupt or malformed run directory.  All
-outputs are deterministic CSV/JSON files written by `grid`; plotting is left
-to external tools.  A 1D run (family sine_1d) runs on a column at x = 0
+1 `check` derived a file that differs from the run directory's copy,
+2 invalid config, 3 numeric failure or a run that took 0 steps,
+4 convergence failure, 5 corrupt or malformed run directory.  All outputs
+are deterministic CSV/JSON files written by `grid`; plotting is left to
+external tools.  A 1D run (family sine_1d) runs on a column at x = 0
 through the same run, snapshots, fit and check.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import functools
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +28,7 @@ from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
 from .errors import (ConfigurationError, DomainError, FitError, GbulabError,
                      NumericError, SnapshotError)
-from .grid import (Grid2D, ScalarField, graded_nodes, read_snapshot, to_json,
+from .grid import (Grid2D, ScalarField, graded_nodes, read_snapshot,
                    write_json, write_rows)
 from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
                            manufactured_params, manufactured_solution,
@@ -37,6 +41,7 @@ __all__ = ["RunConfig", "load_config", "load_mms", "preset_path", "main",
 _PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 EXIT_OK = 0
+EXIT_DIFFERS = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CONVERGENCE = 4
@@ -247,17 +252,18 @@ def preset_path(name: str) -> str:
 
 
 def _load_run(run_dir):
-    """(meta, [(t, field)]) of a run directory, each snapshot checked against
-    its sha256 if meta.json records one."""
-    meta, refs = solver.open_run(run_dir)
-    snaps = []
-    for ref in refs:
-        f, t = read_snapshot(ref.path, ref.sha256)
-        snaps.append((t, f))
-    return meta, snaps
+    """(meta, [(t, field)], series) of a run directory, each file checked
+    against the sha256 meta.json records for it; NumericError for 0 steps."""
+    meta, refs, series_sha256 = solver.open_run(run_dir)
+    snaps = [(t, f) for f, t in (read_snapshot(r.path, r.sha256) for r in refs)]
+    series = solver.load_series(os.path.join(run_dir, "series.csv"),
+                                series_sha256)
+    if meta["outcome"].get("steps") == 0:
+        raise NumericError(f"{run_dir}: 0 steps ({meta['outcome']['reason']})")
+    return meta, snaps, series
 
 
-def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
+def compute_fits(meta, snaps, series, cfg: RunConfig) -> dict:
     """The fits of a run: the time rate of its series.csv for a 1D run, the
     profiles of its final snapshot for a 2D one.
 
@@ -274,8 +280,6 @@ def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
             out[name] = {"error": str(exc)}
 
     if cfg.is_1d:
-        series = solver.load_series(os.path.join(run_dir, "series.csv"))
-
         def timerate():
             fitv, T_hat, r2 = profile_fit.fit_time_rate(series, pc)
             return {"fit": fitv, "T_hat": T_hat, "linear_r_squared": r2}
@@ -314,25 +318,26 @@ def compute_fits(meta, snaps, cfg: RunConfig, run_dir) -> dict:
     return out
 
 
-def _write_fits(run_dir, meta, snaps, cfg: RunConfig):
-    """Write fits.json into a run directory, and for a 2D run its profile
-    CSVs and report."""
-    fits = compute_fits(meta, snaps, cfg, run_dir)
-    write_json(os.path.join(run_dir, "fits.json"), fits)
+def _write_fits(out_dir, meta, snaps, series, cfg: RunConfig):
+    """Write every file derived from a run directory's meta.json, snapshots
+    and series.csv into out_dir: fits.json, and for a 2D run its profile
+    CSVs, report.json and h_table.csv."""
+    fits = compute_fits(meta, snaps, series, cfg)
+    write_json(os.path.join(out_dir, "fits.json"), fits)
     if not cfg.is_1d:
-        _emit_profile_csvs(snaps, cfg, run_dir, fits)
+        _emit_profile_csvs(snaps, cfg, out_dir, fits)
         report = diag.build_report(snaps, profile_constants(cfg.p),
                                    q=cfg.diagnostics.get("q"))
-        diag.write_report(report, run_dir)
+        diag.write_report(report, out_dir)
 
 
-def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir, fits):
+def _emit_profile_csvs(snaps, cfg: RunConfig, out_dir, fits):
     _, last = snaps[-1]
     g = last.grid
     uy = profile_fit.normal_derivative_field(last)
-    write_rows(os.path.join(run_dir, "profile_normal.csv"), ("y", "uy"),
+    write_rows(os.path.join(out_dir, "profile_normal.csv"), ("y", "uy"),
                zip(g.y, uy[:, g.ix0]))
-    write_rows(os.path.join(run_dir, "profile_tangential.csv"), ("x", "uy"),
+    write_rows(os.path.join(out_dir, "profile_tangential.csv"), ("x", "uy"),
                zip(g.x[g.ix0:], uy[0, g.ix0:]))
     if (level := fits["level_set"].get("level")) is not None:
         try:
@@ -340,7 +345,7 @@ def _emit_profile_csvs(snaps, cfg: RunConfig, run_dir, fits):
                 last, level, extent=cfg.fits.get("extent", 0.1))
         except FitError:
             return
-        write_rows(os.path.join(run_dir, "profile_levelset.csv"), ("x", "y"),
+        write_rows(os.path.join(out_dir, "profile_levelset.csv"), ("x", "y"),
                    zip(xs, ys))
 
 
@@ -361,11 +366,14 @@ def cmd_run(config_path, out_dir) -> int:
         write_json(dump, {"error": str(exc)})
         print(f"numeric failure: {exc}\nstate dump: {dump}", file=sys.stderr)
         return EXIT_NUMERIC
-    series = outcome.series
-    _write_fits(out_dir, *_load_run(out_dir), cfg)
+    try:
+        _write_fits(out_dir, *_load_run(out_dir), cfg)
+    except NumericError as exc:  # 0 steps: no crash.json; a sweep goes on
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     print(f"{out_dir}: {outcome.reason} at t={outcome.t_stop:.6g} "
-          f"({len(series['t']) - 1} steps, "
-          f"grad_max={series['grad_max'][-1]:.4g})")
+          f"({outcome.final.step} steps, "
+          f"grad_max={outcome.final.grad_max:.4g})")
     return EXIT_OK
 
 
@@ -406,32 +414,32 @@ def cmd_mms(config_path) -> int:
 
 
 def cmd_fit(run_dir) -> int:
-    meta, snaps = _load_run(run_dir)
+    meta, snaps, series = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
-    _write_fits(run_dir, meta, snaps, cfg)
+    _write_fits(run_dir, meta, snaps, series, cfg)
     print(f"{run_dir}: fits rewritten ({len(snaps)} snapshots)")
     return EXIT_OK
 
 
 def cmd_check(run_dir) -> int:
-    meta, snaps = _load_run(run_dir)
+    """Compare every file `fit` derives, written to a scratch directory, with
+    the run directory's copy byte for byte; write any copy that is missing."""
+    meta, snaps, series = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
-    fits = compute_fits(meta, snaps, cfg, run_dir)
-    blob = to_json(fits).encode()
-    fits_path = os.path.join(run_dir, "fits.json")
-    if os.path.exists(fits_path):
-        with open(fits_path, "rb") as fh:
-            stored = fh.read()
-        if stored != blob:
-            print("check failed: recomputed fits.json differs from stored",
-                  file=sys.stderr)
-            return 1
-        hashed = sum("sha256" in r for r in meta["outcome"]["snapshots"])
-        print(f"{run_dir}: fits.json replayed byte-identically "
-              f"({len(snaps)} snapshots, {hashed} verified by sha256)")
-    else:
-        write_json(fits_path, fits)
-        print(f"{run_dir}: fits.json regenerated ({len(snaps)} snapshots)")
+    with tempfile.TemporaryDirectory() as fresh:
+        _write_fits(fresh, meta, snaps, series, cfg)
+        same, differ, missing = filecmp.cmpfiles(
+            fresh, run_dir, sorted(os.listdir(fresh)), shallow=False)
+        if differ:
+            print(f"check failed: {', '.join(differ)} differs from the "
+                  "recomputed copy", file=sys.stderr)
+            return EXIT_DIFFERS
+        for name in missing:
+            shutil.copy(os.path.join(fresh, name), run_dir)
+    hashed = sum("sha256" in r for r in meta["outcome"]["snapshots"])
+    print(f"{run_dir}: {len(snaps)} snapshots, {hashed} verified by sha256; "
+          f"replayed byte-identically: {', '.join(same) or 'none'}"
+          + (f"; regenerated: {', '.join(missing)}" if missing else ""))
     return EXIT_OK
 
 
@@ -439,7 +447,7 @@ def cmd_barrier(args) -> int:
     pc = profile_constants(args.p)
     report = {"p": args.p, "etas": []}
     first_fail = None
-    for eta in args.eta:
+    for eta in args.eta or [0.01]:
         try:
             C0, bp, rmin = calibrate_barrier_c0(
                 pc, args.x0, args.r, args.d, args.t0, args.T, eta,
@@ -484,15 +492,19 @@ def _build_parser():
     sp = sub.add_parser("run", help="execute a run config or preset")
     sp.add_argument("config")
     sp.add_argument("-o", "--out", required=True, help="run directory")
+    sp.set_defaults(fn=lambda a: cmd_run(a.config, a.out))
 
     sp = sub.add_parser("mms", help="manufactured-solution convergence study")
     sp.add_argument("config")
+    sp.set_defaults(fn=lambda a: cmd_mms(a.config))
 
-    sp = sub.add_parser("check", help="replay diagnostics on a run directory")
+    sp = sub.add_parser("check", help="replay fits and diagnostics byte for byte")
     sp.add_argument("run_dir")
+    sp.set_defaults(fn=lambda a: cmd_check(a.run_dir))
 
     sp = sub.add_parser("fit", help="re-fit an existing run directory")
     sp.add_argument("run_dir")
+    sp.set_defaults(fn=lambda a: cmd_fit(a.run_dir))
 
     sp = sub.add_parser("barrier", help="sample the closed-form barrier residual")
     sp.add_argument("--p", type=float, default=3.0)
@@ -502,35 +514,23 @@ def _build_parser():
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--T", type=float, default=0.5)
     sp.add_argument("--eta", type=float, action="append", default=None,
-                    help="repeatable; forms a ladder")
+                    help="repeatable; forms a ladder (default 0.01)")
     sp.add_argument("--lattice", type=int, nargs=3, default=[20, 20, 10],
                     metavar=("NX", "NY", "NT"))
     sp.add_argument("--out", default=None, help="write JSON report here")
+    sp.set_defaults(fn=cmd_barrier)
 
     sp = sub.add_parser("sweep", help="run several configs into one root")
     sp.add_argument("configs", nargs="+")
     sp.add_argument("-o", "--out", required=True, help="sweep root directory")
+    sp.set_defaults(fn=lambda a: cmd_sweep(a.configs, a.out))
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.cmd == "run":
-            return cmd_run(args.config, args.out)
-        if args.cmd == "mms":
-            return cmd_mms(args.config)
-        if args.cmd == "check":
-            return cmd_check(args.run_dir)
-        if args.cmd == "fit":
-            return cmd_fit(args.run_dir)
-        if args.cmd == "barrier":
-            if args.eta is None:
-                args.eta = [0.01]
-            return cmd_barrier(args)
-        if args.cmd == "sweep":
-            return cmd_sweep(args.configs, args.out)
-        raise AssertionError(args.cmd)
+        return args.fn(args)
     except SnapshotError as exc:
         print(f"corrupt run directory: {exc}", file=sys.stderr)
         return EXIT_SNAPSHOT

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError, DomainError, NumericError, \
-    SnapshotError
+from .errors import ConfigurationError, NumericError, SnapshotError
 
 __all__ = [
     "Axis",
@@ -35,9 +34,9 @@ __all__ = [
     "graded_nodes",
     "laplacian",
     "gradient",
-    "sample",
     "write_snapshot",
     "read_snapshot",
+    "read_verified",
     "to_json",
     "write_json",
     "write_rows",
@@ -303,28 +302,6 @@ def gradient(f: ScalarField):
     return ScalarField(f.grid, fx), ScalarField(f.grid, fy)
 
 
-def _cell(z, q):
-    """(i, t): q lies in the cell [z[i], z[i+1]], a fraction t of the way."""
-    i = min(max(int(np.searchsorted(z, q, side="right")) - 1, 0), z.size - 2)
-    return i, (q - z[i]) / (z[i + 1] - z[i])
-
-
-def sample(f: ScalarField, x: float, y: float) -> float:
-    """Bilinear interpolation of nodal values at (x, y)."""
-    g = f.grid
-    if not (-g.Lx <= x <= g.Lx and 0.0 <= y <= g.Ly):
-        raise DomainError(f"sample point ({x}, {y}) outside the grid rectangle")
-    i, tx = _cell(g.x, x)
-    j, ty = _cell(g.y, y)
-    u = f.values
-    return float(
-        (1 - tx) * (1 - ty) * u[j, i]
-        + tx * (1 - ty) * u[j, i + 1]
-        + (1 - tx) * ty * u[j + 1, i]
-        + tx * ty * u[j + 1, i + 1]
-    )
-
-
 # --------------------------------------------------------------------------
 # Serialization: the run-directory format, which `check` replays byte for byte
 # --------------------------------------------------------------------------
@@ -332,7 +309,9 @@ def sample(f: ScalarField, x: float, y: float) -> float:
 
 def _encode(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
+        # one level: the encoder comes back here for nested values, so
+        # dataclasses.asdict's deep copy would only cost time
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -354,12 +333,15 @@ def write_json(path, doc):
         fh.write(to_json(doc))
 
 
-def write_rows(path, header, rows):
-    """Write a CSV of the header names, then rows of floats as their repr."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def write_rows(path, header, rows) -> str:
+    """Write a CSV of the header names, then rows of floats as their repr.
+    Returns the sha256 hex digest of the bytes written."""
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
+    data = ("\n".join(lines) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return _sha256(data).hexdigest()
 
 
 def write_snapshot(f: ScalarField, path, time: float) -> str:
@@ -384,15 +366,25 @@ def write_snapshot(f: ScalarField, path, time: float) -> str:
     return digest.hexdigest()
 
 
-def read_snapshot(path, sha256: Optional[str] = None):
-    """Inverse of write_snapshot; returns (ScalarField, time).  With sha256
-    set, a file whose digest differs raises SnapshotError, as does a file
-    that is truncated, has a bad magic or describes no valid grid."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def read_verified(path, sha256: Optional[str] = None) -> bytes:
+    """The bytes of a run-directory file; SnapshotError if it cannot be read
+    or, with sha256 set, if their digest is not that one."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SnapshotError(f"cannot read {path}: {exc}")
     if sha256 is not None and _sha256(raw).hexdigest() != sha256:
-        raise SnapshotError(f"snapshot {path}: sha256 differs from the "
-                            f"one recorded when it was written")
+        raise SnapshotError(f"{path}: sha256 differs from the one recorded "
+                            "when it was written")
+    return raw
+
+
+def read_snapshot(path, sha256: Optional[str] = None):
+    """Inverse of write_snapshot; returns (ScalarField, time).  SnapshotError
+    for a file that `read_verified` rejects, is truncated, has a bad magic or
+    describes no valid grid."""
+    raw = read_verified(path, sha256)
     if len(raw) < _HEADER.size:
         raise SnapshotError(f"snapshot {path}: truncated header")
     magic, nx, ny, Lx, Ly, time = _HEADER.unpack_from(raw)

@@ -46,8 +46,8 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigurationError, DtUnderflow, NumericError, \
     SnapshotError
-from .grid import (Grid2D, ScalarField, read_snapshot, write_json,
-                   write_rows, write_snapshot)
+from .grid import (Grid2D, ScalarField, read_snapshot, read_verified,
+                   write_json, write_rows, write_snapshot)
 
 __all__ = [
     "SolverConfig",
@@ -361,15 +361,19 @@ class _Series:
         return {c: np.asarray(self.data[c]) for c in self.cols}
 
 
-def write_series(series: dict, path):
-    write_rows(path, _Series.cols, zip(*(series[c] for c in _Series.cols)))
+def write_series(series: dict, path) -> str:
+    """Write series.csv; returns the sha256 hex digest of its bytes."""
+    return write_rows(path, _Series.cols,
+                      zip(*(series[c] for c in _Series.cols)))
 
 
-def load_series(path) -> dict:
-    """The columns of a series.csv; SnapshotError if it is malformed."""
+def load_series(path, sha256: Optional[str] = None) -> dict:
+    """The columns of a series.csv; SnapshotError if it is malformed or, with
+    sha256 set, if its digest differs from the one meta.json recorded."""
+    text = read_verified(path, sha256).decode("latin-1")
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
+        raw = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
         raise SnapshotError(f"cannot read {path}: {exc}")
     if raw.shape[1] != len(_Series.cols):
         raise SnapshotError(f"{path}: wrong number of columns")
@@ -465,7 +469,7 @@ run_1d = run
 
 def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
              config_echo):
-    write_series(outcome.series, os.path.join(run_dir, "series.csv"))
+    digest = write_series(outcome.series, os.path.join(run_dir, "series.csv"))
     meta = {
         "config": config_echo,
         "grid": {"Lx": g.Lx, "Ly": g.Ly, "nx": g.nx, "ny": g.ny},
@@ -477,6 +481,7 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
             "steps": outcome.final.step,
             "grad_max_final": outcome.final.grad_max,
             "uy_origin_final": outcome.final.uy_origin,
+            "series_sha256": digest,
             "snapshots": [_snapshot_entry(r, run_dir)
                           for r in outcome.snapshots],
         },
@@ -495,10 +500,10 @@ def _snapshot_entry(ref: SnapshotRef, run_dir) -> dict:
 
 
 def open_run(run_dir):
-    """(meta, a SnapshotRef per snapshot) of a run directory.  SnapshotError
-    if meta.json is unreadable or lacks `config` (null is allowed),
-    `outcome.reason`, a snapshot, or a snapshot's integer `step`, `t` or
-    `path`."""
+    """(meta, a SnapshotRef per snapshot, series.csv's sha256 or None) of a
+    run directory.  SnapshotError if meta.json is unreadable or lacks
+    `config` (null is allowed), `outcome.reason`, a snapshot, or a
+    snapshot's integer `step`, `t` or `path`."""
     path = os.path.join(run_dir, "meta.json")
     try:
         with open(path) as fh:
@@ -518,18 +523,19 @@ def open_run(run_dir):
                             "t or path")
     return meta, [SnapshotRef(s["step"], s["t"],
                               os.path.join(run_dir, s["path"]),
-                              s.get("sha256")) for s in entries]
+                              s.get("sha256")) for s in entries], \
+        outcome.get("series_sha256")
 
 
 def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     """Restart a persisted run from its last snapshot, deterministically."""
-    meta, refs = open_run(run_dir)
+    meta, refs, series_sha256 = open_run(run_dir)
     last = refs[-1]
     fld, t_snap = read_snapshot(last.path, last.sha256)
     st = make_state(fld)
     st.t, st.step = t_snap, last.step
 
-    old = load_series(os.path.join(run_dir, "series.csv"))
+    old = load_series(os.path.join(run_dir, "series.csv"), series_sha256)
     if not 0 <= last.step < len(old["t"]):
         raise SnapshotError(f"{run_dir}: snapshot step {last.step} is not a "
                             f"row of series.csv ({len(old['t'])} rows)")

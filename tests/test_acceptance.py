@@ -18,8 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from gbulab import (Grid2D, SolverConfig, profile_constants, steady_state,
-                    symmetric_cap)
+from gbulab import (Grid2D, SolverConfig, gradient, profile_constants,
+                    steady_state, symmetric_cap)
 from gbulab import cli, solver
 from gbulab import diagnostics as dg
 from gbulab.profile_math import calibrate_barrier_c0
@@ -184,8 +184,7 @@ def test_criterion_07_time_rate_1d(rate1d_run):
 
 def _snapshot_grad_series(run_dir):
     """(grad_max, t, field) per persisted snapshot, via series.csv lookup."""
-    meta, snaps = cli._load_run(run_dir)
-    series = solver.load_series(os.path.join(run_dir, "series.csv"))
+    meta, snaps, series = cli._load_run(run_dir)
     ts = np.asarray(series["t"])
     gm = np.asarray(series["grad_max"])
     out = []
@@ -202,11 +201,13 @@ def test_criterion_08_envelopes(p3_run):
     decade = [s for s in snaps if s[0] >= g_end / 10.0]
     series = {}
     prev = prev_t = None
+    geo = dg.Geometry(decade[0][2].grid, PC3)
     for gmax, t, f in decade:
-        for e in dg.monitor_bounds(f, t, prev, prev_t):
+        grad = gradient(f)
+        for e in dg.monitor_bounds(f, t, grad, geo, prev, prev_t):
             series.setdefault(e.name, []).append(e.worst_value)
         series.setdefault("bernstein", []).append(
-            dg.bernstein_monitor(f, t, PC3).worst_value)
+            dg.bernstein_monitor(grad, geo, t).worst_value)
         prev, prev_t = f, t
 
     growths = {}
@@ -259,7 +260,7 @@ def test_criterion_09_j_sign_and_theta(p3_run):
 def test_criterion_10_determinism_and_symmetry(tmp_path):
     out = str(tmp_path / "fresh")
     assert cli.cmd_run("small-data", out) == 0
-    assert cli.cmd_check(out) == 0, "replay produced different fits.json"
+    assert cli.cmd_check(out) == 0, "replay produced a different derived file"
 
     g = Grid2D(Lx=0.25, Ly=0.25, nx=129, ny=129)
     u0 = symmetric_cap(0.3, 0.18, g)

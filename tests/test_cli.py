@@ -12,6 +12,7 @@ import yaml
 
 from gbulab import cli, solver
 from gbulab.errors import ConfigurationError, SnapshotError
+from gbulab.grid import to_json
 
 
 ABSENT = object()  # an override that deletes the key
@@ -258,16 +259,23 @@ def test_run_deterministic(run_dir, tmp_path):
         assert (run_dir / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def derived_files(run_dir):
+    """{name: bytes} of every file fit derives in a run directory."""
+    return {f.name: f.read_bytes() for f in run_dir.iterdir()
+            if f.is_file() and f.name not in ("meta.json", "series.csv")}
+
+
 def test_fit_replay_identical(run_dir):
-    before = (run_dir / "fits.json").read_bytes()
+    before = derived_files(run_dir)
+    assert {"fits.json", "report.json", "h_table.csv", "profile_normal.csv",
+            "profile_tangential.csv"} <= set(before)
     assert cli.main(["fit", str(run_dir)]) == cli.EXIT_OK
-    assert (run_dir / "fits.json").read_bytes() == before
+    assert derived_files(run_dir) == before
 
 
 def test_check_passes_then_catches_tampering(run_dir, tmp_path):
     assert cli.main(["check", str(run_dir)]) == cli.EXIT_OK
 
-    import shutil
     clone = tmp_path / "clone"
     shutil.copytree(run_dir, clone)
 
@@ -283,7 +291,6 @@ def test_check_passes_then_catches_tampering(run_dir, tmp_path):
 def test_check_verifies_every_snapshot(run_dir, tmp_path):
     """A value changed in an early snapshot fails the sha256 its meta.json
     entry recorded; a run directory without hashes still loads."""
-    import shutil
     clone = tmp_path / "clone3"
     shutil.copytree(run_dir, clone)
     meta = json.loads((clone / "meta.json").read_text())
@@ -310,7 +317,6 @@ def test_check_verifies_every_snapshot(run_dir, tmp_path):
 def test_fit_and_check_reject_a_bad_config_echo(run_dir, tmp_path, section,
                                                 key, value):
     """fit and check validate the config echoed in meta.json as run does."""
-    import shutil
     clone = tmp_path / "clone4"
     shutil.copytree(run_dir, clone)
     meta = json.loads((clone / "meta.json").read_text())
@@ -324,21 +330,85 @@ def test_fit_and_check_reject_a_bad_config_echo(run_dir, tmp_path, section,
 
 
 def test_check_regenerates_missing_fits(run_dir, tmp_path):
-    import shutil
+    """A derived file missing from the run directory is written by check,
+    byte for byte as fit writes it: fits.json and report.json here."""
     clone = tmp_path / "clone2"
     shutil.copytree(run_dir, clone)
-    ref = (clone / "fits.json").read_bytes()
+    ref = derived_files(clone)
     (clone / "fits.json").unlink()
+    (clone / "report.json").unlink()
     assert cli.main(["check", str(clone)]) == cli.EXIT_OK
-    assert (clone / "fits.json").read_bytes() == ref
+    assert derived_files(clone) == ref
 
 
-def test_dt_underflow_reported_as_outcome(tmp_path):
+def edit_report_j_k(text):
+    doc = json.loads(text)
+    doc["j_k"] = 2.0 * doc["j_k"] + 1.0
+    return to_json(doc)
+
+
+def set_csv(line, col):
+    """An edit setting the value at (line, col) of a CSV to 0.123."""
+    def edit(text):
+        rows = text.splitlines()
+        cells = rows[line].split(",")
+        cells[col] = "0.123"
+        rows[line] = ",".join(cells)
+        return "\n".join(rows) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("report.json", edit_report_j_k),
+    ("h_table.csv", set_csv(2, 5)),
+    ("profile_tangential.csv", set_csv(3, 1))],
+    ids=["report-j_k", "h_table-value", "profile_tangential-row"])
+def test_check_names_a_derived_file_that_differs(run_dir, tmp_path, capsys,
+                                                 name, edit):
+    """check rebuilds every derived file through fit's writer: an edit to
+    any of them exits 1 and names the file."""
+    clone = tmp_path / "clone5"
+    shutil.copytree(run_dir, clone)
+    path = clone / name
+    path.write_text(edit(path.read_text()))
+    assert path.read_bytes() != (run_dir / name).read_bytes()
+    capsys.readouterr()
+    assert cli.main(["check", str(clone)]) == cli.EXIT_DIFFERS
+    err = capsys.readouterr().err
+    assert f"{name} differs" in err
+
+
+def test_check_rejects_an_edited_series(run_dir, tmp_path):
+    """meta.json records series.csv's sha256: a row appended to a 2D run's
+    series.csv is a corrupt run directory for check, fit and resume."""
+    clone = tmp_path / "clone6"
+    shutil.copytree(run_dir, clone)
+    meta = json.loads((clone / "meta.json").read_text())
+    assert "series_sha256" in meta["outcome"]
+    with open(clone / "series.csv", "a") as fh:
+        fh.write("9,9,9,9\n")
+    assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
+    assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
+    with pytest.raises(SnapshotError, match="series.csv"):
+        solver.resume(str(clone), solver.SolverConfig(p=3.0))
+    # a run directory written before the digest loads series.csv unverified
+    del meta["outcome"]["series_sha256"]
+    (clone / "meta.json").write_text(json.dumps(meta))
+    shutil.copy(run_dir / "series.csv", clone / "series.csv")
+    assert cli.main(["check", str(clone)]) == cli.EXIT_OK
+
+
+def test_dt_underflow_reported_as_outcome(tmp_path, capsys):
+    """A run that takes 0 steps writes its run directory and fails with
+    exit 3, as fit and check do on that directory."""
     cfg = write_config(tmp_path, solver={"dt_floor": 1.0})
     out = tmp_path / "r"
-    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_OK
+    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_NUMERIC
     meta = json.loads((out / "meta.json").read_text())
     assert meta["outcome"]["reason"] == "dt_underflow"
+    assert "0 steps" in capsys.readouterr().err
+    assert cli.main(["fit", str(out)]) == cli.EXIT_NUMERIC
+    assert cli.main(["check", str(out)]) == cli.EXIT_NUMERIC
 
 
 def test_numeric_failure_writes_crash_json(tmp_path):
@@ -429,9 +499,12 @@ def set_last_step(step):
      cli.EXIT_SNAPSHOT),
     ("run_dir_1d", cut_series_row, cli.EXIT_SNAPSHOT),
     ("run_dir", set_last_step("5"), cli.EXIT_SNAPSHOT),
-    ("run_dir", set_last_step(1000000), cli.EXIT_OK)],
+    ("run_dir", set_last_step(1000000), cli.EXIT_OK),
+    ("run_dir", lambda d: max((d / "snapshots").iterdir()).unlink(),
+     cli.EXIT_SNAPSHOT)],
     ids=["no-outcome", "no-snapshots", "entry-without-path",
-         "1d-short-series-row", "string-step", "step-past-series"])
+         "1d-short-series-row", "string-step", "step-past-series",
+         "missing-snapshot"])
 def test_malformed_run_directory_exits_5(request, tmp_path, source, damage,
                                          code):
     """fit, check and resume read a run directory through solver.open_run

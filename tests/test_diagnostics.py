@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gbulab import (DomainError, Grid2D, ScalarField, j_params,
+from gbulab import (DomainError, Grid2D, ScalarField, gradient, j_params,
                     profile_constants, symmetric_cap)
 from gbulab import diagnostics as dg
 
@@ -22,6 +22,27 @@ def square_grid(n=129, L=0.25):
     return Grid2D(Lx=L, Ly=L, nx=n, ny=n)
 
 
+def prepared(f):
+    """f's gradient and its grid's monitor arrays, as build_report passes
+    them to the monitors."""
+    return gradient(f), dg.Geometry(f.grid, PC3)
+
+
+def probe(f):
+    """f with its u_x on the J probe box, and the grid's monitor arrays."""
+    grad, geo = prepared(f)
+    return (f, grad[0].values[geo.probe]), geo
+
+
+def j_max(f, jp):
+    return dg.j_monitor(*probe(f), jp, PC3)
+
+
+def ladder(f):
+    values, geo = probe(f)
+    return dg.j_k_ladder([values], geo, PC3)
+
+
 # --------------------------------------------------------------------------
 # monitor_bounds
 # --------------------------------------------------------------------------
@@ -31,9 +52,9 @@ def test_ut_bound_backward_difference():
     g = square_grid(33)
     f1 = field(g, lambda X, Y: np.sin(X) * Y)
     f2 = ScalarField(g, f1.values + 0.02 * np.cos(3 * f1.values))
-    envs = dg.monitor_bounds(f2, t=0.3, prev=f1, prev_t=0.2)
+    envs = dg.monitor_bounds(f2, 0.3, *prepared(f2), prev=f1, prev_t=0.2)
     by = {e.name: e for e in envs}
-    mask, _, _ = dg._omega_prime(g)
+    mask = dg.Geometry(g, PC3).omega
     expected = np.max(np.abs(f2.values - f1.values)[mask]) / 0.1
     assert by["ut_bound"].worst_value == pytest.approx(expected, rel=1e-12)
 
@@ -41,7 +62,8 @@ def test_ut_bound_backward_difference():
 def test_monitor_bounds_polynomial_oracles():
     g = square_grid(65)
     # u = x^2 - y: u_y = -1, u_xx = 2, u_x = 2x
-    envs = dg.monitor_bounds(field(g, lambda X, Y: X**2 - Y), t=0.0)
+    f = field(g, lambda X, Y: X**2 - Y)
+    envs = dg.monitor_bounds(f, 0.0, *prepared(f))
     by = {e.name: e for e in envs}
     assert by["uy_lower"].worst_value == pytest.approx(1.0, abs=1e-10)
     assert by["uxx_lower"].worst_value == pytest.approx(-2.0, abs=1e-10)
@@ -56,8 +78,8 @@ def test_monitor_bounds_polynomial_oracles_graded():
     weights and the x = 0 column is the only one left out of u_x / x."""
     g = Grid2D.graded(0.25, 0.25, y_first=1e-4, y_ratio=1.3, y_max=0.02,
                       x_first=1e-3, x_ratio=1.25, x_max=0.02)
-    by = {e.name: e for e in dg.monitor_bounds(
-        field(g, lambda X, Y: X**2 - Y), t=0.0)}
+    f = field(g, lambda X, Y: X**2 - Y)
+    by = {e.name: e for e in dg.monitor_bounds(f, 0.0, *prepared(f))}
     assert by["uy_lower"].worst_value == pytest.approx(1.0, abs=1e-8)
     assert by["uxx_lower"].worst_value == pytest.approx(-2.0, abs=1e-8)
     assert by["ux_linear"].worst_value == pytest.approx(2.0, abs=1e-8)
@@ -67,7 +89,7 @@ def test_monitor_bounds_rejects_bad_ordering():
     g = square_grid(33)
     f = field(g, lambda X, Y: X * 0.0)
     with pytest.raises(DomainError):
-        dg.monitor_bounds(f, t=0.1, prev=f, prev_t=0.1)
+        dg.monitor_bounds(f, 0.1, *prepared(f), prev=f, prev_t=0.1)
 
 
 # --------------------------------------------------------------------------
@@ -83,11 +105,10 @@ def test_bernstein_on_steady_layer():
     to second order.  Both values are pinned."""
     g = Grid2D(Lx=0.25, Ly=0.25, nx=65, ny=513)
     f = field(g, lambda X, Y: PC3.c_p * np.sqrt(Y))
-    env = dg.bernstein_monitor(f, 0.0, PC3)
+    env = dg.bernstein_monitor(*prepared(f), 0.0)
     assert env.name == "bernstein"
     assert env.worst_value == pytest.approx(np.sqrt(2.0) * PC3.d_p, rel=1e-3)
     assert env.worst_location[1] == pytest.approx(g.hy)
-    from gbulab.grid import gradient
     fx, fy = gradient(f)
     j = 256  # y = 0.125: dist = y there
     mono = np.hypot(fx.values[j, 32], fy.values[j, 32]) * g.y[j] ** PC3.beta
@@ -97,9 +118,8 @@ def test_bernstein_on_steady_layer():
 def test_bernstein_scales_with_amplitude():
     g = square_grid(65)
     f = field(g, lambda X, Y: np.sin(np.pi * Y / g.Ly) * np.cos(np.pi * X))
-    e1 = dg.bernstein_monitor(f, 0.0, PC3)
-    f2 = ScalarField(g, 3.0 * f.values)
-    e2 = dg.bernstein_monitor(f2, 0.0, PC3)
+    e1 = dg.bernstein_monitor(*prepared(f), 0.0)
+    e2 = dg.bernstein_monitor(*prepared(ScalarField(g, 3.0 * f.values)), 0.0)
     assert e2.worst_value == pytest.approx(3.0 * e1.worst_value, rel=1e-12)
 
 
@@ -112,9 +132,8 @@ def test_j_monitor_matches_direct_formula():
     g = square_grid(65)
     f = field(g, lambda X, Y: (1.0 - X**2) * Y * (g.Ly - Y))
     jp = j_params(PC3, 0.25)
-    got = dg.j_monitor(f, jp, PC3)
+    got = j_max(f, jp)
     # direct evaluation over the probe box
-    from gbulab.grid import gradient
     fx, _ = gradient(f)
     X, Y = g.meshgrid()
     x1, y1 = dg.default_probe_box(g)
@@ -128,15 +147,15 @@ def test_j_monitor_matches_direct_formula():
 def test_j_monitor_sign_cases():
     g = square_grid(65)
     flat = field(g, lambda X, Y: Y * (g.Ly - Y))  # u_x = 0: J > 0 for x > 0
-    assert dg.j_monitor(flat, j_params(PC3, 0.5), PC3) > 0.0
+    assert j_max(flat, j_params(PC3, 0.5)) > 0.0
     steep = field(g, lambda X, Y: (1.0 - np.abs(X) / g.Lx) * Y)
-    assert dg.j_monitor(steep, j_params(PC3, 2.0**-20), PC3) < 0.0
+    assert j_max(steep, j_params(PC3, 2.0**-20)) < 0.0
 
 
 def test_j_k_ladder_returns_largest_passing_k():
     g = square_grid(65)
     steep = field(g, lambda X, Y: (1.0 - np.abs(X) / g.Lx) * Y)
-    k, table = dg.j_k_ladder([steep], PC3)
+    k, table = ladder(steep)
     assert k > 0.0
     assert table[k] <= 0.0
     # every larger rung tried must have failed
@@ -144,13 +163,13 @@ def test_j_k_ladder_returns_largest_passing_k():
         if kk > k:
             assert worst > 0.0
     # and the run's J at the returned k is indeed nonpositive
-    assert dg.j_monitor(steep, j_params(PC3, k), PC3) <= 0.0
+    assert j_max(steep, j_params(PC3, k)) <= 0.0
 
 
 def test_j_k_ladder_no_passing_rung():
     g = square_grid(65)
     flat = field(g, lambda X, Y: Y * (g.Ly - Y))
-    k, table = dg.j_k_ladder([flat], PC3)
+    k, table = ladder(flat)
     assert k == 0.0
     assert all(w > 0.0 for w in table.values())
 
@@ -165,11 +184,11 @@ def test_xi_theta_on_steady_layer():
     the first rows where the centered stencil saturates."""
     g = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
     f = field(g, lambda X, Y: PC3.c_p * np.sqrt(Y))
-    xi, theta = dg.xi_theta_fields(f, PC3)
+    xi, theta = dg.xi_theta_fields(f, *prepared(f), PC3)
     j = 256  # y = 0.125
     assert xi.values[j, 5] == pytest.approx(1.0 - PC3.beta, rel=1e-4)
     assert theta.values[j, 5] == pytest.approx(PC3.beta, rel=1e-4)
-    (xi_lo, xi_hi), (th_lo, th_hi) = dg.xi_theta_ranges(f, PC3)
+    (xi_lo, xi_hi), (th_lo, th_hi) = dg.xi_theta_ranges(f, *prepared(f), PC3)
     assert 0.45 <= xi_lo <= 0.51
     assert xi_hi <= 0.75  # inner-row stencil saturation bounds the overshoot
     assert 0.45 <= th_lo <= 0.51
@@ -178,10 +197,10 @@ def test_xi_theta_on_steady_layer():
 def test_xi_theta_threshold_masks_tiny_values():
     g = square_grid(33)
     f = field(g, lambda X, Y: np.zeros_like(X))
-    xi, theta = dg.xi_theta_fields(f, PC3)
+    xi, theta = dg.xi_theta_fields(f, *prepared(f), PC3)
     assert np.all(np.isnan(xi.values))
     with pytest.raises(DomainError):
-        dg.xi_theta_ranges(f, PC3)
+        dg.xi_theta_ranges(f, *prepared(f), PC3)
 
 
 # --------------------------------------------------------------------------
@@ -248,3 +267,21 @@ def test_build_and_write_report(tmp_path):
     assert len(doc["envelopes"]) == len(report["envelopes"])
     h_lines = (tmp_path / "h_table.csv").read_text().strip().split("\n")
     assert len(h_lines) == 1 + 4
+
+
+def test_build_report_takes_each_gradient_once(monkeypatch):
+    """The monitors share one gradient per snapshot: build_report calls
+    grid.gradient exactly once for each."""
+    g = Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33)
+    snaps = [(t, symmetric_cap(0.2 / (1.0 + 5 * t), 0.18, g))
+             for t in (0.0, 0.01, 0.02, 0.03, 0.04)]
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return gradient(f)
+
+    monkeypatch.setattr(dg, "gradient", counted)
+    dg.build_report(snaps, PC3, q=3.0)
+    assert len(calls) == len(snaps)
+    assert all(a is f for a, (_, f) in zip(calls, snaps))

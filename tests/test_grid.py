@@ -9,12 +9,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gbulab import (ConfigurationError, DomainError, Grid2D, NumericError,
-                    ScalarField, SnapshotError, gradient, laplacian,
-                    read_snapshot, sample, write_snapshot)
+from gbulab import (ConfigurationError, Grid2D, NumericError, ScalarField,
+                    SnapshotError, gradient, laplacian, read_snapshot,
+                    write_snapshot)
 from gbulab import _kernels
 from gbulab.grid import Axis, graded_nodes
 
@@ -271,44 +269,6 @@ def test_axis_one_sided_weights():
     u = 3.0 * z - 5.0 * z**2
     assert np.dot(ax.lo, u[:3]) == pytest.approx(3.0, abs=1e-12)
     assert np.dot(ax.hi, u[-3:]) == pytest.approx(3.0 - 10.0 * 0.9, abs=1e-12)
-
-
-def test_graded_sample_exact_on_bilinear():
-    g = geometric_grid(16, 1.3)
-    f = make_field(g, lambda X, Y: 1.0 + 2.0 * X - 3.0 * Y + 4.0 * X * Y)
-    for x, y in [(-0.31, 0.07), (0.0, 0.0), (0.5, 0.4), (0.0123, 1e-4)]:
-        assert sample(f, x, y) == pytest.approx(
-            1.0 + 2.0 * x - 3.0 * y + 4.0 * x * y, abs=1e-12)
-
-
-# --------------------------------------------------------------------------
-# Sampling
-# --------------------------------------------------------------------------
-
-
-def test_sample_exact_on_bilinear():
-    g = Grid2D(Lx=0.5, Ly=0.25, nx=11, ny=6)
-    f = make_field(g, lambda X, Y: 1.0 + 2.0 * X - 3.0 * Y + 4.0 * X * Y)
-    for x, y in [(-0.31, 0.07), (0.0, 0.0), (0.5, 0.25), (0.123, 0.2499)]:
-        assert sample(f, x, y) == pytest.approx(
-            1.0 + 2.0 * x - 3.0 * y + 4.0 * x * y, abs=1e-12)
-
-
-def test_sample_outside_raises():
-    g = Grid2D(Lx=0.5, Ly=0.25, nx=11, ny=6)
-    f = make_field(g, lambda X, Y: X * 0.0)
-    with pytest.raises(DomainError):
-        sample(f, 0.51, 0.1)
-    with pytest.raises(DomainError):
-        sample(f, 0.0, -0.01)
-
-
-@settings(max_examples=50, deadline=None)
-@given(x=st.floats(-0.5, 0.5), y=st.floats(0.0, 0.25))
-def test_sample_linear_everywhere(x, y):
-    g = Grid2D(Lx=0.5, Ly=0.25, nx=17, ny=9)
-    f = make_field(g, lambda X, Y: 2.0 * X - Y)
-    assert sample(f, x, y) == pytest.approx(2.0 * x - y, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
