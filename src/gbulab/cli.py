@@ -2,12 +2,13 @@
 registry and post-hoc fit/diagnostic emission.
 
 Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
-1 `check` derived a file that differs from the run directory's copy,
-2 invalid config, 3 numeric failure or a run that took 0 steps,
-4 convergence failure, 5 corrupt or malformed run directory.  All outputs
-are deterministic CSV/JSON files written by `grid`; plotting is left to
-external tools.  A 1D run (family sine_1d) runs on a column at x = 0
-through the same run, snapshots, fit and check.
+1 `check` derived a file that differs from the run directory's copy, or
+found a derived file that this run does not produce, 2 invalid config,
+3 numeric failure or a run that took 0 steps, 4 convergence failure,
+5 corrupt or malformed run directory.  All outputs are deterministic
+CSV/JSON files written by `grid`; plotting is left to external tools.  A 1D
+run (family sine_1d) runs on a column at x = 0 through the same run,
+snapshots, fit and check.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
 from .errors import (ConfigurationError, DomainError, FitError, GbulabError,
                      NumericError, SnapshotError)
-from .grid import (Grid2D, ScalarField, graded_nodes, read_snapshot,
-                   write_json, write_rows)
+from .grid import (Grid2D, ScalarField, gradient, graded_nodes,
+                   read_snapshot, write_json, write_rows)
 from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
                            manufactured_params, manufactured_solution,
                            j_params, profile_constants)
@@ -263,9 +264,10 @@ def _load_run(run_dir):
     return meta, snaps, series
 
 
-def compute_fits(meta, snaps, series, cfg: RunConfig) -> dict:
+def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
     """The fits of a run: the time rate of its series.csv for a 1D run, the
-    profiles of its final snapshot for a 2D one.
+    profiles of uy, its final snapshot's u_y, for a 2D one (uy is None for
+    a 1D run).
 
     Individual fit failures are recorded as error strings, keeping the output
     deterministic for replay comparison.
@@ -289,62 +291,66 @@ def compute_fits(meta, snaps, series, cfg: RunConfig) -> dict:
 
     extent = cfg.fits.get("extent", 0.1)
     level_frac = cfg.fits.get("level_frac", 0.5)
-    _, last = snaps[-1]
     # the near-wall windows start at the layer's resolution crossover only
     # in a run that built a layer, i.e. blew up (profile_fit.wall_floor)
     blew_up = meta["outcome"]["reason"] == solver.BLOW_UP
 
     @functools.cache  # one wall_floor for the three near-wall fits
     def floor():
-        return profile_fit.wall_floor(last, pc, layer=blew_up)
+        return profile_fit.wall_floor(uy, pc, layer=blew_up)
 
-    attempt("normal", lambda: profile_fit.fit_normal(last, pc, floor=floor()))
-    attempt("tangential", lambda: profile_fit.fit_tangential(last, pc, hi=extent))
-    attempt("aniso", lambda: profile_fit.fit_aniso(last, pc, extent=extent,
+    attempt("normal", lambda: profile_fit.fit_normal(uy, pc, floor=floor()))
+    attempt("tangential", lambda: profile_fit.fit_tangential(uy, pc, hi=extent))
+    attempt("aniso", lambda: profile_fit.fit_aniso(uy, pc, extent=extent,
                                                    floor=floor()))
 
     def levelset():
-        g = last.grid
-        uy = profile_fit.normal_derivative_field(last)
-        X, Y = g.meshgrid()
+        X, Y = uy.grid.meshgrid()
         sel = (np.abs(X) <= extent) & (Y >= floor()) & (Y <= extent)
         if not np.any(sel):
             raise FitError(f"level-set window (extent {extent}) has no nodes")
-        level = level_frac * float(np.max(uy[sel]))
-        fitv = profile_fit.level_set_shape(last, pc, level, extent=extent)
+        level = level_frac * float(np.max(uy.values[sel]))
+        fitv = profile_fit.level_set_shape(uy, pc, level, extent=extent)
         return {"level": level, "fit": fitv}
 
     attempt("level_set", levelset)
     return out
 
 
+# every file _write_fits can write; `check` flags any in a run directory
+# that the rebuild did not write
+DERIVED_FILES = ("fits.json", "profile_normal.csv", "profile_tangential.csv",
+                 "profile_levelset.csv", "report.json", "h_table.csv")
+
+
 def _write_fits(out_dir, meta, snaps, series, cfg: RunConfig):
     """Write every file derived from a run directory's meta.json, snapshots
     and series.csv into out_dir: fits.json, and for a 2D run its profile
     CSVs, report.json and h_table.csv."""
-    fits = compute_fits(meta, snaps, series, cfg)
+    if cfg.is_1d:
+        write_json(os.path.join(out_dir, "fits.json"),
+                   compute_fits(meta, None, series, cfg))
+        return
+    # the report first: its per-snapshot gradients set the peak RSS, which
+    # was 1 MB lower on p3-blowup before the fits had run than after
+    diag.write_report(diag.build_report(snaps, profile_constants(cfg.p),
+                                        q=cfg.diagnostics.get("q")), out_dir)
+    uy = gradient(snaps[-1][1])[1]  # the final profile every fit reads
+    fits = compute_fits(meta, uy, series, cfg)
     write_json(os.path.join(out_dir, "fits.json"), fits)
-    if not cfg.is_1d:
-        _emit_profile_csvs(snaps, cfg, out_dir, fits)
-        report = diag.build_report(snaps, profile_constants(cfg.p),
-                                   q=cfg.diagnostics.get("q"))
-        diag.write_report(report, out_dir)
+    _emit_profile_csvs(uy, cfg, out_dir, fits)
 
 
-def _emit_profile_csvs(snaps, cfg: RunConfig, out_dir, fits):
-    _, last = snaps[-1]
-    g = last.grid
-    uy = profile_fit.normal_derivative_field(last)
+def _emit_profile_csvs(uy, cfg: RunConfig, out_dir, fits):
+    g, v = uy.grid, uy.values
     write_rows(os.path.join(out_dir, "profile_normal.csv"), ("y", "uy"),
-               zip(g.y, uy[:, g.ix0]))
+               zip(g.y, v[:, g.ix0]))
     write_rows(os.path.join(out_dir, "profile_tangential.csv"), ("x", "uy"),
-               zip(g.x[g.ix0:], uy[0, g.ix0:]))
+               zip(g.x[g.ix0:], v[0, g.ix0:]))
+    # a level in fits.json means level_set_shape found this curve
     if (level := fits["level_set"].get("level")) is not None:
-        try:
-            xs, ys = profile_fit.level_set_curve(
-                last, level, extent=cfg.fits.get("extent", 0.1))
-        except FitError:
-            return
+        xs, ys = profile_fit.level_set_curve(
+            uy, level, extent=cfg.fits.get("extent", 0.1))
         write_rows(os.path.join(out_dir, "profile_levelset.csv"), ("x", "y"),
                    zip(xs, ys))
 
@@ -423,16 +429,21 @@ def cmd_fit(run_dir) -> int:
 
 def cmd_check(run_dir) -> int:
     """Compare every file `fit` derives, written to a scratch directory, with
-    the run directory's copy byte for byte; write any copy that is missing."""
+    the run directory's copy byte for byte; write any copy that is missing.
+    A derived file the rebuild did not write fails the check."""
     meta, snaps, series = _load_run(run_dir)
     cfg = RunConfig.from_dict(meta["config"])
     with tempfile.TemporaryDirectory() as fresh:
         _write_fits(fresh, meta, snaps, series, cfg)
-        same, differ, missing = filecmp.cmpfiles(
-            fresh, run_dir, sorted(os.listdir(fresh)), shallow=False)
-        if differ:
-            print(f"check failed: {', '.join(differ)} differs from the "
-                  "recomputed copy", file=sys.stderr)
+        written = sorted(os.listdir(fresh))
+        same, differ, missing = filecmp.cmpfiles(fresh, run_dir, written,
+                                                 shallow=False)
+        stray = [n for n in DERIVED_FILES if n not in written
+                 and os.path.exists(os.path.join(run_dir, n))]
+        faults = ([f"{n} differs from the recomputed copy" for n in differ]
+                  + [f"{n} is not derived from this run" for n in stray])
+        if faults:
+            print(f"check failed: {'; '.join(faults)}", file=sys.stderr)
             return EXIT_DIFFERS
         for name in missing:
             shutil.copy(os.path.join(fresh, name), run_dir)

@@ -31,7 +31,6 @@ __all__ = [
     "j_k_ladder",
     "xi_theta_fields",
     "xi_theta_ranges",
-    "boundary_normal_series",
     "modulation_h",
     "default_probe_box",
     "build_report",
@@ -183,13 +182,6 @@ def xi_theta_ranges(snapshot: ScalarField, grad, geo: Geometry,
             (float(np.min(theta.values[mask])), float(np.max(theta.values[mask]))))
 
 
-def boundary_normal_series(snapshots):
-    """(t, x, u_y(x, 0, t)) from a list of (t, ScalarField) pairs."""
-    return (np.asarray([t for t, _ in snapshots]), snapshots[0][1].grid.x,
-            np.asarray([_kernels.uy_wall(f.values, f.grid)
-                        for _, f in snapshots]))
-
-
 def modulation_h(ts, xs, uy_rows, pc: ProfileConstants, T_hat=None):
     """Quasi-stationary height h = (u_y(x, 0, t) / d_p)^(-1/beta).
 
@@ -236,17 +228,20 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
     """Full diagnostic pass over a list of (t, ScalarField) snapshot pairs:
     the mapping report.json holds, plus the (t, x, h) table of h_table.csv
     under `h_table`.  Each snapshot's gradient is computed once, and of it
-    only u_x on the J probe box is kept past its own monitors.  A monitor
-    whose probe box holds no usable node records {"error": ...} under the
-    keys it fills, as a failed fit does in fits.json."""
+    only u_x on the J probe box and u_y on the wall y = 0 are kept past its
+    own monitors.  A monitor whose probe box holds no usable node records
+    {"error": ...} under the keys it fills, as a failed fit does in
+    fits.json."""
     geo = Geometry(snapshots[0][1].grid, pc)
     envelopes, probes = [], []
+    walls = np.empty((len(snapshots), geo.X.shape[1]))  # u_y(x, 0), for h
     prev = prev_t = None
-    for t, f in snapshots:
+    for (t, f), wall in zip(snapshots, walls):
         grad = gradient(f)
         envelopes.extend(monitor_bounds(f, t, grad, geo, prev, prev_t))
         envelopes.append(bernstein_monitor(grad, geo, t))
         probes.append((f, grad[0].values[geo.probe]))
+        wall[:] = grad[1].values[0]
         prev, prev_t = f, t
     out = {"envelopes": envelopes}
 
@@ -268,7 +263,7 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
     probes.clear()  # used up: freed before the xi/Theta fields, the peak
     attempt(("xi_range", "theta_range"),  # f and grad of the last snapshot
             lambda: xi_theta_ranges(f, grad, geo, pc))
-    h = modulation_h(*boundary_normal_series(snapshots), pc)
+    h = modulation_h([t for t, _ in snapshots], f.grid.x, walls, pc)
     out.update(h_excluded=h["n_excluded"], h_fit_space=h["fit_space"],
                h_fit_time=h["fit_time"], h_table=(h["t"], h["x"], h["h"]))
     return out

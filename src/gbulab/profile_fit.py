@@ -2,6 +2,9 @@
 normal decay of u_y(0, y), tangential decay of u_y(x, 0), the 1D time rate,
 the two-parameter anisotropic profile fit, and level-set curve shapes.
 
+The 2D fits read the final snapshot's u_y as a ScalarField, which their
+caller derives once (`grid.gradient`) and hands to each of them.
+
 Fit windows exclude the innermost grid cells and the resolution crossover —
 the scale below which the grid saturates and measured slopes bias toward 0.
 Window edges are stated in node coordinates, so they hold on graded grids:
@@ -16,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .grid import ScalarField, gradient
+from .grid import ScalarField
 from .profile_math import ProfileConstants, final_profile_model
 
 __all__ = [
     "PowerLawFit",
     "AnisoFit",
     "powerlaw_fit",
-    "normal_derivative_field",
     "wall_floor",
     "fit_normal",
     "fit_tangential",
@@ -81,14 +83,7 @@ def powerlaw_fit(s, v, window) -> PowerLawFit:
                        window=(float(lo), float(hi)), n_points=n)
 
 
-def normal_derivative_field(snapshot: ScalarField) -> np.ndarray:
-    """u_y as a (ny, nx) array (second-order, one-sided on the boundary)."""
-    _, fy = gradient(snapshot)
-    return fy.values
-
-
-def wall_floor(final_snapshot: ScalarField, pc: ProfileConstants,
-               layer=True) -> float:
+def wall_floor(uy: ScalarField, pc: ProfileConstants, layer=True) -> float:
     """Lower edge of the near-wall y windows (normal fit, anisotropic fit,
     level-set selection).
 
@@ -100,29 +95,27 @@ def wall_floor(final_snapshot: ScalarField, pc: ProfileConstants,
     a graded grid spans many rows.  A run that decayed has no layer to
     saturate, so only the node floor applies.
     """
-    g = final_snapshot.grid
+    g = uy.grid
     floor = float(g.y[3])
     if layer:
-        uy = normal_derivative_field(final_snapshot)[:, g.ix0]
-        floor = max(floor, resolution_crossover(g.y, uy, -pc.beta,
-                                                min(0.1, g.Ly)))
+        floor = max(floor, resolution_crossover(g.y, uy.values[:, g.ix0],
+                                                -pc.beta, min(0.1, g.Ly)))
     return floor
 
 
-def fit_normal(final_snapshot: ScalarField, pc: ProfileConstants,
-               window=None, floor=None) -> PowerLawFit:
+def fit_normal(uy: ScalarField, pc: ProfileConstants, window=None,
+               floor=None) -> PowerLawFit:
     """Fit u_y(0, y) vs y; the expected slope is -beta with amplitude d_p.
 
     The default window is [floor, min(0.1, Ly)], with floor defaulting to
     `wall_floor`.
     """
-    g = final_snapshot.grid
-    uy = normal_derivative_field(final_snapshot)[:, g.ix0]
+    g = uy.grid
     if window is None:
         if floor is None:
-            floor = wall_floor(final_snapshot, pc)
+            floor = wall_floor(uy, pc)
         window = (floor, min(0.1, g.Ly))
-    return powerlaw_fit(g.y, uy, window)
+    return powerlaw_fit(g.y, uy.values[:, g.ix0], window)
 
 
 def resolution_crossover(s, v, target_exponent, hi):
@@ -151,24 +144,24 @@ def resolution_crossover(s, v, target_exponent, hi):
     return float(s[flat[-1] + 1])
 
 
-def fit_tangential(final_snapshot: ScalarField, pc: ProfileConstants,
+def fit_tangential(uy: ScalarField, pc: ProfileConstants,
                    hi=None) -> PowerLawFit:
     """Fit one-sided u_y(x, 0) vs x > 0; the expected slope is -2/(p-2).
 
     The window's lower edge is the resolution crossover (the discrete profile
     plateaus below it); an outer decade that never steepens is an error.
     """
-    g = final_snapshot.grid
-    uy = normal_derivative_field(final_snapshot)[0, g.ix0 + 1:]
+    g = uy.grid
+    wall = uy.values[0, g.ix0 + 1:]
     xs = g.x[g.ix0 + 1:]
     if hi is None:
         hi = min(0.1, g.Lx)
-    lo = resolution_crossover(xs, uy, -pc.tangential_exp, hi)
+    lo = resolution_crossover(xs, wall, -pc.tangential_exp, hi)
     lo = max(lo, float(xs[2]))  # the third node beside x = 0
     if hi / lo < 2.0:
         raise FitError(f"insufficient resolution: tangential window "
                        f"[{lo:.4g}, {hi:.4g}] narrower than a factor 2")
-    return powerlaw_fit(xs, uy, (lo, hi))
+    return powerlaw_fit(xs, wall, (lo, hi))
 
 
 def _last_growth_decade(t, gmax):
@@ -218,31 +211,28 @@ def fit_time_rate(series: dict, pc: ProfileConstants):
     return fit, T_hat, r2
 
 
-def _aniso_region(final_snapshot: ScalarField, pc: ProfileConstants,
-                  extent, floor):
+def _aniso_region(uy: ScalarField, pc: ProfileConstants, extent, floor):
     """(x, y, measured u_y) over [0, extent]^2 from y = floor up."""
-    g = final_snapshot.grid
-    uy = normal_derivative_field(final_snapshot)
-    X, Y = g.meshgrid()
+    X, Y = uy.grid.meshgrid()
     if floor is None:
-        floor = wall_floor(final_snapshot, pc)
-    mask = (X >= 0) & (X <= extent) & (Y >= floor) & (Y <= extent) \
-        & (uy > 0)
+        floor = wall_floor(uy, pc)
+    v = uy.values
+    mask = (X >= 0) & (X <= extent) & (Y >= floor) & (Y <= extent) & (v > 0)
     if np.count_nonzero(mask) < 5:
         raise FitError("fit_aniso: fewer than 5 usable nodes in the region")
-    return X[mask], Y[mask], uy[mask]
+    return X[mask], Y[mask], v[mask]
 
 
-def fit_aniso(final_snapshot: ScalarField, pc: ProfileConstants,
-              extent=0.1, floor=None) -> AnisoFit:
+def fit_aniso(uy: ScalarField, pc: ProfileConstants, extent=0.1,
+              floor=None) -> AnisoFit:
     """Golden-section search on C1 minimizing the max relative deviation of
     measured u_y from d_p [y + C1 |x|^(2(p-1)/(p-2))]^(-beta) over
     [0, extent] x [floor, extent], floor defaulting to `wall_floor`."""
-    xs, ys, uy = _aniso_region(final_snapshot, pc, extent, floor)
+    xs, ys, v = _aniso_region(uy, pc, extent, floor)
 
     def cost(logc):
         model = final_profile_model(pc, float(np.exp(logc)), xs, ys)
-        return float(np.max(np.abs(uy - model) / model))
+        return float(np.max(np.abs(v - model) / model))
 
     lo, hi = np.log(1e-3), np.log(1e3)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -274,19 +264,18 @@ def _column_crossing(col, ys, level):
     return None
 
 
-def level_set_curve(final_snapshot: ScalarField, level: float, extent=0.1):
+def level_set_curve(uy: ScalarField, level: float, extent=0.1):
     """Per-column crossing heights of u_y = level for x > 0.
 
     Each column is scanned upward; the first downward crossing is located by
     linear interpolation.  Returns (x, y) arrays of the crossings found.
     """
-    g = final_snapshot.grid
-    uy = normal_derivative_field(final_snapshot)
+    g = uy.grid
     xs_out, ys_out = [], []
     for i in range(g.ix0 + 1, g.nx):
         if g.x[i] > extent:
             break
-        hit = _column_crossing(uy[:, i], g.y, level)
+        hit = _column_crossing(uy.values[:, i], g.y, level)
         if hit is None:
             continue
         ys_out.append(hit)
@@ -297,8 +286,8 @@ def level_set_curve(final_snapshot: ScalarField, level: float, extent=0.1):
     return np.asarray(xs_out), np.asarray(ys_out)
 
 
-def level_set_shape(final_snapshot: ScalarField, pc: ProfileConstants,
-                    level: float, extent=0.1) -> PowerLawFit:
+def level_set_shape(uy: ScalarField, pc: ProfileConstants, level: float,
+                    extent=0.1) -> PowerLawFit:
     """Fit the sag of the level-set curve of u_y below its apex at x = 0.
 
     On the layer-profile model u_y = d_p [y + C1 |x|^a]^(-beta) the crossing
@@ -314,12 +303,11 @@ def level_set_shape(final_snapshot: ScalarField, pc: ProfileConstants,
     or higher; keeping it >= 1e3 y_sat gives f <= 10^(-3 beta), 0.03 for
     p = 3.
     """
-    g = final_snapshot.grid
-    uy = normal_derivative_field(final_snapshot)
-    y0 = _column_crossing(uy[:, g.ix0], g.y, level)
+    g = uy.grid
+    y0 = _column_crossing(uy.values[:, g.ix0], g.y, level)
     if y0 is None:
         raise FitError(f"level {level:.4g} not crossed on the x = 0 column")
-    xs, ys = level_set_curve(final_snapshot, level, extent)
+    xs, ys = level_set_curve(uy, level, extent)
     sag = y0 - ys
     keep = sag >= max(float(np.max(sag)), 0.0) / 10.0
     if np.count_nonzero(keep) < 5:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gbulab import cli, solver
+from gbulab import _kernels, cli, solver
 from gbulab.errors import ConfigurationError, SnapshotError
 from gbulab.grid import to_json
 
@@ -376,6 +376,56 @@ def test_check_names_a_derived_file_that_differs(run_dir, tmp_path, capsys,
     assert cli.main(["check", str(clone)]) == cli.EXIT_DIFFERS
     err = capsys.readouterr().err
     assert f"{name} differs" in err
+
+
+def test_check_flags_a_stray_derived_file(tmp_path, capsys):
+    """A run whose level-set fit failed writes no profile_levelset.csv: a
+    made-up one in its run directory fails check, which names it."""
+    cfg = write_config(tmp_path, fits={"extent": -1.0},
+                       initial_data={"amplitude": 0.1},
+                       solver={"t_max": 0.001})
+    out = tmp_path / "r"
+    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_OK
+    stray = out / "profile_levelset.csv"
+    assert not stray.exists()
+    stray.write_text("x,y\n0.01,0.02\n")
+    capsys.readouterr()
+    assert cli.main(["check", str(out)]) == cli.EXIT_DIFFERS
+    assert "profile_levelset.csv is not derived" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["run_dir", "run_dir_1d"])
+def test_derived_files_names_every_file_fit_writes(request, tmp_path,
+                                                   source):
+    meta, snaps, series = cli._load_run(request.getfixturevalue(source))
+    cfg = cli.RunConfig.from_dict(meta["config"])
+    cli._write_fits(tmp_path, meta, snaps, series, cfg)
+    written = set(os.listdir(tmp_path))
+    assert written <= set(cli.DERIVED_FILES)
+    if cfg.is_1d:
+        assert written == {"fits.json"}
+    else:  # all but the level-set curve, written only if its fit succeeds
+        assert written >= set(cli.DERIVED_FILES) - {"profile_levelset.csv"}
+
+
+def test_fit_takes_one_gradient_per_snapshot_and_one_profile(
+        run_dir, tmp_path, monkeypatch):
+    """fit derives the final snapshot's u_y once for every fit and profile
+    CSV, and the report one gradient per snapshot: snapshots + 1 calls."""
+    clone = tmp_path / "clone7"
+    shutil.copytree(run_dir, clone)
+    calls = []
+    kernel = _kernels.gradient
+
+    def counted(u, g):
+        calls.append(u)
+        return kernel(u, g)
+
+    monkeypatch.setattr(_kernels, "gradient", counted)
+    assert cli.cmd_fit(str(clone)) == cli.EXIT_OK
+    n_snaps = len(json.loads((clone / "meta.json").read_text())
+                  ["outcome"]["snapshots"])
+    assert len(calls) == n_snaps + 1
 
 
 def test_check_rejects_an_edited_series(run_dir, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from gbulab import (DomainError, Grid2D, ScalarField, gradient, j_params,
                     profile_constants, symmetric_cap)
+from gbulab import _kernels
 from gbulab import diagnostics as dg
 
 PC3 = profile_constants(3.0)
@@ -235,14 +236,6 @@ def test_modulation_h_excludes_nonpositive():
     assert np.all(np.isnan(out["h"][1]))
 
 
-def test_boundary_normal_series():
-    g = square_grid(33)
-    f = field(g, lambda X, Y: Y * (1.0 + X**2))
-    ts, xs, rows = dg.boundary_normal_series([(0.0, f), (0.5, f)])
-    assert np.array_equal(ts, [0.0, 0.5])
-    np.testing.assert_allclose(rows[0], 1.0 + xs**2, atol=1e-10)
-
-
 # --------------------------------------------------------------------------
 # report assembly
 # --------------------------------------------------------------------------
@@ -267,6 +260,10 @@ def test_build_and_write_report(tmp_path):
     assert len(doc["envelopes"]) == len(report["envelopes"])
     h_lines = (tmp_path / "h_table.csv").read_text().strip().split("\n")
     assert len(h_lines) == 1 + 4
+    # the h table reads u_y on the wall, bit for bit the wall stencil's
+    ts, xs, h = report["h_table"]
+    wall = [_kernels.uy_wall(f.values, g) for _, f in snaps]
+    np.testing.assert_array_equal(h, dg.modulation_h(ts, xs, wall, PC3)["h"])
 
 
 def test_build_report_takes_each_gradient_once(monkeypatch):

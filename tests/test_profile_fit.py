@@ -2,7 +2,8 @@
 
 powerlaw_fit on exact power laws must recover slope and amplitude to machine
 precision; the field-level extractors are checked on fields constructed so the
-discrete gradient reproduces a prescribed profile."""
+discrete gradient reproduces a prescribed profile.  They are handed that
+gradient's u_y, as `gbulab fit` hands them the final snapshot's."""
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def v_profile_field(g):
 
 def test_fit_normal_on_steady_profile():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
-    fit = profile_fit.fit_normal(v_profile_field(g), PC3)
+    fit = profile_fit.fit_normal(grid.gradient(v_profile_field(g))[1], PC3)
     assert fit.exponent == pytest.approx(-0.5, abs=0.02)
     assert fit.amplitude == pytest.approx(PC3.d_p, rel=0.05)
     assert fit.r_squared > 0.999
@@ -78,7 +79,8 @@ def test_fit_normal_on_steady_profile():
 
 def test_fit_normal_custom_window():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
-    fit = profile_fit.fit_normal(v_profile_field(g), PC3, window=(0.01, 0.1))
+    fit = profile_fit.fit_normal(grid.gradient(v_profile_field(g))[1], PC3,
+                                 window=(0.01, 0.1))
     assert fit.exponent == pytest.approx(-0.5, abs=1e-3)
     assert fit.amplitude == pytest.approx(PC3.d_p, rel=1e-3)
 
@@ -92,18 +94,18 @@ def saturated_layer_field(g, h):
 def test_wall_floor_is_third_node_or_crossover():
     g = Grid2D.graded(0.25, 0.25, y_first=1e-9, y_ratio=1.2, y_max=0.01,
                       x_first=1e-3, x_ratio=1.2, x_max=0.02)
-    f = saturated_layer_field(g, 1e-6)
+    uy = grid.gradient(saturated_layer_field(g, 1e-6))[1]
     # the crossover, where the local slope reaches -1/4, is y = h
-    floor = profile_fit.wall_floor(f, PC3)
+    floor = profile_fit.wall_floor(uy, PC3)
     assert 1e-6 <= floor <= 1.5e-6
-    assert profile_fit.wall_floor(f, PC3, layer=False) == g.y[3]
-    fit = profile_fit.fit_normal(f, PC3)
+    assert profile_fit.wall_floor(uy, PC3, layer=False) == g.y[3]
+    fit = profile_fit.fit_normal(uy, PC3)
     assert fit.window[0] == floor
     assert fit.exponent == pytest.approx(-0.5, abs=0.05)
     # an unsaturated layer leaves the floor at the third node
     g2 = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
-    assert profile_fit.wall_floor(v_profile_field(g2), PC3) == g2.y[3] \
-        == 3.0 * g2.hy
+    uy2 = grid.gradient(v_profile_field(g2))[1]
+    assert profile_fit.wall_floor(uy2, PC3) == g2.y[3] == 3.0 * g2.hy
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +124,7 @@ def tangential_field(g, B, x0):
 def test_resolution_crossover():
     g = Grid2D(Lx=0.25, Ly=0.1, nx=513, ny=33)
     f = tangential_field(g, 1e-3, 0.01)
-    uy = profile_fit.normal_derivative_field(f)[0, g.ix0 + 1:]
+    uy = grid.gradient(f)[1].values[0, g.ix0 + 1:]
     xs = g.x[g.ix0 + 1:]
     lo = profile_fit.resolution_crossover(xs, uy, -2.0, 0.1)
     assert 0.008 <= lo <= 0.016
@@ -130,7 +132,8 @@ def test_resolution_crossover():
 
 def test_fit_tangential_recovers_exponent():
     g = Grid2D(Lx=0.25, Ly=0.1, nx=513, ny=33)
-    fit = profile_fit.fit_tangential(tangential_field(g, 1e-3, 0.01), PC3)
+    fit = profile_fit.fit_tangential(
+        grid.gradient(tangential_field(g, 1e-3, 0.01))[1], PC3)
     assert fit.exponent == pytest.approx(-2.0, abs=0.05)
     assert fit.r_squared > 0.995
 
@@ -140,7 +143,7 @@ def test_fit_tangential_flat_profile_errors():
     X, Y = g.meshgrid()
     f = ScalarField(g, Y * 1.0)  # u_y(x, 0) constant: never steepens
     with pytest.raises(FitError, match="insufficient resolution"):
-        profile_fit.fit_tangential(f, PC3)
+        profile_fit.fit_tangential(grid.gradient(f)[1], PC3)
 
 
 # --------------------------------------------------------------------------
@@ -193,14 +196,15 @@ def aniso_field(g, C1):
 
 def test_fit_aniso_pure_layer_residual_small():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=257, ny=1025)
-    fit = profile_fit.fit_aniso(aniso_field(g, 0.0), PC3)
+    fit = profile_fit.fit_aniso(grid.gradient(aniso_field(g, 0.0))[1], PC3)
     assert fit.residual_rel < 0.05
 
 
 def test_fit_aniso_recovers_C1():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=513, ny=1025)
     for C1 in (30.0, 300.0):
-        fit = profile_fit.fit_aniso(aniso_field(g, C1), PC3)
+        fit = profile_fit.fit_aniso(grid.gradient(aniso_field(g, C1))[1],
+                                    PC3)
         assert fit.residual_rel < 0.1
         assert 0.5 * C1 <= fit.C1_hat <= 2.0 * C1
 
@@ -208,9 +212,9 @@ def test_fit_aniso_recovers_C1():
 def test_level_set_shape_quartic():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=513, ny=1025)
     C1 = 300.0
-    f = aniso_field(g, C1)
+    uy = grid.gradient(aniso_field(g, C1))[1]
     level = PC3.d_p / np.sqrt(0.01)  # crossing heights ~ 0.01 - C1 x^4
-    xs, ys = profile_fit.level_set_curve(f, level, extent=0.1)
+    xs, ys = profile_fit.level_set_curve(uy, level, extent=0.1)
     expect = 0.01 - C1 * xs**4
     keep = expect > 2e-3
     assert np.max(np.abs(ys[keep] - expect[keep])) < 5e-4
@@ -220,10 +224,10 @@ def test_level_set_shape_recovers_anisotropy_exponent():
     """On the exact model the sag of any level curve below its apex is
     C1 x^4 exactly, so the fitted exponent is the anisotropy power."""
     g = Grid2D(Lx=0.25, Ly=0.25, nx=513, ny=1025)
-    f = aniso_field(g, 300.0)
+    uy = grid.gradient(aniso_field(g, 300.0))[1]
     for frac in (0.01, 0.005):
         level = PC3.d_p / np.sqrt(frac)
-        fit = profile_fit.level_set_shape(f, PC3, level, extent=0.1)
+        fit = profile_fit.level_set_shape(uy, PC3, level, extent=0.1)
         assert fit.exponent == pytest.approx(4.0, abs=0.1)
         assert fit.r_squared > 0.999
 
@@ -232,7 +236,7 @@ def test_level_set_too_few_crossings():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=65, ny=65)
     f = ScalarField(g, np.zeros((65, 65)))
     with pytest.raises(FitError):
-        profile_fit.level_set_curve(f, 1.0)
+        profile_fit.level_set_curve(grid.gradient(f)[1], 1.0)
 
 
 # --------------------------------------------------------------------------
