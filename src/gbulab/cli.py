@@ -3,12 +3,14 @@ registry and post-hoc fit/diagnostic emission.
 
 Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
 1 `check` derived a file that differs from the run directory's copy, or
-found a derived file that this run does not produce, 2 invalid config,
-3 numeric failure or a run that took 0 steps, 4 convergence failure,
-5 corrupt or malformed run directory.  All outputs are deterministic
-CSV/JSON files written by `grid`; plotting is left to external tools.  A 1D
-run (family sine_1d) runs on a column at x = 0 through the same run,
-snapshots, fit and check.
+found a derived file that this run does not produce, 2 invalid config or
+output path (`run -o` onto a file or a non-empty directory, `barrier --out`
+onto a directory or into a missing one), 3 numeric failure or a run that
+took 0 steps, 4 convergence failure, 5 corrupt or malformed run directory
+(a snapshot or series.csv without its sha256 in meta.json included).  All
+outputs are deterministic CSV/JSON files written by `grid`; plotting is
+left to external tools.  A 1D run (family sine_1d) runs on a column at
+x = 0 through the same run, snapshots, fit and check.
 """
 
 from __future__ import annotations
@@ -364,6 +366,13 @@ def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(preset_path(config_path))  # validates before any mkdir
     u0 = cfg.make_initial(cfg.make_grid())
     scfg = cfg.make_solver_config()
+    try:  # a run directory holds one run: a new path or an empty directory
+        os.makedirs(out_dir, exist_ok=True)
+        used = os.listdir(out_dir)
+    except OSError as exc:  # a file, or a file on the path
+        raise ConfigurationError(f"run directory {out_dir}: {exc.strerror}")
+    if used:
+        raise ConfigurationError(f"run directory {out_dir} is not empty")
     try:
         outcome = solver.run(u0, scfg, run_dir=out_dir,
                              config_echo=cfg.to_dict())
@@ -447,14 +456,17 @@ def cmd_check(run_dir) -> int:
             return EXIT_DIFFERS
         for name in missing:
             shutil.copy(os.path.join(fresh, name), run_dir)
-    hashed = sum("sha256" in r for r in meta["outcome"]["snapshots"])
-    print(f"{run_dir}: {len(snaps)} snapshots, {hashed} verified by sha256; "
+    n = len(snaps)
+    print(f"{run_dir}: {n} snapshots, {n} verified by sha256; "
           f"replayed byte-identically: {', '.join(same) or 'none'}"
           + (f"; regenerated: {', '.join(missing)}" if missing else ""))
     return EXIT_OK
 
 
 def cmd_barrier(args) -> int:
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(args.out) or ".")):  # before any sampling
+        raise ConfigurationError(f"--out {args.out}: cannot write a file")
     pc = profile_constants(args.p)
     report = {"p": args.p, "etas": []}
     first_fail = None

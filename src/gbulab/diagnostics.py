@@ -182,34 +182,26 @@ def xi_theta_ranges(snapshot: ScalarField, grad, geo: Geometry,
             (float(np.min(theta.values[mask])), float(np.max(theta.values[mask]))))
 
 
-def modulation_h(ts, xs, uy_rows, pc: ProfileConstants, T_hat=None):
+def modulation_h(ts, xs, uy_rows, pc: ProfileConstants):
     """Quasi-stationary height h = (u_y(x, 0, t) / d_p)^(-1/beta).
 
     Returns a dict with the h table, the count of excluded (nonpositive u_y)
-    samples, a log-log fit of h(t_last, x) vs x (expected slope 2/(1-beta))
-    and, when T_hat is given, of h(t, 0) vs T_hat - t (expected slope
-    1/(1-beta)).
+    samples and a log-log fit of h(t_last, x) vs x (expected slope
+    2/(1-beta)).
     """
     uy_rows = np.asarray(uy_rows, dtype=float)
     pos = uy_rows > 0
     h = np.full_like(uy_rows, np.nan)
     h[pos] = (uy_rows[pos] / pc.d_p) ** (-1.0 / pc.beta)
     xs, last = np.asarray(xs), h[-1, :]
-    out = {
+    return {
         "t": np.asarray(ts, dtype=float),
         "x": np.asarray(xs, dtype=float),
         "h": h,
         "n_excluded": int(uy_rows.size - np.count_nonzero(pos)),
         "fit_space": _powerlaw_or_none(xs, last,
                                        (xs > 0) & np.isfinite(last)),
-        "fit_time": None,
     }
-    if T_hat is not None:
-        col = h[:, int(np.argmin(np.abs(xs)))]
-        dt = T_hat - np.asarray(ts, dtype=float)
-        out["fit_time"] = _powerlaw_or_none(
-            dt, col, (dt > 0) & np.isfinite(col) & (col > 0))
-    return out
 
 
 def _powerlaw_or_none(x, y, ok):
@@ -265,7 +257,7 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
             lambda: xi_theta_ranges(f, grad, geo, pc))
     h = modulation_h([t for t, _ in snapshots], f.grid.x, walls, pc)
     out.update(h_excluded=h["n_excluded"], h_fit_space=h["fit_space"],
-               h_fit_time=h["fit_time"], h_table=(h["t"], h["x"], h["h"]))
+               h_table=(h["t"], h["x"], h["h"]))
     return out
 
 

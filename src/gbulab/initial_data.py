@@ -31,9 +31,10 @@ class BumpParams:
 
 
 def _cutoff(s: np.ndarray) -> np.ndarray:
-    """Quintic cutoff: 1 for s <= 1/4, 0 for s >= 1/2, C^2 smoothstep between."""
+    """Quintic cutoff: 1 for s <= 1/4, 0 for s >= 1/2, C^2 smoothstep between,
+    in the factored form that cannot round below 0 near tau = 1."""
     tau = np.clip((s - 0.25) / 0.25, 0.0, 1.0)
-    return 1.0 - (6.0 * tau**5 - 15.0 * tau**4 + 10.0 * tau**3)
+    return (1.0 - tau) ** 3 * (6.0 * tau**2 + 3.0 * tau + 1.0)
 
 
 def concentrated_bump(bp: BumpParams, g: Grid2D) -> ScalarField:

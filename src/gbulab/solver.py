@@ -3,9 +3,9 @@ Dirichlet boundary, blow-up-aware stopping and snapshot persistence.
 
 On a uniform grid the step is explicit Heun.  Its size blends the diffusive
 limit min(h)^2/4 with an advective limit h / (p |grad u|^(p-1)) so the
-gradient-stiff endgame stays stable:
+gradient-stiff endgame stays stable, with a fixed safety factor of 0.4:
 
-    dt = cfl * min(h)^2/4 / (1 + p * grad_max^(p-1) * min(h)/4)
+    dt = 0.4 * min(h)^2/4 / (1 + p * grad_max^(p-1) * min(h)/4)
 
 On a graded grid the step is linearized implicit Euler with approximate
 factorization, (I - dt J_x)(I - dt J_y) (u_new - u) = dt F(u), where F is
@@ -72,7 +72,6 @@ UNDERFLOW = "dt_underflow"
 @dataclass
 class SolverConfig:
     p: float
-    cfl_safety: float = 0.4
     dt_floor: float = 1e-13
     stop_grad_norm: Optional[float] = None  # None -> default_stop_grad_norm
     t_max: float = 1.0
@@ -85,8 +84,6 @@ class SolverConfig:
     symmetry_mode: str = "full"
 
     def __post_init__(self):
-        if not 0 < self.cfl_safety < 1:
-            raise ConfigurationError("cfl_safety must be in (0, 1)")
         if not self.dt_floor > 0:
             raise ConfigurationError("dt_floor must be positive")
         if not self.t_max > 0:
@@ -118,7 +115,7 @@ class SnapshotRef:
     step: int
     t: float
     path: str
-    sha256: Optional[str] = None  # of the file, recorded when written
+    sha256: str  # of the file, recorded when written
 
 
 @dataclass
@@ -155,9 +152,12 @@ def make_state(u0: ScalarField) -> SimulationState:
                            uy_origin=_uy_origin(u, g), dt_last=0.0)
 
 
+_CFL_SAFETY = 0.4  # of the Heun step, a fraction of the diffusive limit
+
+
 def _dt_for(state: SimulationState, cfg: SolverConfig, g: Grid2D) -> float:
     h = min(g.hx, g.hy)
-    diff = cfg.cfl_safety * h * h / 4.0
+    diff = _CFL_SAFETY * h * h / 4.0
     return diff / (1.0 + cfg.p * state.grad_max ** (cfg.p - 1.0) * h / 4.0)
 
 
@@ -482,28 +482,19 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
             "grad_max_final": outcome.final.grad_max,
             "uy_origin_final": outcome.final.uy_origin,
             "series_sha256": digest,
-            "snapshots": [_snapshot_entry(r, run_dir)
-                          for r in outcome.snapshots],
+            "snapshots": [{"step": r.step, "t": r.t,
+                           "path": os.path.relpath(r.path, run_dir),
+                           "sha256": r.sha256} for r in outcome.snapshots],
         },
     }
     write_json(os.path.join(run_dir, "meta.json"), meta)
 
 
-def _snapshot_entry(ref: SnapshotRef, run_dir) -> dict:
-    """A snapshot's meta.json entry; run directories written before the
-    snapshots carried a sha256 have none to pass on."""
-    entry = {"step": ref.step, "t": ref.t,
-             "path": os.path.relpath(ref.path, run_dir)}
-    if ref.sha256 is not None:
-        entry["sha256"] = ref.sha256
-    return entry
-
-
 def open_run(run_dir):
-    """(meta, a SnapshotRef per snapshot, series.csv's sha256 or None) of a
-    run directory.  SnapshotError if meta.json is unreadable or lacks
-    `config` (null is allowed), `outcome.reason`, a snapshot, or a
-    snapshot's integer `step`, `t` or `path`."""
+    """(meta, a SnapshotRef per snapshot, series.csv's sha256) of a run
+    directory.  SnapshotError if meta.json is unreadable or lacks `config`
+    (null is allowed), `outcome.reason`, `outcome.series_sha256`, a
+    snapshot, or a snapshot's integer `step`, `t`, `path` or `sha256`."""
     path = os.path.join(run_dir, "meta.json")
     try:
         with open(path) as fh:
@@ -513,18 +504,18 @@ def open_run(run_dir):
     outcome = meta.get("outcome") if isinstance(meta, dict) else None
     entries = outcome.get("snapshots") if isinstance(outcome, dict) else None
     if not (isinstance(entries, list) and entries and "config" in meta
-            and "reason" in outcome):
-        raise SnapshotError(f"{path}: needs config, outcome.reason and "
-                            "outcome.snapshots")
+            and "reason" in outcome
+            and isinstance(outcome.get("series_sha256"), str)):
+        raise SnapshotError(f"{path}: needs config, outcome.reason, "
+                            "outcome.series_sha256 and outcome.snapshots")
     if not all(isinstance(s, dict) and type(s.get("step")) is int
                and "t" in s and isinstance(s.get("path"), str)
-               for s in entries):
+               and isinstance(s.get("sha256"), str) for s in entries):
         raise SnapshotError(f"{path}: a snapshot lacks an integer step, "
-                            "t or path")
+                            "t, path or sha256")
     return meta, [SnapshotRef(s["step"], s["t"],
-                              os.path.join(run_dir, s["path"]),
-                              s.get("sha256")) for s in entries], \
-        outcome.get("series_sha256")
+                              os.path.join(run_dir, s["path"]), s["sha256"])
+                  for s in entries], outcome["series_sha256"]
 
 
 def resume(run_dir, cfg: SolverConfig) -> RunOutcome:

@@ -259,6 +259,36 @@ def test_run_deterministic(run_dir, tmp_path):
         assert (run_dir / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def tree_bytes(path):
+    """{relative path: bytes} of every file under path."""
+    return {str(f.relative_to(path)): f.read_bytes()
+            for f in sorted(path.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("target, code", [
+    ("used-dir", cli.EXIT_CONFIG), ("file", cli.EXIT_CONFIG),
+    ("file/run", cli.EXIT_CONFIG), ("empty-dir", cli.EXIT_OK)])
+def test_run_writes_only_into_a_new_or_empty_directory(run_dir, tmp_path,
+                                                        capsys, target, code):
+    """run -o onto a used run directory, a file or a path through a file
+    exits 2 before any write, names the path and changes nothing; an empty
+    directory, as a fresh mkdir leaves it, takes the run."""
+    cfg = write_config(tmp_path, initial_data={"amplitude": 0.1},
+                       solver={"t_max": 0.001})
+    (tmp_path / "file").write_text("not a run directory\n")
+    shutil.copytree(run_dir, tmp_path / "used-dir")
+    (tmp_path / "empty-dir").mkdir()
+    before = tree_bytes(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / target
+    assert cli.main(["run", cfg, "-o", str(out)]) == code
+    if code == cli.EXIT_OK:
+        assert (out / "meta.json").exists()
+    else:
+        assert tree_bytes(tmp_path) == before
+        assert str(out) in capsys.readouterr().err
+
+
 def derived_files(run_dir):
     """{name: bytes} of every file fit derives in a run directory."""
     return {f.name: f.read_bytes() for f in run_dir.iterdir()
@@ -290,18 +320,12 @@ def test_check_passes_then_catches_tampering(run_dir, tmp_path):
 
 def test_check_verifies_every_snapshot(run_dir, tmp_path):
     """A value changed in an early snapshot fails the sha256 its meta.json
-    entry recorded; a run directory without hashes still loads."""
+    entry recorded."""
     clone = tmp_path / "clone3"
     shutil.copytree(run_dir, clone)
     meta = json.loads((clone / "meta.json").read_text())
     entries = meta["outcome"]["snapshots"]
     assert len(entries) >= 3 and all("sha256" in e for e in entries)
-
-    for e in entries:
-        del e["sha256"]
-    (clone / "meta.json").write_text(json.dumps(meta))
-    assert cli.main(["check", str(clone)]) == cli.EXIT_OK
-    shutil.copy(run_dir / "meta.json", clone / "meta.json")
 
     snap = clone / "snapshots" / "0001.bin"
     raw = bytearray(snap.read_bytes())
@@ -441,11 +465,6 @@ def test_check_rejects_an_edited_series(run_dir, tmp_path):
     assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
     with pytest.raises(SnapshotError, match="series.csv"):
         solver.resume(str(clone), solver.SolverConfig(p=3.0))
-    # a run directory written before the digest loads series.csv unverified
-    del meta["outcome"]["series_sha256"]
-    (clone / "meta.json").write_text(json.dumps(meta))
-    shutil.copy(run_dir / "series.csv", clone / "series.csv")
-    assert cli.main(["check", str(clone)]) == cli.EXIT_OK
 
 
 def test_dt_underflow_reported_as_outcome(tmp_path, capsys):
@@ -547,14 +566,19 @@ def set_last_step(step):
      cli.EXIT_SNAPSHOT),
     ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"][0].pop("path")),
      cli.EXIT_SNAPSHOT),
+    ("run_dir",
+     edit_meta(lambda m: m["outcome"]["snapshots"][0].pop("sha256")),
+     cli.EXIT_SNAPSHOT),
+    ("run_dir", edit_meta(lambda m: m["outcome"].pop("series_sha256")),
+     cli.EXIT_SNAPSHOT),
     ("run_dir_1d", cut_series_row, cli.EXIT_SNAPSHOT),
     ("run_dir", set_last_step("5"), cli.EXIT_SNAPSHOT),
     ("run_dir", set_last_step(1000000), cli.EXIT_OK),
     ("run_dir", lambda d: max((d / "snapshots").iterdir()).unlink(),
      cli.EXIT_SNAPSHOT)],
     ids=["no-outcome", "no-snapshots", "entry-without-path",
-         "1d-short-series-row", "string-step", "step-past-series",
-         "missing-snapshot"])
+         "entry-without-sha256", "no-series-sha256", "1d-short-series-row",
+         "string-step", "step-past-series", "missing-snapshot"])
 def test_malformed_run_directory_exits_5(request, tmp_path, source, damage,
                                          code):
     """fit, check and resume read a run directory through solver.open_run
@@ -646,3 +670,17 @@ def test_barrier_report(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["etas"]) == 2
     assert all("C0" in e for e in doc["etas"])
+
+
+@pytest.mark.parametrize("target", ["reports", "missing/barrier.json"])
+def test_barrier_out_where_no_file_can_be_written_exits_2(tmp_path, capsys,
+                                                          target):
+    """barrier --out onto a directory, or into one that does not exist,
+    exits 2, naming the path, before any eta is sampled."""
+    (tmp_path / "reports").mkdir()
+    out = tmp_path / target
+    assert cli.main(["barrier", "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and "eta=" not in captured.out
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+    assert not any((tmp_path / "reports").iterdir())

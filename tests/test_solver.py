@@ -66,7 +66,7 @@ def test_dt_formula():
     cfg = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
     st = solver.make_state(symmetric_cap(0.2, 0.3, g))
     h = min(g.hx, g.hy)
-    expected = cfg.cfl_safety * h * h / 4.0 \
+    expected = solver._CFL_SAFETY * h * h / 4.0 \
         / (1.0 + cfg.p * st.grad_max ** (cfg.p - 1.0) * h / 4.0)
     st2 = solver.step(st, cfg)
     assert st2.dt_last == pytest.approx(expected, rel=1e-14)
