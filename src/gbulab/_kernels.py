@@ -97,43 +97,35 @@ def uy_wall(u, g):
     return one_sided(u, g.hy if g.uniform else g.ay)[0]
 
 
+def _source(g2, p, out):
+    """Write |grad u|^p = g2 k into out, for g2 = |grad u|^2; return
+    k = |grad u|^(p-2), which the graded step's advection speed p k grad u
+    shares."""
+    k = np.sqrt(g2) if p == 3.0 else np.power(g2, p / 2.0 - 1.0)
+    np.multiply(g2, k, out=out)
+    return k
+
+
 def rhs_interior(u, g, p, out):
     """Write Lap(u) + |grad u|^p into the interior of out; return the
-    interior (u_x, u_y, |grad u|^2).
-
-    u may also be the half-domain window of a uniform grid.  For p = 3 a
-    graded grid takes g2 * sqrt(g2), while a uniform grid keeps the power,
-    so that uniform runs keep their arithmetic bit for bit.
-    """
+    interior (u_x, u_y, |grad u|^(p-2)).  u may also be the half-domain
+    window of a uniform grid."""
     hx, hy = _axes(g)
     lap = laplacian(u, g)  # first: its temporaries are freed before the rest
     ux = d1(u[1:-1].T, hx).T
     uy = d1(u[:, 1:-1], hy)
-    g2 = ux * ux + uy * uy
-    src = out[1:-1, 1:-1]
-    if p == 3.0 and not g.uniform:
-        np.multiply(g2, np.sqrt(g2), out=src)
-    else:
-        np.power(g2, p / 2.0, out=src)
-    src += lap
-    return ux, uy, g2
+    k = _source(ux * ux + uy * uy, p, out[1:-1, 1:-1])
+    out[1:-1, 1:-1] += lap
+    return ux, uy, k
 
 
 def rhs_interior_1d(u, hy, p, out):
     """Write u_yy + |u_y|^p into the interior rows of out, for u a 1D array
-    or an (ny, 1) column; return the interior u_y.
-
-    The source is formed as in `rhs_interior` on a graded grid.
-    """
+    or an (ny, 1) column; return the interior (u_y, |u_y|^(p-2))."""
     uy = d1(u, hy)
-    g2 = uy * uy
-    src = out[1:-1]
-    if p == 3.0:
-        np.multiply(g2, np.sqrt(g2), out=src)
-    else:
-        np.power(g2, p / 2.0, out=src)
-    src += d2(u, hy)
-    return uy
+    k = _source(uy * uy, p, out[1:-1])
+    out[1:-1] += d2(u, hy)
+    return uy, k
 
 
 def grad_max_1d(u, hy):

@@ -5,7 +5,8 @@ Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
 1 `check` derived a file that differs from the run directory's copy, or
 found a derived file that this run does not produce, 2 invalid config or
 output path (`run -o` onto a file or a non-empty directory, `barrier --out`
-onto a directory or into a missing one), 3 numeric failure or a run that
+onto a directory or into a missing one, a `sweep` whose configs share a file
+stem), 3 numeric failure or a run that
 took 0 steps, 4 convergence failure, 5 corrupt or malformed run directory
 (a snapshot or series.csv without its sha256 in meta.json included).  All
 outputs are deterministic CSV/JSON files written by `grid`; plotting is
@@ -230,9 +231,15 @@ def load_config(path) -> RunConfig:
 
 
 def load_mms(path) -> dict:
-    """An mms config, its values converted by MMS_SCHEMA."""
-    m = convert("", _read_yaml(path), MMS_SCHEMA)
+    """An mms config, its values converted by MMS_SCHEMA and its defaults
+    filled in; each grid of its ladder (two or more) is built, to check it."""
+    m = {"Lx": 0.5, "Ly": 0.5, "grids": [33, 65, 129],
+         **convert("", _read_yaml(path), MMS_SCHEMA)}
     _require("", m, ("p", "alpha", "T", "t_end"))
+    if len(m["grids"]) < 2:
+        raise ConfigurationError(f"grids: need two or more, got {m['grids']}")
+    for n in m["grids"]:
+        Grid2D(Lx=m["Lx"], Ly=m["Ly"], nx=n, ny=n)
     return m
 
 
@@ -399,8 +406,7 @@ def cmd_mms(config_path) -> int:
     mp = manufactured_params(pc, m["alpha"], m["T"])
     if not t_end < mp.T:
         raise ConfigurationError(f"t_end: must precede T={mp.T}, got {t_end}")
-    Lx, Ly = m.get("Lx", 0.5), m.get("Ly", 0.5)
-    grids = m.get("grids", [33, 65, 129])
+    Lx, Ly, grids = m["Lx"], m["Ly"], m["grids"]
 
     def exact(x, y, t):
         return manufactured_solution(mp, pc, x, y, t)[0]
@@ -464,6 +470,8 @@ def cmd_check(run_dir) -> int:
 
 
 def cmd_barrier(args) -> int:
+    if min(args.lattice) < 1:
+        raise ConfigurationError(f"--lattice: a count below 1 in {args.lattice}")
     if args.out and (os.path.isdir(args.out) or not os.path.isdir(
             os.path.dirname(args.out) or ".")):  # before any sampling
         raise ConfigurationError(f"--out {args.out}: cannot write a file")
@@ -492,12 +500,16 @@ def cmd_barrier(args) -> int:
 
 
 def cmd_sweep(configs, out_root) -> int:
-    worst = EXIT_OK
-    for cfg_path in configs:
-        stem = os.path.splitext(os.path.basename(preset_path(cfg_path)))[0]
-        rc = cmd_run(cfg_path, os.path.join(out_root, stem))
-        worst = max(worst, rc)
-    return worst
+    """Run each config into out_root/<its file stem>, once every config has
+    loaded and no two share a stem."""
+    paths = [preset_path(c) for c in configs]
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    if len(set(stems)) < len(stems):
+        raise ConfigurationError(f"sweep: config file stems repeat: {stems}")
+    for path in paths:
+        load_config(path)
+    return max((cmd_run(p, os.path.join(out_root, s))
+                for p, s in zip(paths, stems)), default=EXIT_OK)
 
 
 # --------------------------------------------------------------------------

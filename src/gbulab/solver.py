@@ -257,12 +257,6 @@ def _line_solve(rhs, speed, d1, d2, dt):
     return _thomas(lo, diag, up, rhs)
 
 
-def _speed(g2, p):
-    """p |grad u|^(p-2) from |grad u|^2: times grad u, the advection speed
-    of the linearized source."""
-    return p * (np.sqrt(g2) if p == 3.0 else g2 ** (p / 2.0 - 1.0))
-
-
 def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     if cfg.forcing or cfg.boundary or cfg.symmetry_mode != "full":
         raise ConfigurationError("graded grids and columns support unforced "
@@ -271,13 +265,13 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     u = state.field.values
     F = np.zeros_like(u)
     if g.is_column:  # one y sweep over the interior rows
-        uy = _kernels.rhs_interior_1d(u, g.ay, cfg.p, F)
-        sy = _speed(uy * uy, cfg.p) * uy
+        uy, k = _kernels.rhs_interior_1d(u, g.ay, cfg.p, F)
+        sy = (cfg.p * k) * uy
         inner = np.s_[1:-1]
         Fi = F[inner]
     else:
-        ux, uy, g2 = _kernels.rhs_interior(u, g, cfg.p, F)
-        a = _speed(g2, cfg.p)
+        ux, uy, k = _kernels.rhs_interior(u, g, cfg.p, F)
+        a = cfg.p * k  # p |grad u|^(p-2): times grad u, the advection speed
         sx = np.ascontiguousarray((a * ux).T)
         sy = a * uy
         inner = np.s_[1:-1, 1:-1]

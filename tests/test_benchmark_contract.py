@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps program entry points by
 module attribute name.  Renaming or deleting one of them breaks every traced
 benchmark run, so this test installs the tracer against src/ and drives a
-small 1D run and a small uniform 2D run through the CLI.  It runs in a
-subprocess, which keeps the tracer's patches out of the other tests."""
+small 1D run, a small uniform 2D run and a small graded 2D run (the step
+`blowup-2d` takes) through the CLI, checking that each run calls its kernels
+through the wrappers.  It runs in a subprocess, which keeps the tracer's
+patches out of the other tests."""
 
 import os
 import subprocess
@@ -21,17 +23,21 @@ SCRIPT = textwrap.dedent("""
     tracer = Tracer("contract")
     install(tracer)
     from gbulab import cli
-    for name in ("oned", "twod"):
+    live = {"solver.run", "solver.step", "solver.write_snapshot",
+            "grid.read_snapshot", "cli.load_config",
+            "initial_data.make_initial", "solver.write_series"}
+    twod = {"_kernels.rhs", "_kernels.gradmax", "cli.emit_profile_csvs",
+            "diagnostics.build_report", "diagnostics.write_report",
+            "profile_fit.fit_normal"}
+    kernels = {"oned": {"_kernels.rhs1d", "_kernels.gradmax1d"},
+               "twod": twod, "graded": twod}
+    for name, names in kernels.items():
+        first = len(tracer.rows)
         rc = cli.main(["run", f"{root}/{name}.yaml", "-o", f"{root}/{name}"])
         assert rc == 0, f"gbulab run {name} exited {rc}"
-    called = {tracer.names[row[0]] for row in tracer.rows}
-    live = {"_kernels.rhs1d", "_kernels.gradmax1d", "solver.run",
-            "solver.step", "solver.write_snapshot", "grid.read_snapshot",
-            "_kernels.rhs", "_kernels.gradmax", "cli.load_config",
-            "initial_data.make_initial", "cli.emit_profile_csvs",
-            "diagnostics.build_report", "diagnostics.write_report",
-            "solver.write_series", "profile_fit.fit_normal"}
-    assert live <= called, f"never called: {sorted(live - called)}"
+        called = {tracer.names[row[0]] for row in tracer.rows[first:]}
+        missing = sorted((live | names) - called)
+        assert not missing, f"{name} never called: {missing}"
 """)
 
 
@@ -43,6 +49,12 @@ def test_tracer_installs_and_sees_the_1d_kernels(tmp_path):
     (tmp_path / "twod.yaml").write_text(yaml.safe_dump({
         "p": 3.0, "domain": {"Lx": 0.25, "Ly": 0.25},
         "grid": {"nx": 65, "ny": 65},
+        "initial_data": {"family": "cap", "amplitude": 0.1, "width": 0.18},
+        "solver": {"t_max": 0.001}}))
+    (tmp_path / "graded.yaml").write_text(yaml.safe_dump({
+        "p": 3.0, "domain": {"Lx": 0.25, "Ly": 0.25},
+        "grid": {"y_first": 1e-3, "y_ratio": 1.3, "y_max": 0.02,
+                 "x_first": 1e-3, "x_ratio": 1.3, "x_max": 0.02},
         "initial_data": {"family": "cap", "amplitude": 0.1, "width": 0.18},
         "solver": {"t_max": 0.001}}))
     proc = subprocess.run(

@@ -633,6 +633,32 @@ def test_sweep(tmp_path):
     assert (root / "b" / "fits.json").exists()
 
 
+def test_sweep_checks_every_config_before_the_first_run(tmp_path, capsys):
+    """A config that does not resolve, or does not load, exits 2 with
+    nothing written under the sweep root, even when a good one comes
+    first."""
+    good = write_config(tmp_path, name="good.yaml")
+    bad = write_config(tmp_path, name="bad.yaml", p=1.5)
+    root = tmp_path / "sweep"
+    for configs in ([good, "no-such-preset"], [good, bad]):
+        assert cli.main(["sweep", *configs, "-o", str(root)]) == cli.EXIT_CONFIG
+        assert not root.exists()
+    assert "no such config or preset 'no-such-preset'" in capsys.readouterr().err
+
+
+def test_sweep_rejects_configs_that_share_a_stem(tmp_path, capsys):
+    """Two configs named x.yaml would share the run directory root/x: the
+    sweep exits 2, naming the stem, before either runs."""
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    c1 = write_config(tmp_path, name="a/x.yaml")
+    c2 = write_config(tmp_path, name="b/x.yaml")
+    root = tmp_path / "sweep"
+    assert cli.main(["sweep", c1, c2, "-o", str(root)]) == cli.EXIT_CONFIG
+    assert "stems repeat: ['x', 'x']" in capsys.readouterr().err
+    assert not root.exists()
+
+
 # --------------------------------------------------------------------------
 # mms and barrier
 # --------------------------------------------------------------------------
@@ -649,11 +675,14 @@ def test_mms_study(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("over", [
-    {"alpha": ABSENT}, {"alpha": "abc"}, {"alpha": 1.0}, {"cfl_safety": 0.4}],
-    ids=["no-alpha", "alpha-abc", "alpha-below-2", "cfl_safety"])
+    {"alpha": ABSENT}, {"alpha": "abc"}, {"alpha": 1.0}, {"cfl_safety": 0.4},
+    {"grids": []}, {"grids": [33]}, {"grids": [33, 64]}],
+    ids=["no-alpha", "alpha-abc", "alpha-below-2", "cfl_safety",
+         "no-grids", "one-grid", "even-grid"])
 def test_mms_config_errors(tmp_path, capsys, over):
     """A missing, malformed, out-of-range or unknown mms value exits 2 before
-    any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3)."""
+    any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3); so does a ladder
+    of fewer than two grids or one with an even n."""
     cfg = {"p": 3.0, "alpha": 3.0, "T": 1.0, "t_end": 0.02, **over}
     cfg = {k: v for k, v in cfg.items() if v is not ABSENT}
     path = tmp_path / "mms.yaml"
@@ -670,6 +699,19 @@ def test_barrier_report(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["etas"]) == 2
     assert all("C0" in e for e in doc["etas"])
+
+
+@pytest.mark.parametrize("lattice", [("0", "5", "5"), ("-1", "5", "5"),
+                                     ("5", "5", "0")])
+def test_barrier_lattice_below_1_exits_2(tmp_path, capsys, lattice):
+    """A lattice count below 1 exits 2, naming --lattice, before any eta is
+    sampled or --out written."""
+    out = tmp_path / "barrier.json"
+    rc = cli.main(["barrier", "--lattice", *lattice, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--lattice" in captured.err and "eta=" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["reports", "missing/barrier.json"])

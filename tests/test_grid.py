@@ -193,13 +193,41 @@ def test_column_kernels_exact_on_quadratics():
     g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
     u = (g.y ** 2)[:, None]
     out = np.zeros_like(u)
-    uy = _kernels.rhs_interior_1d(u, g.ay, 3.0, out)
+    uy, _ = _kernels.rhs_interior_1d(u, g.ay, 3.0, out)
     y = g.y[1:-1, None]
     assert np.allclose(uy, 2.0 * y, rtol=1e-9, atol=1e-12)
     assert np.allclose(out[1:-1], 2.0 + (2.0 * y) ** 3, rtol=1e-9)
     assert out[0, 0] == 0.0 and out[-1, 0] == 0.0
     assert _kernels.grad_max_1d(u, g.ay) == pytest.approx(2.0, rel=1e-9)
     assert _kernels.uy_wall(u, g)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("shape", ["uniform", "graded", "column"])
+def test_rhs_source_is_g2_times_the_returned_power(shape, p):
+    """The right-hand side writes the source as g2 k, g2 = |grad u|^2, and
+    returns k = |grad u|^(p-2), from which the graded step takes its speed."""
+    def fn(X, Y):
+        return np.sin(2 * X + 1) * np.cos(3 * Y) + 2.0 * Y
+    if shape == "column":
+        g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
+        u = fn(0.0, g.y)[:, None]
+        out = np.zeros_like(u)
+        uy, k = _kernels.rhs_interior_1d(u, g.ay, p, out)
+        g2, lap, interior = uy * uy, _kernels.d2(u, g.ay), out[1:-1]
+    else:
+        g = (Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21) if shape == "uniform"
+             else geometric_grid(20, 1.2))
+        u = make_field(g, fn).values
+        out = np.zeros_like(u)
+        ux, uy, k = _kernels.rhs_interior(u, g, p, out)
+        g2, lap = ux * ux + uy * uy, _kernels.laplacian(u, g)
+        interior = out[1:-1, 1:-1]
+    assert np.min(g2) > 0.0
+    expected = g2 * k
+    expected += lap
+    assert np.array_equal(interior, expected)
+    assert np.allclose(k, np.sqrt(g2) ** (p - 2.0), rtol=1e-14, atol=0)
 
 
 def test_graded_grid_equality():
