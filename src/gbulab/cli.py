@@ -6,7 +6,7 @@ Subcommands: run, mms, check, barrier, fit, sweep.  Exit codes: 0 success,
 found a derived file that this run does not produce, 2 invalid config or
 output path (`run -o` onto a file or a non-empty directory, `barrier --out`
 onto a directory or into a missing one, a `sweep` whose configs share a file
-stem), 3 numeric failure or a run that
+stem or a taken run directory), 3 numeric failure or a run that
 took 0 steps, 4 convergence failure, 5 corrupt or malformed run directory
 (a snapshot or series.csv without its sha256 in meta.json included).  All
 outputs are deterministic CSV/JSON files written by `grid`; plotting is
@@ -92,8 +92,9 @@ MMS_SCHEMA = {"p": float, "alpha": float, "T": float, "t_end": float,
 
 def convert(prefix, raw, types) -> dict:
     """The mapping `raw` with each value converted to its type in `types`
-    and null values dropped.  An unknown key or a value that does not
-    convert raises a ConfigurationError naming prefix + key."""
+    and null values dropped.  An unknown key, a value that does not convert
+    or a float that is not finite raises a ConfigurationError naming
+    prefix + key."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
@@ -106,6 +107,8 @@ def convert(prefix, raw, types) -> dict:
         if v is not None:
             try:
                 out[k] = types[k](v)
+                if types[k] is float and not np.isfinite(out[k]):
+                    raise ValueError(v)  # YAML reads .nan and .inf as floats
             except (TypeError, ValueError, OverflowError):
                 raise ConfigurationError(
                     f"{prefix}{k}: expected "
@@ -369,17 +372,27 @@ def _emit_profile_csvs(uy, cfg: RunConfig, out_dir, fits):
 # --------------------------------------------------------------------------
 
 
+def _check_run_dir(out_dir):
+    """ConfigurationError unless out_dir, which is to hold one run, is an
+    empty directory or a new path with no file on it.  Writes nothing."""
+    head = os.path.abspath(out_dir)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head) or head == os.path.abspath(out_dir) \
+            and os.listdir(head):
+        raise ConfigurationError(f"run directory {out_dir}: {head} is a "
+                                 "file or a directory that is not empty")
+
+
 def cmd_run(config_path, out_dir) -> int:
     cfg = load_config(preset_path(config_path))  # validates before any mkdir
     u0 = cfg.make_initial(cfg.make_grid())
     scfg = cfg.make_solver_config()
-    try:  # a run directory holds one run: a new path or an empty directory
+    _check_run_dir(out_dir)
+    try:
         os.makedirs(out_dir, exist_ok=True)
-        used = os.listdir(out_dir)
-    except OSError as exc:  # a file, or a file on the path
+    except OSError as exc:
         raise ConfigurationError(f"run directory {out_dir}: {exc.strerror}")
-    if used:
-        raise ConfigurationError(f"run directory {out_dir} is not empty")
     try:
         outcome = solver.run(u0, scfg, run_dir=out_dir,
                              config_echo=cfg.to_dict())
@@ -501,15 +514,16 @@ def cmd_barrier(args) -> int:
 
 def cmd_sweep(configs, out_root) -> int:
     """Run each config into out_root/<its file stem>, once every config has
-    loaded and no two share a stem."""
+    loaded, no two share a stem and every run directory can take its run."""
     paths = [preset_path(c) for c in configs]
     stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
     if len(set(stems)) < len(stems):
         raise ConfigurationError(f"sweep: config file stems repeat: {stems}")
-    for path in paths:
+    dirs = [os.path.join(out_root, s) for s in stems]
+    for path, d in zip(paths, dirs):
         load_config(path)
-    return max((cmd_run(p, os.path.join(out_root, s))
-                for p, s in zip(paths, stems)), default=EXIT_OK)
+        _check_run_dir(d)
+    return max(map(cmd_run, paths, dirs), default=EXIT_OK)
 
 
 # --------------------------------------------------------------------------

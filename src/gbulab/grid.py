@@ -4,14 +4,15 @@ finite-difference stencils and the run-directory file format.
 Fields store values in a (ny, nx) array, row-major with y as the outer index.
 nx is forced odd so the symmetry line x = 0 is a node.
 
-A grid is uniform unless it carries coordinate arrays.  A graded grid
-(`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and toward
-x = 0, and every stencil on it uses the three-point non-uniform weights of
-`Axis`.  On a uniform grid the stencils keep their constant-spacing
-arithmetic.  The 1D reduction runs on a column (`Grid2D.column`): nx = 1, the
-one node x = 0, and y nodes of its own, uniform or graded toward both walls
-(`graded_nodes`); it takes no x derivatives.  The stencils themselves live
-in `_kernels`.
+Every grid carries its x and y nodes, evenly spaced unless given.  It is
+uniform when it is not a column and its nodes are the evenly spaced ones bit
+for bit; its stencils then keep their constant-spacing arithmetic.  A graded
+grid (`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and
+toward x = 0, and every stencil on it uses the three-point non-uniform
+weights of `Axis`.  The 1D reduction runs on a column (`Grid2D.column`):
+nx = 1, the one node x = 0, and y nodes of its own, uniform or graded toward
+both walls (`graded_nodes`); it takes no x derivatives.  The stencils
+themselves live in `_kernels`.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ __all__ = [
     "write_json",
     "write_rows",
     "SNAPSHOT_MAGIC",
-    "SNAPSHOT_MAGIC_GRADED",
 ]
 
-SNAPSHOT_MAGIC = b"GBU1"  # uniform grid: header, then the values
-SNAPSHOT_MAGIC_GRADED = b"GBU2"  # graded grid: header, x, y, then the values
+SNAPSHOT_MAGIC = b"GBU2"  # header, x, y, then the values
 _HEADER = struct.Struct("<4sHHddd")  # magic, nx, ny, Lx, Ly, time (32 bytes)
 
 
@@ -132,15 +131,17 @@ def graded_nodes(length, first, ratio, largest) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Grid2D:
-    """Tensor grid on [-Lx, Lx] x [0, Ly]: uniform, or graded when `coords`
-    holds its (x, y) node arrays (see `graded`), or a 1D column (see
-    `column`)."""
+    """Tensor grid on [-Lx, Lx] x [0, Ly] whose `coords` hold its (x, y)
+    nodes: evenly spaced when it is built without them, graded (see
+    `graded`), or a 1D column (see `column`).  `uniform` is worked out from
+    the nodes."""
 
     Lx: float
     Ly: float
     nx: int
     ny: int
     coords: Optional[tuple] = field(default=None, repr=False)
+    uniform: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nx % 2 == 0:
@@ -150,9 +151,17 @@ class Grid2D:
                                      "and y coordinates for a column")
         if not (self.Lx > 0 and self.Ly > 0):
             raise ConfigurationError("grid requires Lx, Ly > 0")
-        if self.coords is None:
+        even = (np.linspace(-self.Lx, self.Lx, self.nx),
+                np.linspace(0.0, self.Ly, self.ny))
+        x, y = (np.array(c, dtype=float)
+                for c in (even if self.coords is None else self.coords))
+        object.__setattr__(self, "coords", (_read_only(x), _read_only(y)))
+        # not a column, and both node arrays evenly spaced bit for bit; such
+        # nodes are valid by construction (x[ix0] may round off 0)
+        object.__setattr__(self, "uniform", not self.is_column and all(
+            map(np.array_equal, (x, y), even)))
+        if self.uniform:
             return
-        x, y = (np.array(c, dtype=float) for c in self.coords)
         if x.shape != (self.nx,) or y.shape != (self.ny,):
             raise ConfigurationError(
                 f"coordinate arrays of length {x.size}, {y.size} do not match "
@@ -165,7 +174,6 @@ class Grid2D:
             raise ConfigurationError(
                 "grid coordinates must run from -Lx through 0 to Lx (on a "
                 "column: x = 0 alone) and from 0 to Ly")
-        object.__setattr__(self, "coords", (_read_only(x), _read_only(y)))
 
     @classmethod
     def graded(cls, Lx, Ly, y_first, y_ratio, y_max, x_first, x_ratio,
@@ -192,20 +200,12 @@ class Grid2D:
     def __eq__(self, other):
         if not isinstance(other, Grid2D):
             return NotImplemented
-        if (self.Lx, self.Ly, self.nx, self.ny) != \
-                (other.Lx, other.Ly, other.nx, other.ny):
-            return False
-        if self.uniform or other.uniform:
-            return self.uniform and other.uniform
-        return all(np.array_equal(a, b)
-                   for a, b in zip(self.coords, other.coords))
+        return ((self.Lx, self.Ly, self.nx, self.ny)
+                == (other.Lx, other.Ly, other.nx, other.ny)
+                and all(map(np.array_equal, self.coords, other.coords)))
 
     def __hash__(self):
         return hash((self.Lx, self.Ly, self.nx, self.ny))
-
-    @property
-    def uniform(self) -> bool:
-        return self.coords is None
 
     @property
     def is_column(self) -> bool:
@@ -219,27 +219,23 @@ class Grid2D:
             return 2.0 * self.Lx / (self.nx - 1)
         if self.is_column:
             return float("inf")
-        return float(np.min(np.diff(self.coords[0])))
+        return float(np.min(np.diff(self.x)))
 
     @property
     def hy(self) -> float:
         """y spacing; on a graded grid, the smallest one."""
         if self.uniform:
             return self.Ly / (self.ny - 1)
-        return float(np.min(np.diff(self.coords[1])))
+        return float(np.min(np.diff(self.y)))
 
-    @cached_property
+    @property
     def x(self) -> np.ndarray:
         """x node coordinates (read-only)."""
-        if self.uniform:
-            return _read_only(np.linspace(-self.Lx, self.Lx, self.nx))
         return self.coords[0]
 
-    @cached_property
+    @property
     def y(self) -> np.ndarray:
         """y node coordinates (read-only)."""
-        if self.uniform:
-            return _read_only(np.linspace(0.0, self.Ly, self.ny))
         return self.coords[1]
 
     @cached_property
@@ -345,18 +341,13 @@ def write_rows(path, header, rows) -> str:
 
 
 def write_snapshot(f: ScalarField, path, time: float) -> str:
-    """Raw little-endian binary snapshot: 32-byte header, then f64 values.
-
-    A uniform grid writes magic GBU1 and the values alone.  A graded grid
-    writes GBU2 and its x (nx) and y (ny) coordinates before the values.
-    Returns the sha256 hex digest of the bytes written.
+    """Raw little-endian binary snapshot, one layout for every grid: a 32-byte
+    header (magic GBU2, nx, ny, Lx, Ly, time), the x (nx) and y (ny) nodes,
+    then the f64 values.  Returns the sha256 hex digest of the bytes written.
     """
     g = f.grid
-    magic = SNAPSHOT_MAGIC if g.uniform else SNAPSHOT_MAGIC_GRADED
-    parts = [_HEADER.pack(magic, g.nx, g.ny, g.Lx, g.Ly, time)]
-    if not g.uniform:
-        parts += [np.ascontiguousarray(c, dtype="<f8").tobytes()
-                  for c in g.coords]
+    parts = [_HEADER.pack(SNAPSHOT_MAGIC, g.nx, g.ny, g.Lx, g.Ly, time)]
+    parts += [np.ascontiguousarray(c, dtype="<f8").tobytes() for c in g.coords]
     parts.append(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
     digest = _sha256()
     with open(path, "wb") as fh:
@@ -388,21 +379,17 @@ def read_snapshot(path, sha256: Optional[str] = None):
     if len(raw) < _HEADER.size:
         raise SnapshotError(f"snapshot {path}: truncated header")
     magic, nx, ny, Lx, Ly, time = _HEADER.unpack_from(raw)
-    if magic not in (SNAPSHOT_MAGIC, SNAPSHOT_MAGIC_GRADED):
+    if magic != SNAPSHOT_MAGIC:
         raise SnapshotError(f"snapshot {path}: bad magic {magic!r}")
-    body = raw[_HEADER.size:]
-    coords = None
-    if magic == SNAPSHOT_MAGIC_GRADED:
-        if len(body) < (nx + ny) * 8:
-            raise SnapshotError(f"snapshot {path}: truncated coordinates")
-        c = np.frombuffer(body[:(nx + ny) * 8], dtype="<f8")
-        coords = (c[:nx], c[nx:])
-        body = body[(nx + ny) * 8:]
-    if len(body) != nx * ny * 8:
+    size = len(raw) - _HEADER.size
+    if size < (nx + ny) * 8:
+        raise SnapshotError(f"snapshot {path}: truncated coordinates")
+    if size != (nx + ny + nx * ny) * 8:
         raise SnapshotError(f"snapshot {path}: truncated payload")
-    values = np.frombuffer(body, dtype="<f8").reshape(ny, nx).copy()
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+    coords, values = (data[:nx], data[nx:nx + ny]), data[nx + ny:]
     try:
         grid = Grid2D(Lx=Lx, Ly=Ly, nx=nx, ny=ny, coords=coords)
     except ConfigurationError as exc:
         raise SnapshotError(f"snapshot {path}: {exc}")
-    return ScalarField(grid, values), time
+    return ScalarField(grid, values.reshape(ny, nx).copy()), time

@@ -44,9 +44,7 @@ def concentrated_bump(bp: BumpParams, g: Grid2D) -> ScalarField:
     and be resolved by the grid (every spacing hx, hy <= eps/8).
     """
     eps = bp.epsilon
-    # on a graded grid, its largest spacings
-    hx, hy = (g.hx, g.hy) if g.uniform else \
-        (float(np.max(np.diff(g.x))), float(np.max(np.diff(g.y))))
+    hx, hy = (float(np.max(np.diff(c))) for c in (g.x, g.y))  # the largest
     if hx > eps / 8 or hy > eps / 8:
         raise ConfigurationError(
             f"grid does not resolve epsilon={eps}: need hx, hy <= {eps / 8}, "
@@ -63,8 +61,8 @@ def concentrated_bump(bp: BumpParams, g: Grid2D) -> ScalarField:
 
 def symmetric_cap(amplitude: float, width: float, g: Grid2D) -> ScalarField:
     """amplitude * cos^2(pi x / (2 width)) * sin(pi y / Ly), zero for |x| >= width."""
-    if width > g.Lx:
-        raise ConfigurationError(f"cap width {width} exceeds Lx={g.Lx}")
+    if not 0 < width <= g.Lx:
+        raise ConfigurationError(f"cap width {width} is not in (0, Lx={g.Lx}]")
     X, Y = g.meshgrid()
     vals = amplitude * np.cos(np.pi * X / (2.0 * width)) ** 2 * np.sin(np.pi * Y / g.Ly)
     vals[np.abs(X) >= width] = 0.0

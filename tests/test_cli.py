@@ -1,10 +1,12 @@
 """End-to-end CLI tests: config validation, run-directory artifacts,
 byte-identical replay, exit codes, and the MMS study."""
 
+import hashlib
 import json
 import os
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +100,11 @@ def bad(over, name, case):
         "amplitude-abc-2"),
     bad({"initial_data": {"amplitude": ABSENT}}, "initial_data.amplitude",
         "cap-without-amplitude-2"),
+    bad({"domain": {"Lx": float("inf")}}, "domain.Lx", "Lx-inf-2"),
+    bad({"initial_data": {"amplitude": float("nan")}},
+        "initial_data.amplitude", "amplitude-nan-2"),
+    bad({"initial_data": {"width": -1.0}}, "cap width", "width-negative-2"),
+    bad({"initial_data": {"width": 0.0}}, "cap width", "width-0-2"),
     bad({"diagnostics": {"q": 1.5}}, "q=1.5", "q-1.5-2"),
     bad({"diagnostics": {"threshold": 5.0}}, "diagnostics.threshold",
         "threshold-2"),
@@ -118,8 +125,8 @@ def test_solver_values_from_yaml_are_converted(tmp_path, capsys, over, code,
                                                name):
     """YAML reads 2.0e2 and 3e0 (no dot, or no sign in the exponent) as
     strings: every config value is converted to its type.  A value that does
-    not convert or is out of range, a missing or an unknown key exits 2,
-    names the key and leaves no run directory."""
+    not convert, is not finite or is out of range, a missing or an unknown
+    key exits 2, names the key and leaves no run directory."""
     path = write_config(tmp_path, **over)
     out = tmp_path / "r"
     assert cli.main(["run", path, "-o", str(out)]) == code
@@ -560,6 +567,20 @@ def set_last_step(step):
     return edit_meta(edit)
 
 
+def last_snapshot_as_gbu1(run_dir):
+    """Rewrite the last snapshot in the GBU1 layout of older releases (the
+    header, then the values without the nodes) under its recorded sha256."""
+    meta = json.loads((run_dir / "meta.json").read_text())
+    entry = meta["outcome"]["snapshots"][-1]
+    snap = run_dir / entry["path"]
+    raw = snap.read_bytes()
+    nx, ny = struct.unpack_from("<HH", raw, 4)
+    old = b"GBU1" + raw[4:32] + raw[32 + 8 * (nx + ny):]
+    snap.write_bytes(old)
+    entry["sha256"] = hashlib.sha256(old).hexdigest()
+    (run_dir / "meta.json").write_text(json.dumps(meta))
+
+
 @pytest.mark.parametrize("source, damage, code", [
     ("run_dir", edit_meta(lambda m: m.pop("outcome")), cli.EXIT_SNAPSHOT),
     ("run_dir", edit_meta(lambda m: m["outcome"]["snapshots"].clear()),
@@ -575,10 +596,12 @@ def set_last_step(step):
     ("run_dir", set_last_step("5"), cli.EXIT_SNAPSHOT),
     ("run_dir", set_last_step(1000000), cli.EXIT_OK),
     ("run_dir", lambda d: max((d / "snapshots").iterdir()).unlink(),
-     cli.EXIT_SNAPSHOT)],
+     cli.EXIT_SNAPSHOT),
+    ("run_dir", last_snapshot_as_gbu1, cli.EXIT_SNAPSHOT)],
     ids=["no-outcome", "no-snapshots", "entry-without-path",
          "entry-without-sha256", "no-series-sha256", "1d-short-series-row",
-         "string-step", "step-past-series", "missing-snapshot"])
+         "string-step", "step-past-series", "missing-snapshot",
+         "gbu1-snapshot"])
 def test_malformed_run_directory_exits_5(request, tmp_path, source, damage,
                                          code):
     """fit, check and resume read a run directory through solver.open_run
@@ -634,9 +657,9 @@ def test_sweep(tmp_path):
 
 
 def test_sweep_checks_every_config_before_the_first_run(tmp_path, capsys):
-    """A config that does not resolve, or does not load, exits 2 with
-    nothing written under the sweep root, even when a good one comes
-    first."""
+    """A config that does not resolve, or does not load, or whose run
+    directory is taken exits 2 with nothing written under the sweep root,
+    even when a good one comes first; so does a root that is a file."""
     good = write_config(tmp_path, name="good.yaml")
     bad = write_config(tmp_path, name="bad.yaml", p=1.5)
     root = tmp_path / "sweep"
@@ -644,6 +667,18 @@ def test_sweep_checks_every_config_before_the_first_run(tmp_path, capsys):
         assert cli.main(["sweep", *configs, "-o", str(root)]) == cli.EXIT_CONFIG
         assert not root.exists()
     assert "no such config or preset 'no-such-preset'" in capsys.readouterr().err
+
+    taken = write_config(tmp_path, name="taken.yaml")
+    (root / "taken").mkdir(parents=True)
+    (root / "taken" / "x").write_text("a file of an earlier run\n")
+    assert cli.main(["sweep", good, taken, "-o", str(root)]) == cli.EXIT_CONFIG
+    assert sorted(root.rglob("*")) == [root / "taken", root / "taken" / "x"]
+    assert f"run directory {root / 'taken'}: " in capsys.readouterr().err
+
+    afile = tmp_path / "afile"
+    afile.write_text("not a sweep root\n")
+    assert cli.main(["sweep", good, "-o", str(afile)]) == cli.EXIT_CONFIG
+    assert afile.read_text() == "not a sweep root\n"
 
 
 def test_sweep_rejects_configs_that_share_a_stem(tmp_path, capsys):
@@ -676,13 +711,14 @@ def test_mms_study(tmp_path, capsys):
 
 @pytest.mark.parametrize("over", [
     {"alpha": ABSENT}, {"alpha": "abc"}, {"alpha": 1.0}, {"cfl_safety": 0.4},
-    {"grids": []}, {"grids": [33]}, {"grids": [33, 64]}],
+    {"grids": []}, {"grids": [33]}, {"grids": [33, 64]},
+    {"alpha": float("nan")}, {"t_end": float("inf")}],
     ids=["no-alpha", "alpha-abc", "alpha-below-2", "cfl_safety",
-         "no-grids", "one-grid", "even-grid"])
+         "no-grids", "one-grid", "even-grid", "alpha-nan", "t_end-inf"])
 def test_mms_config_errors(tmp_path, capsys, over):
-    """A missing, malformed, out-of-range or unknown mms value exits 2 before
-    any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3); so does a ladder
-    of fewer than two grids or one with an even n."""
+    """A missing, malformed, non-finite, out-of-range or unknown mms value
+    exits 2 before any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3); so
+    does a ladder of fewer than two grids or one with an even n."""
     cfg = {"p": 3.0, "alpha": 3.0, "T": 1.0, "t_end": 0.02, **over}
     cfg = {k: v for k, v in cfg.items() if v is not ABSENT}
     path = tmp_path / "mms.yaml"

@@ -270,7 +270,7 @@ def test_graded_stencils_second_order_on_geometric_mesh():
 
 def test_uniform_stencils_keep_constant_spacing_arithmetic():
     """A uniform grid keeps the constant-spacing formulas bit for bit; the
-    graded weights on the same nodes agree to round-off."""
+    non-uniform weights of `Axis` on the same nodes agree to round-off."""
     g = Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21)
     f = make_field(g, lambda X, Y: np.sin(2 * X + 1) * np.cos(3 * Y))
     u = f.values
@@ -285,10 +285,13 @@ def test_uniform_stencils_keep_constant_spacing_arithmetic():
     assert np.array_equal(laplacian(f).values, lap)
     assert np.array_equal(gradient(f)[1].values, fy)
 
-    gg = Grid2D(Lx=g.Lx, Ly=g.Ly, nx=g.nx, ny=g.ny, coords=(g.x, g.y))
-    fg = ScalarField(gg, u)
-    assert np.allclose(laplacian(fg).values, lap, rtol=0, atol=1e-9)
-    assert np.allclose(gradient(fg)[1].values, fy, rtol=0, atol=1e-12)
+    # the same nodes given as coords make the same uniform grid
+    assert Grid2D(Lx=g.Lx, Ly=g.Ly, nx=g.nx, ny=g.ny,
+                  coords=(g.x, g.y)).uniform
+    ax, ay = Axis(g.x), Axis(g.y)
+    lap_w = _kernels.d2(u[1:-1].T, ax).T + _kernels.d2(u[:, 1:-1], ay)
+    assert np.allclose(lap_w, lap[1:-1, 1:-1], rtol=0, atol=1e-9)
+    assert np.allclose(_kernels.derivative(u, ay), fy, rtol=0, atol=1e-12)
 
 
 def test_axis_one_sided_weights():
@@ -348,14 +351,49 @@ def test_snapshot_corruption_detected(tmp_path):
 
 
 def test_uniform_snapshot_layout(tmp_path):
-    """Uniform grids keep the GBU1 layout: 32-byte header, then values."""
-    g = Grid2D(Lx=0.5, Ly=0.25, nx=9, ny=7)
-    f = ScalarField(g, np.arange(63, dtype=float).reshape(7, 9))
+    """A uniform grid writes the one layout, GBU2: 32-byte header, x, y, then
+    the values; it reads back uniform and equal to the original grid."""
+    g = Grid2D(Lx=0.06, Ly=0.25, nx=15, ny=9)
+    assert g.x[g.ix0] != 0.0  # linspace rounds the middle node off 0
+    f = ScalarField(g, np.arange(135, dtype=float).reshape(9, 15))
     path = tmp_path / "snap.bin"
     write_snapshot(f, path, time=0.5)
     raw = path.read_bytes()
-    assert raw[:4] == b"GBU1" and len(raw) == 32 + 63 * 8
-    assert raw[32:] == f.values.astype("<f8").tobytes()
+    assert raw[:4] == b"GBU2" and len(raw) == 32 + (15 + 9 + 135) * 8
+    assert raw[32:] == b"".join(a.astype("<f8").tobytes()
+                                for a in (g.x, g.y, f.values))
+    f2, _ = read_snapshot(path)
+    assert f2.grid.uniform and f2.grid == g
+    assert (f2.grid.hx, f2.grid.hy) == (g.hx, g.hy)
+
+
+def test_gbu1_snapshot_is_a_bad_magic(tmp_path):
+    """The GBU1 layout of older releases (header, then the values alone) is
+    no longer read."""
+    raw = (struct.pack("<4sHHddd", b"GBU1", 9, 7, 0.5, 0.25, 0.0)
+           + np.zeros(63).tobytes())
+    (tmp_path / "old.bin").write_bytes(raw)
+    with pytest.raises(SnapshotError, match="bad magic"):
+        read_snapshot(tmp_path / "old.bin")
+
+
+def test_only_linspace_nodes_are_uniform():
+    """uniform is worked out from the nodes: graded grids and columns, a
+    column on evenly spaced y nodes included, are never uniform."""
+    assert Grid2D(Lx=0.5, Ly=0.25, nx=9, ny=7).uniform
+    assert not geometric_grid(12, 1.3).uniform
+    assert not Grid2D.graded(2.0, 3.0, 1e-6, 1.3, 0.2, 1e-3, 1.1, 0.1).uniform
+    y = np.linspace(0.0, 1.0, 9)
+    col = Grid2D.column(0.25, 1.0, y)
+    assert not col.uniform and col.hx == np.inf
+    assert not Grid2D.column(0.25, 1.0,
+                             graded_nodes(1.0, 1e-4, 1.3, 0.05)).uniform
+    # one node off linspace by an ulp makes a graded grid
+    x = np.linspace(-0.5, 0.5, 9)
+    x[2] = np.nextafter(x[2], 0.0)
+    g = Grid2D(Lx=0.5, Ly=0.25, nx=9, ny=7,
+               coords=(x, np.linspace(0.0, 0.25, 7)))
+    assert not g.uniform and g != Grid2D(Lx=0.5, Ly=0.25, nx=9, ny=7)
 
 
 def test_graded_snapshot_roundtrip(tmp_path):
