@@ -7,7 +7,9 @@ entry points take the grid and pick the axis themselves: constant-spacing
 formulas on a uniform grid, non-uniform weights on a graded one.  A 1D column
 (nx = 1) has no x axis: its right-hand side and gradient maximum are
 `rhs_interior_1d` and `grad_max_1d`, given the column's y axis, and `uy_wall`
-reads only that axis.  Kernels are serial, so repeated runs are
+reads only that axis.  The gradient maxima can leave the gradient they form
+in given arrays, and the right-hand sides can take it in place of forming
+their own, with the same bits.  Kernels are serial, so repeated runs are
 bit-reproducible.
 """
 
@@ -53,10 +55,11 @@ def one_sided(u, h):
             _weighted(h.hi, u[-3], u[-2], u[-1]))
 
 
-def derivative(u, h):
+def derivative(u, h, out=None):
     """First derivative along axis 0 at every node: central inside,
-    one-sided at both ends."""
-    out = np.empty_like(u)
+    one-sided at both ends (into out if given)."""
+    if out is None:
+        out = np.empty_like(u)
     d1(u, h, out=out[1:-1])
     out[0], out[-1] = one_sided(u, h)
     return out
@@ -67,16 +70,21 @@ def _axes(g):
     return (g.hx, g.hy) if g.uniform else (g.ax, g.ay)
 
 
-def gradient(u, g):
-    """(u_x, u_y) at every node of grid g."""
+def gradient(u, g, out=(None, None)):
+    """(u_x, u_y) at every node of grid g, into the pair out if given."""
     hx, hy = _axes(g)
-    return derivative(u.T, hx).T, derivative(u, hy)
+    fx, fy = out
+    return (derivative(u.T, hx, None if fx is None else fx.T).T,
+            derivative(u, hy, fy))
 
 
-def grad_norm_max(u, g):
-    """Largest |grad u| over every node of grid g."""
-    fx, fy = gradient(u, g)
-    return float(np.sqrt(np.max(fx * fx + fy * fy)))
+def grad_norm_max(u, g, out=None):
+    """Largest |grad u| over every node of grid g.  With out = (u_x, u_y,
+    |grad u|^2), three arrays of u's shape, the gradient is left there."""
+    fx, fy = gradient(u, g, (None, None) if out is None else out[:2])
+    g2 = np.multiply(fx, fx, out=None if out is None else out[2])
+    g2 += fy * fy
+    return float(np.sqrt(np.max(g2)))
 
 
 def laplacian(u, g):
@@ -106,28 +114,36 @@ def _source(g2, p, out):
     return k
 
 
-def rhs_interior(u, g, p, out):
+def rhs_interior(u, g, p, out, grad=None):
     """Write Lap(u) + |grad u|^p into the interior of out; return the
-    interior (u_x, u_y, |grad u|^(p-2)).  u may also be the half-domain
-    window of a uniform grid."""
+    interior (u_x, u_y, |grad u|^(p-2)).  grad, if given, is the interior
+    (u_x, u_y, |grad u|^2) of u, already formed by `grad_norm_max`; then
+    only the Laplacian and the source are formed.  u may also be the
+    half-domain window of a uniform grid."""
     hx, hy = _axes(g)
     lap = laplacian(u, g)  # first: its temporaries are freed before the rest
-    ux = d1(u[1:-1].T, hx).T
-    uy = d1(u[:, 1:-1], hy)
-    k = _source(ux * ux + uy * uy, p, out[1:-1, 1:-1])
+    if grad is None:
+        ux = d1(u[1:-1].T, hx).T
+        uy = d1(u[:, 1:-1], hy)
+        grad = ux, uy, ux * ux + uy * uy
+    ux, uy, g2 = grad
+    k = _source(g2, p, out[1:-1, 1:-1])
     out[1:-1, 1:-1] += lap
     return ux, uy, k
 
 
-def rhs_interior_1d(u, hy, p, out):
+def rhs_interior_1d(u, hy, p, out, uy=None):
     """Write u_yy + |u_y|^p into the interior rows of out, for u a 1D array
-    or an (ny, 1) column; return the interior (u_y, |u_y|^(p-2))."""
-    uy = d1(u, hy)
+    or an (ny, 1) column; return the interior (u_y, |u_y|^(p-2)).  uy, if
+    given, is the interior u_y of u, already formed by `grad_max_1d`."""
+    if uy is None:
+        uy = d1(u, hy)
     k = _source(uy * uy, p, out[1:-1])
     out[1:-1] += d2(u, hy)
     return uy, k
 
 
-def grad_max_1d(u, hy):
-    """Largest |u_y| over every node of a 1D array or an (ny, 1) column."""
-    return float(np.max(np.abs(derivative(u, hy))))
+def grad_max_1d(u, hy, out=None):
+    """Largest |u_y| over every node of a 1D array or an (ny, 1) column;
+    u_y is left in out if given."""
+    return float(np.max(np.abs(derivative(u, hy, out))))

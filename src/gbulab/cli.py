@@ -384,10 +384,15 @@ def _check_run_dir(out_dir):
                                  "file or a directory that is not empty")
 
 
+def _prepare(config_path):
+    """(config, initial field, solver config) of a run config or preset;
+    ConfigurationError for an invalid value, the initial data's included."""
+    cfg = load_config(preset_path(config_path))
+    return cfg, cfg.make_initial(cfg.make_grid()), cfg.make_solver_config()
+
+
 def cmd_run(config_path, out_dir) -> int:
-    cfg = load_config(preset_path(config_path))  # validates before any mkdir
-    u0 = cfg.make_initial(cfg.make_grid())
-    scfg = cfg.make_solver_config()
+    cfg, u0, scfg = _prepare(config_path)  # validates before any mkdir
     _check_run_dir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -514,14 +519,15 @@ def cmd_barrier(args) -> int:
 
 def cmd_sweep(configs, out_root) -> int:
     """Run each config into out_root/<its file stem>, once every config has
-    loaded, no two share a stem and every run directory can take its run."""
+    loaded and built its initial data, no two share a stem and every run
+    directory can take its run."""
     paths = [preset_path(c) for c in configs]
     stems = [os.path.splitext(os.path.basename(p))[0] for p in paths]
     if len(set(stems)) < len(stems):
         raise ConfigurationError(f"sweep: config file stems repeat: {stems}")
     dirs = [os.path.join(out_root, s) for s in stems]
     for path, d in zip(paths, dirs):
-        load_config(path)
+        _prepare(path)  # its initial field is built again when it runs
         _check_run_dir(d)
     return max(map(cmd_run, paths, dirs), default=EXIT_OK)
 

@@ -4,12 +4,13 @@ finite-difference stencils and the run-directory file format.
 Fields store values in a (ny, nx) array, row-major with y as the outer index.
 nx is forced odd so the symmetry line x = 0 is a node.
 
-Every grid carries its x and y nodes, evenly spaced unless given.  It is
-uniform when it is not a column and its nodes are the evenly spaced ones bit
-for bit; its stencils then keep their constant-spacing arithmetic.  A graded
-grid (`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and
-toward x = 0, and every stencil on it uses the three-point non-uniform
-weights of `Axis`.  The 1D reduction runs on a column (`Grid2D.column`):
+Every grid carries its x and y nodes, evenly spaced unless given, with the
+node of the symmetry line x = 0 exactly 0.  It is uniform when it is not a
+column and its nodes are those evenly spaced ones bit for bit; its stencils
+then keep their constant-spacing arithmetic.  A graded grid
+(`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and toward
+x = 0, and every stencil on it uses the three-point non-uniform weights of
+`Axis`.  The 1D reduction runs on a column (`Grid2D.column`):
 nx = 1, the one node x = 0, and y nodes of its own, uniform or graded toward
 both walls (`graded_nodes`); it takes no x derivatives.  The stencils
 themselves live in `_kernels`.
@@ -153,15 +154,13 @@ class Grid2D:
             raise ConfigurationError("grid requires Lx, Ly > 0")
         even = (np.linspace(-self.Lx, self.Lx, self.nx),
                 np.linspace(0.0, self.Ly, self.ny))
+        even[0][self.ix0] = 0.0  # linspace can round it off 0 (Lx=0.06, nx=15)
         x, y = (np.array(c, dtype=float)
                 for c in (even if self.coords is None else self.coords))
         object.__setattr__(self, "coords", (_read_only(x), _read_only(y)))
-        # not a column, and both node arrays evenly spaced bit for bit; such
-        # nodes are valid by construction (x[ix0] may round off 0)
+        # not a column, and both node arrays evenly spaced bit for bit
         object.__setattr__(self, "uniform", not self.is_column and all(
             map(np.array_equal, (x, y), even)))
-        if self.uniform:
-            return
         if x.shape != (self.nx,) or y.shape != (self.ny,):
             raise ConfigurationError(
                 f"coordinate arrays of length {x.size}, {y.size} do not match "

@@ -29,8 +29,13 @@ to be bound to the grid's nodes once, as `profile_math.manufactured_callbacks`
 binds the manufactured solution, so a step rebuilds no coordinates.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
-single logical writer advancing the state; it owns its stage buffers, so
-independent runs share nothing and may execute concurrently.
+single logical writer advancing the state, which holds the run's workspace
+(`SimulationState.work`, dropped from its outcome): Heun's stage buffers, or
+the graded step's buffers, made once per run, so independent runs share
+nothing and may execute concurrently.  The graded step hands the gradient
+its grad_max test formed to the next step's right-hand side ("first same as
+last"), one gradient pass per step; `make_state` forms it for the first
+state, so a resumed run repeats the one-shot run bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +112,9 @@ class SimulationState:
     uy_origin: float
     dt_last: float
     grad_prev: Optional[float] = None  # grad_max one step earlier
-    stages: Optional[tuple] = None  # the run's Heun buffers (k1, k2, u1)
+    # the run's buffers: Heun's (k1, k2, u1) or a _GradedWork; a run's
+    # outcome drops them
+    work: object = None
 
 
 @dataclass
@@ -137,19 +144,25 @@ def _uy_origin(u: np.ndarray, g: Grid2D) -> float:
     return float(_kernels.uy_wall(u, g)[g.ix0])
 
 
-def _grad_max(u: np.ndarray, g: Grid2D) -> float:
-    """Largest |grad u| over every node; a column has only u_y."""
+def _grad_max(u: np.ndarray, g: Grid2D, out=None) -> float:
+    """Largest |grad u| over every node; a column has only u_y.  out, if
+    given, takes the gradient (`_GradedWork.grad`)."""
     if g.is_column:
-        return _kernels.grad_max_1d(u, g.ay)
-    return _kernels.grad_norm_max(u, g)
+        return _kernels.grad_max_1d(u, g.ay, None if out is None else out[0])
+    return _kernels.grad_norm_max(u, g, out)
 
 
 def make_state(u0: ScalarField) -> SimulationState:
+    """The state at t = 0 of u0; on a graded grid or a column it holds the
+    run's workspace, handed the gradient of u0 (as `resume` needs it)."""
     g = u0.grid
     u = u0.values
-    gmax = _grad_max(u, g)
+    work = None if g.uniform else _GradedWork(g)
+    gmax = _grad_max(u, g, None if work is None else work.grad)
+    if work is not None:
+        work.of = u
     return SimulationState(field=u0, t=0.0, step=0, grad_max=gmax,
-                           uy_origin=_uy_origin(u, g), dt_last=0.0)
+                           uy_origin=_uy_origin(u, g), dt_last=0.0, work=work)
 
 
 _CFL_SAFETY = 0.4  # of the Heun step, a fraction of the diffusive limit
@@ -182,9 +195,9 @@ def _reset_half(w: np.ndarray, t: float):
 
 def _stages(state: SimulationState, shape) -> tuple:
     """The run's Heun buffers (k1, k2, u1), made on its first step."""
-    if state.stages is None or state.stages[0].shape != shape:
+    if not isinstance(state.work, tuple) or state.work[0].shape != shape:
         return tuple(np.zeros(shape) for _ in range(3))
-    return state.stages
+    return state.work
 
 
 def _rhs(u, g, cfg, t, out):
@@ -232,29 +245,89 @@ def _dt_graded(state: SimulationState, cfg: SolverConfig, u, F) -> float:
     return min(_REL_CHANGE * float(np.max(np.abs(u))) / fmax, cfg.t_max)
 
 
-def _thomas(a, b, c, d):
+def _thomas_rows(a, Z):
+    """The per-row views `_thomas` sweeps over, made once per buffer; None
+    for a single column, which needs none."""
+    n, _, m = Z.shape
+    if m == 1:
+        return None
+    return ([(a[k], Z[k - 1, 0], Z[k - 1, 2:0:-1], Z[k, :2])
+             for k in range(1, n)],
+            [(Z[k, 2], Z[k + 1, 1], Z[k, 1], Z[k, 0])
+             for k in range(n - 2, -1, -1)])
+
+
+def _thomas(a, Z, rows):
     """Solve a[k] v[k-1] + b[k] v[k] + c[k] v[k+1] = d[k] along axis 0 for
-    every column at once (a[0] and c[-1] are not read).  Overwrites b, and d
-    with the solution, which it returns."""
-    w = np.empty_like(b[0])
-    for k in range(1, b.shape[0]):
-        np.divide(a[k], b[k - 1], out=w)
-        b[k] -= w * c[k - 1]
-        d[k] -= w * d[k - 1]
-    d[-1] /= b[-1]
-    for k in range(b.shape[0] - 2, -1, -1):
-        d[k] -= c[k] * d[k + 1]
-        d[k] /= b[k]
-    return d
+    every column at once, where Z[:, 0], Z[:, 1] and Z[:, 2] hold b, d and c
+    (a[0] and c[-1] are not read) and rows = `_thomas_rows(a, Z)`.
+    Overwrites Z, and d with the solution, which it returns.  A single
+    column is swept over Python floats: the same IEEE double arithmetic
+    without numpy calls on 1-element rows."""
+    if Z.shape[2] == 1:
+        a, (b, d, c) = a[:, 0].tolist(), Z[:, :, 0].T.tolist()
+        for k in range(1, len(b)):
+            w = a[k] / b[k - 1]
+            b[k] -= w * c[k - 1]
+            d[k] -= w * d[k - 1]
+        d[-1] /= b[-1]
+        for k in range(len(b) - 2, -1, -1):
+            d[k] = (d[k] - c[k] * d[k + 1]) / b[k]
+        Z[:, 1, 0] = d
+        return Z[:, 1]
+    divide, multiply, subtract = np.divide, np.multiply, np.subtract
+    w, wz = np.empty(Z.shape[2]), np.empty((2, Z.shape[2]))
+    forward, backward = rows
+    for ak, bp, cdp, bdk in forward:  # (b, d)[k] -= w (c, d)[k-1]
+        divide(ak, bp, w)
+        multiply(w, cdp, wz)
+        subtract(bdk, wz, bdk)
+    Z[-1, 1] /= Z[-1, 0]
+    for ck, dn, dk, bk in backward:  # d[k] = (d[k] - c[k] d[k+1]) / b[k]
+        multiply(ck, dn, w)
+        subtract(dk, w, dk)
+        divide(dk, bk, dk)
+    return Z[:, 1]
 
 
-def _line_solve(rhs, speed, d1, d2, dt):
-    """Solve (I - dt (D2 + speed D1)) v = rhs on the interior lines along
-    axis 0, with v = 0 on the walls; d1, d2 are the axis's weight columns."""
-    lo = -dt * (d2[0] + speed * d1[0])
-    diag = 1.0 - dt * (d2[1] + speed * d1[1])
-    up = -dt * (d2[2] + speed * d1[2])
-    return _thomas(lo, diag, up, rhs)
+class _Sweep:
+    """The buffers of the line solves (I - dt (D2 + speed D1)) v = rhs along
+    one axis of a grid: n interior lines of m values, v = 0 on the walls."""
+
+    def __init__(self, axis, n, m):
+        self.axis = axis
+        self.speed = np.empty((n, m))  # set once per step
+        self.lo = np.empty((n, m))
+        self.Z = np.empty((n, 3, m))  # per line: diagonal, rhs, upper
+        self.rows = _thomas_rows(self.lo, self.Z)
+
+    def solve(self, dt):
+        """Solve for the rhs in Z[:, 1] with step dt; return the solution."""
+        # -dt (d2 + speed d1) in each of the three bands, plus 1 on the
+        # diagonal
+        for out, w1, w2 in zip((self.lo, self.Z[:, 0], self.Z[:, 2]),
+                               self.axis.d1, self.axis.d2):
+            np.multiply(self.speed, w1, out=out)
+            out += w2
+            out *= -dt
+        self.Z[:, 0] += 1.0
+        return _thomas(self.lo, self.Z, self.rows)
+
+
+class _GradedWork:
+    """The buffers of one run's graded steps, made once: the right-hand side
+    F, the gradient `grad` of the values `of` (the hand-over from one step
+    to the next: (u_x, u_y, |grad u|^2), or (u_y,) on a column), and a
+    `_Sweep` per axis, x first."""
+
+    def __init__(self, g: Grid2D):
+        self.grid = g
+        self.F = np.zeros((g.ny, g.nx))  # its walls stay 0
+        self.grad = tuple(np.empty((g.ny, g.nx))
+                          for _ in range(1 if g.is_column else 3))
+        self.of = None
+        self.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
+            _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
 
 
 def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
@@ -263,44 +336,54 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
                                  "runs on the full domain only")
     g = state.field.grid
     u = state.field.values
-    F = np.zeros_like(u)
+    ws = state.work
+    if not (isinstance(ws, _GradedWork) and ws.grid is g):
+        ws = _GradedWork(g)
+    # the gradient of u, if the step that made u (or make_state) left it
+    handed = ws.grad if ws.of is u else None
+    ws.of = None  # the retries below overwrite it
+    F = ws.F
     if g.is_column:  # one y sweep over the interior rows
-        uy, k = _kernels.rhs_interior_1d(u, g.ay, cfg.p, F)
-        sy = (cfg.p * k) * uy
         inner = np.s_[1:-1]
-        Fi = F[inner]
+        uy, k = _kernels.rhs_interior_1d(
+            u, g.ay, cfg.p, F, None if handed is None else handed[0][inner])
+        np.multiply(cfg.p * k, uy, out=ws.sweeps[0].speed)
+        src = F[inner]
     else:
-        ux, uy, k = _kernels.rhs_interior(u, g, cfg.p, F)
-        a = cfg.p * k  # p |grad u|^(p-2): times grad u, the advection speed
-        sx = np.ascontiguousarray((a * ux).T)
-        sy = a * uy
         inner = np.s_[1:-1, 1:-1]
-        # x lines first, on transposed copies so both sweeps run along axis 0
-        Fi = np.ascontiguousarray(F[inner].T)
+        ux, uy, k = _kernels.rhs_interior(
+            u, g, cfg.p, F,
+            None if handed is None else tuple(v[inner] for v in handed))
+        a = cfg.p * k  # p |grad u|^(p-2): times grad u, the advection speed
+        # x lines first, on transposed views so both sweeps run along axis 0
+        np.multiply(a.T, ux.T, out=ws.sweeps[0].speed)
+        np.multiply(a, uy, out=ws.sweeps[1].speed)
+        src = F[inner].T
     umax = float(np.max(np.abs(u)))
     dt = _dt_graded(state, cfg, u, F)
     while True:
         if dt < cfg.dt_floor:
             raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
                               f"at t={state.t:.6g}, step {state.step}")
-        v = dt * Fi
-        if not g.is_column:
-            v = np.ascontiguousarray(
-                _line_solve(v, sx, g.ax.d1, g.ax.d2, dt).T)
-        delta = _line_solve(v, sy, g.ay.d1, g.ay.d2, dt)
+        np.multiply(src, dt, out=ws.sweeps[0].Z[:, 1])
+        delta = ws.sweeps[0].solve(dt)
+        for sweep in ws.sweeps[1:]:  # the y lines of a 2D grid
+            np.copyto(sweep.Z[:, 1], delta.T)
+            delta = sweep.solve(dt)
         un = u.copy()
         un[inner] += delta
-        gmax = _grad_max(un, g)
+        gmax = _grad_max(un, g, ws.grad)
         # retry shorter if u or grad_max changed by over twice the target
         change = max(float(np.max(np.abs(delta))) / umax if umax else 0.0,
                      abs(gmax / state.grad_max - 1.0) if state.grad_max
                      else 0.0)
         if not change > 2.0 * _REL_CHANGE:  # NaN falls through to the check
-            return _advanced(state, g, un, dt, gmax)
+            ws.of = un
+            return _advanced(state, g, un, dt, gmax, ws)
         dt *= _REL_CHANGE / change
 
 
-def _advanced(state, g, un, dt, gmax, stages=None) -> SimulationState:
+def _advanced(state, g, un, dt, gmax, work) -> SimulationState:
     if not np.isfinite(gmax):
         bad = np.argwhere(~np.isfinite(un))
         where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"
@@ -308,7 +391,7 @@ def _advanced(state, g, un, dt, gmax, stages=None) -> SimulationState:
     return SimulationState(field=ScalarField(g, un), t=state.t + dt,
                            step=state.step + 1, grad_max=gmax,
                            uy_origin=_uy_origin(un, g), dt_last=dt,
-                           grad_prev=state.grad_max, stages=stages)
+                           grad_prev=state.grad_max, work=work)
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
@@ -449,9 +532,10 @@ def _advance(state: SimulationState, cfg: SolverConfig, series: _Series,
         snaps.maybe(state)
 
     snaps.maybe(state, force=True)
+    # the run's buffers go before the fits are computed
     outcome = RunOutcome(reason=reason, t_stop=state.t,
                          series=series.as_dict(), snapshots=snaps.refs,
-                         final=state)
+                         final=replace(state, work=None))
     if run_dir is not None:
         _persist(outcome, cfg, g, run_dir, config_echo)
     return outcome

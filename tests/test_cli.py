@@ -681,6 +681,21 @@ def test_sweep_checks_every_config_before_the_first_run(tmp_path, capsys):
     assert afile.read_text() == "not a sweep root\n"
 
 
+def test_sweep_builds_every_initial_field_before_the_first_run(tmp_path,
+                                                               capsys):
+    """A config that loads but whose initial data cannot be built (a cap of
+    negative width) exits 2 with nothing under the sweep root, even when a
+    good config comes first."""
+    grid = {"nx": 17, "ny": 17}
+    good = write_config(tmp_path, name="a.yaml", grid=grid)
+    bad = write_config(tmp_path, name="b.yaml", grid=grid,
+                       initial_data={"width": -1.0})
+    root = tmp_path / "sweep"
+    assert cli.main(["sweep", good, bad, "-o", str(root)]) == cli.EXIT_CONFIG
+    assert not root.exists()
+    assert "cap width -1.0" in capsys.readouterr().err
+
+
 def test_sweep_rejects_configs_that_share_a_stem(tmp_path, capsys):
     """Two configs named x.yaml would share the run directory root/x: the
     sweep exits 2, naming the stem, before either runs."""

@@ -354,7 +354,7 @@ def test_uniform_snapshot_layout(tmp_path):
     """A uniform grid writes the one layout, GBU2: 32-byte header, x, y, then
     the values; it reads back uniform and equal to the original grid."""
     g = Grid2D(Lx=0.06, Ly=0.25, nx=15, ny=9)
-    assert g.x[g.ix0] != 0.0  # linspace rounds the middle node off 0
+    assert g.x[g.ix0] == 0.0  # where linspace rounds it off 0
     f = ScalarField(g, np.arange(135, dtype=float).reshape(9, 15))
     path = tmp_path / "snap.bin"
     write_snapshot(f, path, time=0.5)
@@ -365,6 +365,21 @@ def test_uniform_snapshot_layout(tmp_path):
     f2, _ = read_snapshot(path)
     assert f2.grid.uniform and f2.grid == g
     assert (f2.grid.hx, f2.grid.hy) == (g.hx, g.hy)
+
+
+@pytest.mark.parametrize("Lx, nx", [(0.06, 15), (0.1, 23)])
+def test_uniform_symmetry_node_is_exactly_0(Lx, nx):
+    """linspace rounds the middle node of these axes off 0; the grid puts it
+    at 0 and keeps every other node, and it is those nodes that are uniform.
+    Nodes taken from linspace as they are do not make a grid."""
+    raw = np.linspace(-Lx, Lx, nx)
+    assert raw[nx // 2] != 0.0
+    g = Grid2D(Lx=Lx, Ly=0.25, nx=nx, ny=9)
+    assert g.uniform and g.x[g.ix0] == 0.0
+    assert np.array_equal(np.delete(g.x, g.ix0), np.delete(raw, nx // 2))
+    assert Grid2D(Lx=Lx, Ly=0.25, nx=nx, ny=9, coords=(g.x, g.y)).uniform
+    with pytest.raises(ConfigurationError, match="through 0"):
+        Grid2D(Lx=Lx, Ly=0.25, nx=nx, ny=9, coords=(raw, g.y))
 
 
 def test_gbu1_snapshot_is_a_bad_magic(tmp_path):

@@ -7,6 +7,7 @@ import hashlib
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gbulab import (ConfigurationError, DtUnderflow, Grid2D, ScalarField,
                     SolverConfig, manufactured_callbacks, manufactured_params,
                     manufactured_solution, profile_constants, solver,
                     steady_state, symmetric_cap)
+from gbulab import _kernels
 from gbulab.grid import read_snapshot
 from gbulab.solver import BLOW_UP, HORIZON, UNDERFLOW
 
@@ -219,19 +221,23 @@ def test_resume_is_deterministic(tmp_path):
 
 
 def test_concurrent_runs_share_nothing():
-    """Three runs on grids of one shape, each in its own thread, end bit for
-    bit where they end when run alone: a run owns its stage buffers."""
-    g = Grid2D(Lx=0.25, Ly=0.06, nx=129, ny=129)
-    cfg = SolverConfig(p=3.0, t_max=2e-6, stop_grad_norm=1e9)
-    starts = [symmetric_cap(a, 0.18, g) for a in (0.3, 0.35, 0.4)]
-    alone = [solver.run(u0, cfg).final.field.values for u0 in starts]
-    together = [None] * len(starts)
+    """Three runs each on a uniform grid, a graded grid and a graded column,
+    each run in its own thread, end bit for bit where they end when run
+    alone: a run owns its workspace."""
+    uniform = Grid2D(Lx=0.25, Ly=0.06, nx=129, ny=129)
+    graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
+    cases = [(uniform, SolverConfig(p=3.0, t_max=2e-6, stop_grad_norm=1e9)),
+             (graded_grid(), graded), (graded_column(), graded)]
+    jobs = [(symmetric_cap(a, 0.18, g), cfg) for g, cfg in cases
+            for a in (0.3, 0.35, 0.4)]
+    alone = [solver.run(u0, cfg).final.field.values for u0, cfg in jobs]
+    together = [None] * len(jobs)
 
     def work(i):
-        together[i] = solver.run(starts[i], cfg).final.field.values
+        together[i] = solver.run(*jobs[i]).final.field.values
 
     threads = [threading.Thread(target=work, args=(i,))
-               for i in range(len(starts))]
+               for i in range(len(jobs))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -345,6 +351,91 @@ def test_graded_resume_is_deterministic(tmp_path):
         for e in meta["outcome"]["snapshots"]:
             blob = (root / "b" / e["path"]).read_bytes()
             assert e["sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
+    """Every state that a graded run or a column run steps from, a resumed
+    run's included, holds the gradient of its values bit for bit, which the
+    next right-hand side takes in place of its own."""
+    checked = []
+    step = solver.step
+
+    def checking_step(state, cfg):
+        u, g, ws = state.field.values, state.field.grid, state.work
+        assert ws.of is u
+        if g.is_column:
+            assert np.array_equal(ws.grad[0], _kernels.derivative(u, g.ay))
+        else:
+            ux, uy = _kernels.gradient(u, g)
+            for a, b in zip(ws.grad, (ux, uy, ux * ux + uy * uy)):
+                assert np.array_equal(a, b)
+        checked.append(state.step)
+        return step(state, cfg)
+
+    monkeypatch.setattr(solver, "step", checking_step)
+    for g in (graded_grid(), graded_column()):
+        run_dir = str(tmp_path / f"nx{g.nx}")
+        cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
+        out = solver.run(symmetric_cap(0.4, 0.18, g), cfg, run_dir=run_dir)
+        assert checked == list(range(out.final.step))
+        checked.clear()
+        solver.resume(run_dir, replace(cfg, stop_grad_norm=300.0))
+        assert checked[0] == out.final.step and len(checked) > 1
+        checked.clear()
+
+
+def test_handed_gradient_changes_no_bit():
+    """A step from the handed gradient matches, bit for bit, a step whose
+    right-hand side forms its own (a state without the run's workspace)."""
+    cfg = SolverConfig(p=3.0, t_max=0.05)
+    for g in (graded_grid(), graded_column()):
+        a = b = solver.make_state(symmetric_cap(0.4, 0.18, g))
+        for _ in range(20):
+            a = solver.step(a, cfg)
+            b = solver.step(replace(b, work=None), cfg)
+            assert np.array_equal(a.field.values, b.field.values)
+            assert (a.dt_last, a.grad_max) == (b.dt_last, b.grad_max)
+
+
+def test_outcome_holds_no_buffers():
+    """The run's workspace goes when its loop ends, before the caller fits
+    anything: the final state of a Heun run (full or half domain), a graded
+    run and a column run holds none."""
+    g = Grid2D(Lx=0.25, Ly=0.06, nx=33, ny=33)
+    heun = SolverConfig(p=3.0, t_max=1e-5)
+    graded = SolverConfig(p=3.0, t_max=1e-3)
+    for grid, cfg in ((g, heun), (g, replace(heun, symmetry_mode="half")),
+                      (graded_grid(), graded), (graded_column(), graded)):
+        out = solver.run(symmetric_cap(0.4, 0.18, grid), cfg)
+        assert out.final.step > 0 and out.final.work is None
+
+
+def thomas_oracle(a, b, c, d):
+    """The line solve as first written, row by row over separate arrays:
+    solves a[k] v[k-1] + b[k] v[k] + c[k] v[k+1] = d[k] along axis 0."""
+    w = np.empty_like(b[0])
+    for k in range(1, b.shape[0]):
+        np.divide(a[k], b[k - 1], out=w)
+        b[k] -= w * c[k - 1]
+        d[k] -= w * d[k - 1]
+    d[-1] /= b[-1]
+    for k in range(b.shape[0] - 2, -1, -1):
+        d[k] -= c[k] * d[k + 1]
+        d[k] /= b[k]
+    return d
+
+
+@pytest.mark.parametrize("shape", [(229, 1), (245, 159), (159, 245)])
+def test_sweep_matches_the_row_by_row_oracle(shape):
+    """The stacked sweep, and the float sweep of a single line, give the
+    oracle's bits on random diagonally dominant systems."""
+    rng = np.random.default_rng(shape[1])
+    a, c = rng.uniform(-1.0, 0.0, (2,) + shape)
+    b = 2.0 + rng.uniform(0.0, 1.0, shape)
+    d = rng.normal(size=shape)
+    Z = np.stack([b, d, c], axis=1)
+    got = solver._thomas(a, Z, solver._thomas_rows(a, Z))
+    assert np.array_equal(got, thomas_oracle(a, b.copy(), c, d.copy()))
 
 
 def test_graded_rejects_forcing_and_half_mode():
