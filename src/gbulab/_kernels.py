@@ -7,10 +7,17 @@ entry points take the grid and pick the axis themselves: constant-spacing
 formulas on a uniform grid, non-uniform weights on a graded one.  A 1D column
 (nx = 1) has no x axis: its right-hand side and gradient maximum are
 `rhs_interior_1d` and `grad_max_1d`, given the column's y axis, and `uy_wall`
-reads only that axis.  The gradient maxima can leave the gradient they form
-in given arrays, and the right-hand sides can take it in place of forming
-their own, with the same bits.  Kernels are serial, so repeated runs are
-bit-reproducible.
+reads only that axis.
+
+The stencils write every interior-size intermediate into arrays the caller
+passes in, doing the same IEEE operations in the same order as when they
+allocate them, so a step can run on its run's workspace without a per-call
+temporary.  The 2D right-hand side `rhs_interior`, which only the solver
+calls, requires these buffers; the library (`grid.laplacian`,
+`grid.gradient`, diagnostics) lets the stencils allocate.  The gradient
+maxima can leave the gradient they form in given arrays, and the right-hand
+sides can take it in place of forming their own, with the same bits.
+Kernels are serial, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,27 +29,35 @@ __all__ = ["d1", "d2", "one_sided", "derivative", "gradient",
            "rhs_interior_1d", "grad_max_1d"]
 
 
-def _weighted(w, a, b, c, out=None):
-    """w[0] a + w[1] b + w[2] c, summed left to right (into out if given)."""
+def _weighted(w, a, b, c, out=None, tmp=None):
+    """w[0] a + w[1] b + w[2] c, summed left to right (into out, with the
+    products in tmp, if given)."""
     out = np.multiply(w[0], a, out=out)
-    out += w[1] * b
-    out += w[2] * c
+    out += np.multiply(w[1], b, out=tmp)
+    out += np.multiply(w[2], c, out=tmp)
     return out
 
 
-def d1(u, h, out=None):
-    """First derivative along axis 0 at the interior nodes u[1:-1]."""
+def d1(u, h, out=None, tmp=None):
+    """First derivative along axis 0 at the interior nodes u[1:-1] (into
+    out, with tmp as scratch on a graded axis, if given)."""
     if isinstance(h, float):
-        diff = u[2:] - u[:-2]
-        return np.divide(diff, 2.0 * h, out=diff if out is None else out)
-    return _weighted(h.d1, u[:-2], u[1:-1], u[2:], out)
+        out = np.subtract(u[2:], u[:-2], out=out)
+        out /= 2.0 * h
+        return out
+    return _weighted(h.d1, u[:-2], u[1:-1], u[2:], out, tmp)
 
 
-def d2(u, h):
-    """Second derivative along axis 0 at the interior nodes u[1:-1]."""
+def d2(u, h, out=None, tmp=None):
+    """Second derivative along axis 0 at the interior nodes u[1:-1] (into
+    out, with tmp as scratch on a graded axis, if given)."""
     if isinstance(h, float):
-        return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    return _weighted(h.d2, u[:-2], u[1:-1], u[2:])
+        out = np.multiply(2.0, u[1:-1], out=out)
+        np.subtract(u[2:], out, out=out)
+        out += u[:-2]
+        out /= h**2
+        return out
+    return _weighted(h.d2, u[:-2], u[1:-1], u[2:], out, tmp)
 
 
 def one_sided(u, h):
@@ -55,12 +70,18 @@ def one_sided(u, h):
             _weighted(h.hi, u[-3], u[-2], u[-1]))
 
 
-def derivative(u, h, out=None):
+def _T(a):
+    """The transpose of a, or None."""
+    return None if a is None else a.T
+
+
+def derivative(u, h, out=None, tmp=None):
     """First derivative along axis 0 at every node: central inside,
-    one-sided at both ends (into out if given)."""
+    one-sided at both ends (into out, with tmp of u's shape as scratch, if
+    given)."""
     if out is None:
         out = np.empty_like(u)
-    d1(u, h, out=out[1:-1])
+    d1(u, h, out[1:-1], None if tmp is None else tmp[1:-1])
     out[0], out[-1] = one_sided(u, h)
     return out
 
@@ -70,28 +91,32 @@ def _axes(g):
     return (g.hx, g.hy) if g.uniform else (g.ax, g.ay)
 
 
-def gradient(u, g, out=(None, None)):
-    """(u_x, u_y) at every node of grid g, into the pair out if given."""
+def gradient(u, g, out=(None, None), tmp=None):
+    """(u_x, u_y) at every node of grid g, into the pair out, with tmp of
+    u's shape as scratch, if given."""
     hx, hy = _axes(g)
     fx, fy = out
-    return (derivative(u.T, hx, None if fx is None else fx.T).T,
-            derivative(u, hy, fy))
+    return (derivative(u.T, hx, _T(fx), _T(tmp)).T,
+            derivative(u, hy, fy, tmp))
 
 
-def grad_norm_max(u, g, out=None):
+def grad_norm_max(u, g, out=None, tmp=None):
     """Largest |grad u| over every node of grid g.  With out = (u_x, u_y,
-    |grad u|^2), three arrays of u's shape, the gradient is left there."""
-    fx, fy = gradient(u, g, (None, None) if out is None else out[:2])
+    |grad u|^2), three arrays of u's shape, the gradient is left there;
+    tmp, one more, is scratch."""
+    fx, fy = gradient(u, g, (None, None) if out is None else out[:2], tmp)
     g2 = np.multiply(fx, fx, out=None if out is None else out[2])
-    g2 += fy * fy
+    g2 += np.multiply(fy, fy, out=tmp)
     return float(np.sqrt(np.max(g2)))
 
 
-def laplacian(u, g):
-    """Lap(u) at the interior nodes, shape (ny - 2, nx - 2)."""
+def laplacian(u, g, out=None, tmp=(None, None)):
+    """Lap(u) at the interior nodes, shape (ny - 2, nx - 2); into out, with
+    the pair tmp of that shape as scratch, if given."""
     hx, hy = _axes(g)
-    out = d2(u[1:-1].T, hx).T
-    out += d2(u[:, 1:-1], hy)
+    t1, t2 = tmp
+    out = d2(u[1:-1].T, hx, _T(out), _T(t1)).T
+    out += d2(u[:, 1:-1], hy, t1, t2)
     return out
 
 
@@ -105,29 +130,34 @@ def uy_wall(u, g):
     return one_sided(u, g.hy if g.uniform else g.ay)[0]
 
 
-def _source(g2, p, out):
-    """Write |grad u|^p = g2 k into out, for g2 = |grad u|^2; return
-    k = |grad u|^(p-2), which the graded step's advection speed p k grad u
-    shares."""
-    k = np.sqrt(g2) if p == 3.0 else np.power(g2, p / 2.0 - 1.0)
+def _source(g2, p, out, k=None):
+    """Write |grad u|^p = g2 k into out, for g2 = |grad u|^2, and
+    k = |grad u|^(p-2) into k if given; return k, which the graded step's
+    advection speed p k grad u shares."""
+    k = np.sqrt(g2, out=k) if p == 3.0 else np.power(g2, p / 2.0 - 1.0,
+                                                      out=k)
     np.multiply(g2, k, out=out)
     return k
 
 
-def rhs_interior(u, g, p, out, grad=None):
+def rhs_interior(u, g, p, out, scratch, grad=None):
     """Write Lap(u) + |grad u|^p into the interior of out; return the
-    interior (u_x, u_y, |grad u|^(p-2)).  grad, if given, is the interior
-    (u_x, u_y, |grad u|^2) of u, already formed by `grad_norm_max`; then
-    only the Laplacian and the source are formed.  u may also be the
-    half-domain window of a uniform grid."""
+    interior (u_x, u_y, |grad u|^(p-2)).  scratch is six arrays of the
+    interior's shape: (u_x, u_y, |grad u|^2) are formed in the first three
+    unless grad gives them, as `grad_norm_max` left them for u, and the
+    Laplacian and the rest in the last three; the k returned is the last.
+    u may also be the half-domain window of a uniform grid."""
     hx, hy = _axes(g)
-    lap = laplacian(u, g)  # first: its temporaries are freed before the rest
+    lap, t1, t2 = scratch[3:]
+    laplacian(u, g, lap, (t1, t2))
     if grad is None:
-        ux = d1(u[1:-1].T, hx).T
-        uy = d1(u[:, 1:-1], hy)
-        grad = ux, uy, ux * ux + uy * uy
+        grad = ux, uy, g2 = scratch[:3]
+        d1(u[1:-1].T, hx, ux.T, t1.T)
+        d1(u[:, 1:-1], hy, uy, t1)
+        np.multiply(ux, ux, out=g2)
+        g2 += np.multiply(uy, uy, out=t1)
     ux, uy, g2 = grad
-    k = _source(g2, p, out[1:-1, 1:-1])
+    k = _source(g2, p, out[1:-1, 1:-1], t2)
     out[1:-1, 1:-1] += lap
     return ux, uy, k
 

@@ -30,12 +30,18 @@ binds the manufactured solution, so a step rebuilds no coordinates.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
-(`SimulationState.work`, dropped from its outcome): Heun's stage buffers, or
-the graded step's buffers, made once per run, so independent runs share
-nothing and may execute concurrently.  The graded step hands the gradient
-its grad_max test formed to the next step's right-hand side ("first same as
-last"), one gradient pass per step; `make_state` forms it for the first
-state, so a resumed run repeats the one-shot run bit for bit.
+(`SimulationState.work`, made by `make_state` and dropped from the run's
+outcome), so independent runs share nothing and may execute concurrently.
+The workspace holds every interior-size buffer a step needs: the kernels'
+scratch, the gradient handed between steps, and Heun's stage buffers (and
+half-domain window) or the graded step's right-hand side and line-solve
+buffers.  A step allocates no interior-size array but its new values.
+Both steps hand the gradient that their grad_max formed for the new state to
+the next step's first right-hand side ("first same as last"), which then
+forms only the Laplacian and the source; the stencils give the same bits
+either way.  `make_state` forms it for the first state, so a resumed run
+repeats the one-shot run bit for bit.  A half-domain step works on a window
+of its own shape and forms its own gradient.
 """
 
 from __future__ import annotations
@@ -112,8 +118,8 @@ class SimulationState:
     uy_origin: float
     dt_last: float
     grad_prev: Optional[float] = None  # grad_max one step earlier
-    # the run's buffers: Heun's (k1, k2, u1) or a _GradedWork; a run's
-    # outcome drops them
+    # the run's buffers, a _HeunWork or a _GradedWork; a run's outcome
+    # drops them
     work: object = None
 
 
@@ -144,24 +150,57 @@ def _uy_origin(u: np.ndarray, g: Grid2D) -> float:
     return float(_kernels.uy_wall(u, g)[g.ix0])
 
 
-def _grad_max(u: np.ndarray, g: Grid2D, out=None) -> float:
-    """Largest |grad u| over every node; a column has only u_y.  out, if
-    given, takes the gradient (`_GradedWork.grad`)."""
-    if g.is_column:
-        return _kernels.grad_max_1d(u, g.ay, None if out is None else out[0])
-    return _kernels.grad_norm_max(u, g, out)
+class _Work:
+    """The buffers that one run's steps share, made once per run.  `grad`
+    holds the gradient of the values `of` over the grid ((u_x, u_y,
+    |grad u|^2), or (u_y,) on a column), left by `grad_max` for the next
+    step's right-hand side; `tmp` is one more array of the grid's shape;
+    `scratch` is the six arrays that `_kernels.rhs_interior` takes, on the
+    interior of the array of `shape` that a step works on: the grid, or in
+    half mode its window (none on a column)."""
+
+    def __init__(self, g: Grid2D, shape):
+        self.grid, self.shape = g, shape
+        self.grad = tuple(np.empty((g.ny, g.nx))
+                          for _ in range(1 if g.is_column else 3))
+        self.tmp = np.empty((g.ny, g.nx))
+        self.scratch = () if g.is_column else tuple(
+            np.empty((shape[0] - 2, shape[1] - 2)) for _ in range(6))
+        self.of = None
+
+    def grad_max(self, u: np.ndarray) -> float:
+        """Largest |grad u| over every node (a column has only u_y); the
+        gradient stays in grad, for the step from u."""
+        self.of = u
+        if self.grid.is_column:
+            return _kernels.grad_max_1d(u, self.grid.ay, self.grad[0])
+        return _kernels.grad_norm_max(u, self.grid, self.grad, self.tmp)
+
+    def handed(self, u: np.ndarray):
+        """The interior of grad if it holds the gradient of u, as the step
+        that made u (or make_state) left it, else None."""
+        if self.of is not u:
+            return None
+        inner = np.s_[1:-1] if self.grid.is_column else np.s_[1:-1, 1:-1]
+        return tuple(v[inner] for v in self.grad)
+
+
+def _workspace(state: SimulationState, kind, shape) -> _Work:
+    """The run's workspace of this kind, made anew if the state holds none
+    for its grid and this shape."""
+    ws, g = state.work, state.field.grid
+    if not (isinstance(ws, kind) and ws.grid is g and ws.shape == shape):
+        ws = kind(g, shape)
+    return ws
 
 
 def make_state(u0: ScalarField) -> SimulationState:
-    """The state at t = 0 of u0; on a graded grid or a column it holds the
-    run's workspace, handed the gradient of u0 (as `resume` needs it)."""
+    """The state at t = 0 of u0, holding the run's workspace, handed the
+    gradient of u0 (as `resume` needs it)."""
     g = u0.grid
     u = u0.values
-    work = None if g.uniform else _GradedWork(g)
-    gmax = _grad_max(u, g, None if work is None else work.grad)
-    if work is not None:
-        work.of = u
-    return SimulationState(field=u0, t=0.0, step=0, grad_max=gmax,
+    work = (_HeunWork if g.uniform else _GradedWork)(g, u.shape)
+    return SimulationState(field=u0, t=0.0, step=0, grad_max=work.grad_max(u),
                            uy_origin=_uy_origin(u, g), dt_last=0.0, work=work)
 
 
@@ -193,31 +232,34 @@ def _reset_half(w: np.ndarray, t: float):
     w[:, 0] = w[:, 2]
 
 
-def _stages(state: SimulationState, shape) -> tuple:
-    """The run's Heun buffers (k1, k2, u1), made on its first step."""
-    if not isinstance(state.work, tuple) or state.work[0].shape != shape:
-        return tuple(np.zeros(shape) for _ in range(3))
-    return state.work
+class _HeunWork(_Work):
+    """`_Work` with the stage buffers (k1, k2, u1) of one run's Heun steps,
+    and in half mode the window `w`, all of the stepped array's shape."""
+
+    def __init__(self, g: Grid2D, shape):
+        super().__init__(g, shape)
+        self.stages = tuple(np.zeros(shape) for _ in range(3))
+        self.w = np.empty(shape) if shape != (g.ny, g.nx) else None
 
 
-def _rhs(u, g, cfg, t, out):
+def _rhs(u, g, cfg, t, out, scratch, grad=None):
     """Write the right-hand side at time t, forcing included, into out."""
-    _kernels.rhs_interior(u, g, cfg.p, out)
+    _kernels.rhs_interior(u, g, cfg.p, out, scratch, grad)
     if cfg.forcing is not None:
         out[1:-1, 1:-1] += cfg.forcing(t)
 
 
-def _heun(u, g, cfg, t, dt, stages, reset) -> np.ndarray:
-    """One Heun step from u; reset(v, t) sets the boundary (and ghost)
-    values of a stage v at time t."""
-    k1, k2, u1 = stages
-    _rhs(u, g, cfg, t, k1)
+def _heun(u, g, cfg, t, dt, ws, handed, reset, un) -> np.ndarray:
+    """One Heun step from u into un on the buffers of ws; reset(v, t) sets
+    the boundary (and ghost) values of a stage v at time t.  The first
+    right-hand side takes the handed gradient, if any."""
+    k1, k2, u1 = ws.stages
+    _rhs(u, g, cfg, t, k1, ws.scratch, handed)
     np.multiply(k1, dt, out=u1)
     u1 += u
     reset(u1, t + dt)
-    _rhs(u1, g, cfg, t + dt, k2)
+    _rhs(u1, g, cfg, t + dt, k2, ws.scratch)
     np.add(k1, k2, out=k1)
-    un = np.empty_like(u)
     np.multiply(k1, 0.5 * dt, out=un)
     un += u
     reset(un, t + dt)
@@ -231,10 +273,10 @@ _REL_CHANGE = 0.025
 _DT_GROWTH = 1.5  # largest growth of dt from one graded step to the next
 
 
-def _dt_graded(state: SimulationState, cfg: SolverConfig, u, F) -> float:
+def _dt_graded(state: SimulationState, cfg: SolverConfig, umax, F) -> float:
     """First guess of the graded step size: the last dt scaled to a
     _REL_CHANGE change of grad_max, or on the first step a _REL_CHANGE
-    change of u at the rate F."""
+    change of u, whose largest |value| is umax, at the rate F."""
     if state.grad_prev and state.dt_last > 0:
         rel = abs(state.grad_max - state.grad_prev) / state.grad_prev
         growth = _REL_CHANGE / rel if rel > 0 else _DT_GROWTH
@@ -242,7 +284,7 @@ def _dt_graded(state: SimulationState, cfg: SolverConfig, u, F) -> float:
     fmax = float(np.max(np.abs(F)))
     if fmax == 0.0:
         return cfg.t_max
-    return min(_REL_CHANGE * float(np.max(np.abs(u))) / fmax, cfg.t_max)
+    return min(_REL_CHANGE * umax / fmax, cfg.t_max)
 
 
 def _thomas_rows(a, Z):
@@ -314,18 +356,13 @@ class _Sweep:
         return _thomas(self.lo, self.Z, self.rows)
 
 
-class _GradedWork:
-    """The buffers of one run's graded steps, made once: the right-hand side
-    F, the gradient `grad` of the values `of` (the hand-over from one step
-    to the next: (u_x, u_y, |grad u|^2), or (u_y,) on a column), and a
-    `_Sweep` per axis, x first."""
+class _GradedWork(_Work):
+    """`_Work` with the buffers of one run's graded steps: the right-hand
+    side F and a `_Sweep` per axis, x first."""
 
-    def __init__(self, g: Grid2D):
-        self.grid = g
+    def __init__(self, g: Grid2D, shape):
+        super().__init__(g, shape)
         self.F = np.zeros((g.ny, g.nx))  # its walls stay 0
-        self.grad = tuple(np.empty((g.ny, g.nx))
-                          for _ in range(1 if g.is_column else 3))
-        self.of = None
         self.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
             _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
 
@@ -336,31 +373,27 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
                                  "runs on the full domain only")
     g = state.field.grid
     u = state.field.values
-    ws = state.work
-    if not (isinstance(ws, _GradedWork) and ws.grid is g):
-        ws = _GradedWork(g)
-    # the gradient of u, if the step that made u (or make_state) left it
-    handed = ws.grad if ws.of is u else None
-    ws.of = None  # the retries below overwrite it
+    ws = _workspace(state, _GradedWork, u.shape)
+    handed = ws.handed(u)
     F = ws.F
     if g.is_column:  # one y sweep over the interior rows
         inner = np.s_[1:-1]
         uy, k = _kernels.rhs_interior_1d(
-            u, g.ay, cfg.p, F, None if handed is None else handed[0][inner])
+            u, g.ay, cfg.p, F, None if handed is None else handed[0])
         np.multiply(cfg.p * k, uy, out=ws.sweeps[0].speed)
         src = F[inner]
     else:
         inner = np.s_[1:-1, 1:-1]
-        ux, uy, k = _kernels.rhs_interior(
-            u, g, cfg.p, F,
-            None if handed is None else tuple(v[inner] for v in handed))
-        a = cfg.p * k  # p |grad u|^(p-2): times grad u, the advection speed
+        ux, uy, k = _kernels.rhs_interior(u, g, cfg.p, F, ws.scratch,
+                                          handed)
+        # p |grad u|^(p-2): times grad u, the advection speed
+        a = np.multiply(cfg.p, k, out=k)
         # x lines first, on transposed views so both sweeps run along axis 0
         np.multiply(a.T, ux.T, out=ws.sweeps[0].speed)
         np.multiply(a, uy, out=ws.sweeps[1].speed)
         src = F[inner].T
-    umax = float(np.max(np.abs(u)))
-    dt = _dt_graded(state, cfg, u, F)
+    umax = float(np.max(np.abs(u, out=ws.tmp)))
+    dt = _dt_graded(state, cfg, umax, F)
     while True:
         if dt < cfg.dt_floor:
             raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
@@ -372,13 +405,13 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
             delta = sweep.solve(dt)
         un = u.copy()
         un[inner] += delta
-        gmax = _grad_max(un, g, ws.grad)
+        gmax = ws.grad_max(un)
+        dmax = float(np.max(np.abs(delta, out=ws.tmp[inner])))
         # retry shorter if u or grad_max changed by over twice the target
-        change = max(float(np.max(np.abs(delta))) / umax if umax else 0.0,
+        change = max(dmax / umax if umax else 0.0,
                      abs(gmax / state.grad_max - 1.0) if state.grad_max
                      else 0.0)
         if not change > 2.0 * _REL_CHANGE:  # NaN falls through to the check
-            ws.of = un
             return _advanced(state, g, un, dt, gmax, ws)
         dt *= _REL_CHANGE / change
 
@@ -405,21 +438,24 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
         raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
                           f"at t={state.t:.6g}, step {state.step}")
     u = state.field.values
+    un = np.empty_like(u)
     if cfg.symmetry_mode == "half":
+        # the window [ghost | x=0 .. x=Lx] has its own shape, so it forms
+        # its own gradient; the stage buffer k1 takes the new window
         i0 = g.ix0
-        w = np.empty((g.ny, g.nx - i0 + 1))
+        ws = _workspace(state, _HeunWork, (g.ny, g.nx - i0 + 1))
+        w = ws.w
         w[:, 1:] = u[:, i0:]
         w[:, 0] = w[:, 2]
-        stages = _stages(state, w.shape)
-        wn = _heun(w, g, cfg, state.t, dt, stages, _reset_half)
-        un = np.empty_like(u)
+        wn = _heun(w, g, cfg, state.t, dt, ws, None, _reset_half,
+                   ws.stages[0])
         un[:, i0:] = wn[:, 1:]
         un[:, :i0] = wn[:, 2:i0 + 2][:, ::-1]
     else:
-        stages = _stages(state, u.shape)
-        un = _heun(u, g, cfg, state.t, dt, stages,
-                   lambda v, t: _apply_bc(v, cfg, t))
-    return _advanced(state, g, un, dt, _kernels.grad_norm_max(un, g), stages)
+        ws = _workspace(state, _HeunWork, u.shape)
+        _heun(u, g, cfg, state.t, dt, ws, ws.handed(u),
+              lambda v, t: _apply_bc(v, cfg, t), un)
+    return _advanced(state, g, un, dt, ws.grad_max(un), ws)
 
 
 class _Series:

@@ -220,7 +220,8 @@ def test_rhs_source_is_g2_times_the_returned_power(shape, p):
              else geometric_grid(20, 1.2))
         u = make_field(g, fn).values
         out = np.zeros_like(u)
-        ux, uy, k = _kernels.rhs_interior(u, g, p, out)
+        scratch = tuple(np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
+        ux, uy, k = _kernels.rhs_interior(u, g, p, out, scratch)
         g2, lap = ux * ux + uy * uy, _kernels.laplacian(u, g)
         interior = out[1:-1, 1:-1]
     assert np.min(g2) > 0.0
@@ -228,6 +229,73 @@ def test_rhs_source_is_g2_times_the_returned_power(shape, p):
     expected += lap
     assert np.array_equal(interior, expected)
     assert np.allclose(k, np.sqrt(g2) ** (p - 2.0), rtol=1e-14, atol=0)
+
+
+def oracle_rhs(u, g, p):
+    """(Lap(u), u_x, u_y, |grad u|^2, |grad u|^(p-2)) on the interior of u,
+    each intermediate a fresh array, in the kernels' order of operations:
+    the reference for the kernels working on scratch."""
+    c, e, w = u[1:-1, 1:-1], u[1:-1, 2:], u[1:-1, :-2]
+    n, s = u[2:, 1:-1], u[:-2, 1:-1]
+    if g.uniform:
+        lap = (e - 2.0 * c + w) / g.hx**2 + (n - 2.0 * c + s) / g.hy**2
+        ux, uy = (e - w) / (2.0 * g.hx), (n - s) / (2.0 * g.hy)
+    else:
+        def rows(wt):  # the x weights, one per column
+            return [v.T for v in wt]
+        lap = (rows(g.ax.d2)[0] * w + rows(g.ax.d2)[1] * c
+               + rows(g.ax.d2)[2] * e) \
+            + (g.ay.d2[0] * s + g.ay.d2[1] * c + g.ay.d2[2] * n)
+        ux = rows(g.ax.d1)[0] * w + rows(g.ax.d1)[1] * c + rows(g.ax.d1)[2] * e
+        uy = g.ay.d1[0] * s + g.ay.d1[1] * c + g.ay.d1[2] * n
+    g2 = ux * ux + uy * uy
+    k = np.sqrt(g2) if p == 3.0 else np.power(g2, p / 2.0 - 1.0)
+    return lap, ux, uy, g2, k
+
+
+@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("shape", ["uniform", "graded", "half"])
+def test_kernels_give_the_same_bits_on_scratch(shape, p):
+    """`rhs_interior`, `laplacian` and `grad_norm_max` give the same bits on
+    scratch (filled with NaN beforehand, so nothing is read before it is
+    written) as the allocating kernels and the oracle: on a uniform grid, a
+    graded grid and a uniform grid's half-domain window, whose ghost column
+    mirrors x = hx."""
+    g = geometric_grid(20, 1.2) if shape == "graded" \
+        else Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21)
+    u = make_field(g, lambda X, Y: np.sin(2 * X + 1) * np.cos(3 * Y)
+                   + 2.0 * Y).values
+    if shape == "half":
+        u = np.concatenate([u[:, g.ix0 + 1:g.ix0 + 2], u[:, g.ix0:]], axis=1)
+    lap, ux, uy, g2, k = oracle_rhs(u, g, p)
+    inner = np.s_[1:-1, 1:-1]
+
+    def nans(n, size=lap.shape):
+        return tuple(np.full(size, np.nan) for _ in range(n))
+
+    out, (t1, t2) = nans(1)[0], nans(2)
+    _kernels.laplacian(u, g, out, (t1, t2))
+    assert np.array_equal(out, lap)
+    assert np.array_equal(_kernels.laplacian(u, g), lap)
+
+    grad, tmp = nans(3, u.shape), nans(1, u.shape)[0]
+    gmax = _kernels.grad_norm_max(u, g, grad, tmp)
+    assert gmax == _kernels.grad_norm_max(u, g)
+    fx, fy = _kernels.gradient(u, g)
+    for a, b in zip(grad, (fx, fy, fx * fx + fy * fy)):
+        assert np.array_equal(a, b)
+    for a, b in zip(grad, (ux, uy, g2)):
+        assert np.array_equal(a[inner], b)
+
+    expected = g2 * k
+    expected += lap
+    for handed in (None, tuple(v[inner] for v in grad)):
+        rhs = np.zeros_like(u)
+        got = _kernels.rhs_interior(u, g, p, rhs, nans(6), handed)
+        assert np.array_equal(rhs[inner], expected)
+        assert not rhs[0].any() and not rhs[:, 0].any()
+        for a, b in zip(got, (ux, uy, k)):
+            assert np.array_equal(a, b)
 
 
 def test_graded_grid_equality():

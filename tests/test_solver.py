@@ -7,6 +7,7 @@ import hashlib
 import json
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,9 @@ def test_dt_formula():
 # --------------------------------------------------------------------------
 
 
-def mms_error(n, t_end=0.02):
+def mms_start(n, t_end):
+    """The manufactured solution at t = 0 on an n x n grid, and the forced
+    config that runs it to t_end."""
     pc = profile_constants(3.0)
     mp = manufactured_params(pc, 3.0, 1.0)
     g = Grid2D(Lx=0.5, Ly=0.5, nx=n, ny=n)
@@ -88,8 +91,14 @@ def mms_error(n, t_end=0.02):
     forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
     cfg = SolverConfig(p=3.0, t_max=t_end, stop_grad_norm=1e9,
                        forcing=forcing, boundary=boundary)
-    out = solver.run(ScalarField(g, u0), cfg)
+    return ScalarField(g, u0), cfg, (mp, pc)
+
+
+def mms_error(n, t_end=0.02):
+    u0, cfg, (mp, pc) = mms_start(n, t_end)
+    out = solver.run(u0, cfg)
     assert out.reason == HORIZON
+    X, Y = u0.grid.meshgrid()
     exact = manufactured_solution(mp, pc, X, Y, out.t_stop)[0]
     return float(np.max(np.abs(out.final.field.values - exact)))
 
@@ -353,10 +362,26 @@ def test_graded_resume_is_deterministic(tmp_path):
             assert e["sha256"] == hashlib.sha256(blob).hexdigest()
 
 
+def fsal_runs():
+    """(initial field, config, a later stop) of the runs whose steps hand
+    their gradient over: a graded run and a column run, and on the full
+    domain of a uniform grid an unforced cap and a forced 33² run from
+    manufactured_callbacks, whose boundary moves every step."""
+    graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
+    heun = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
+    mms_u0, mms, _ = mms_start(33, 1e-3)
+    uniform = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=33)
+    return [(symmetric_cap(0.4, 0.18, g), graded,
+             replace(graded, stop_grad_norm=300.0))
+            for g in (graded_grid(), graded_column())] + [
+        (symmetric_cap(0.1, 0.18, uniform), heun, replace(heun, t_max=1e-3)),
+        (mms_u0, mms, replace(mms, t_max=2e-3))]
+
+
 def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
-    """Every state that a graded run or a column run steps from, a resumed
-    run's included, holds the gradient of its values bit for bit, which the
-    next right-hand side takes in place of its own."""
+    """Every state that a run steps from, a resumed run's included, holds
+    the gradient of its values bit for bit, which the next right-hand side
+    takes in place of its own."""
     checked = []
     step = solver.step
 
@@ -373,13 +398,12 @@ def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
         return step(state, cfg)
 
     monkeypatch.setattr(solver, "step", checking_step)
-    for g in (graded_grid(), graded_column()):
-        run_dir = str(tmp_path / f"nx{g.nx}")
-        cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
-        out = solver.run(symmetric_cap(0.4, 0.18, g), cfg, run_dir=run_dir)
+    for i, (u0, cfg, later) in enumerate(fsal_runs()):
+        run_dir = str(tmp_path / f"run{i}")
+        out = solver.run(u0, cfg, run_dir=run_dir)
         assert checked == list(range(out.final.step))
         checked.clear()
-        solver.resume(run_dir, replace(cfg, stop_grad_norm=300.0))
+        solver.resume(run_dir, later)
         assert checked[0] == out.final.step and len(checked) > 1
         checked.clear()
 
@@ -387,14 +411,42 @@ def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
 def test_handed_gradient_changes_no_bit():
     """A step from the handed gradient matches, bit for bit, a step whose
     right-hand side forms its own (a state without the run's workspace)."""
-    cfg = SolverConfig(p=3.0, t_max=0.05)
-    for g in (graded_grid(), graded_column()):
-        a = b = solver.make_state(symmetric_cap(0.4, 0.18, g))
+    for u0, cfg, _ in fsal_runs():
+        a = b = solver.make_state(u0)
         for _ in range(20):
             a = solver.step(a, cfg)
             b = solver.step(replace(b, work=None), cfg)
             assert np.array_equal(a.field.values, b.field.values)
             assert (a.dt_last, a.grad_max) == (b.dt_last, b.grad_max)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_a_step_allocates_little_beyond_its_new_state(grid):
+    """After a warm-up step, a full-domain step's traced allocation peak
+    stays within 1.5 u.nbytes: the new state's values, plus numpy's own
+    ufunc buffers (up to three of `np.getbufsize()` values, 192 KiB, for an
+    operation on strided views), but no interior-size temporary, of about
+    u.nbytes each.  Before the kernels took the workspace's scratch, the
+    peak was 5.2 u.nbytes here for the Heun step and 4.2 for the graded
+    one.  The grids hold over 65k nodes, so numpy's buffers stay under
+    0.4 u.nbytes; on 129² they alone are 1.48 u.nbytes."""
+    if grid == "uniform":
+        g = Grid2D(Lx=0.25, Ly=0.06, nx=257, ny=257)
+        cfg = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
+    else:
+        g = Grid2D.graded(0.25, 0.06, y_first=1e-5, y_ratio=1.2, y_max=3e-4,
+                          x_first=1e-3, x_ratio=1.1, x_max=1.5e-3)
+        cfg = SolverConfig(p=3.0, t_max=0.05)
+    assert g.nx * g.ny > 65_000
+    st = solver.step(solver.make_state(symmetric_cap(0.4, 0.18, g)), cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        st = solver.step(st, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * st.field.values.nbytes
 
 
 def test_outcome_holds_no_buffers():
