@@ -6,8 +6,7 @@ graded `grid.Axis`; derivatives along x run on the transposed view.  The 2D
 entry points take the grid and pick the axis themselves: constant-spacing
 formulas on a uniform grid, non-uniform weights on a graded one.  A 1D column
 (nx = 1) has no x axis: its right-hand side and gradient maximum are
-`rhs_interior_1d` and `grad_max_1d`, given the column's y axis, and `uy_wall`
-reads only that axis.
+`rhs_interior_1d` and `grad_max_1d`, given the column's y axis.
 
 The stencils write every interior-size intermediate into arrays the caller
 passes in, doing the same IEEE operations in the same order as when they
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["d1", "d2", "one_sided", "derivative", "gradient",
-           "grad_norm_max", "laplacian", "u_xx", "uy_wall", "rhs_interior",
+           "grad_norm_max", "laplacian", "u_xx", "rhs_interior",
            "rhs_interior_1d", "grad_max_1d"]
 
 
@@ -125,11 +124,6 @@ def u_xx(u, g):
     return d2(u.T, _axes(g)[0]).T
 
 
-def uy_wall(u, g):
-    """u_y on the wall y = 0, one value per column."""
-    return one_sided(u, g.hy if g.uniform else g.ay)[0]
-
-
 def _source(g2, p, out, k=None):
     """Write |grad u|^p = g2 k into out, for g2 = |grad u|^2, and
     k = |grad u|^(p-2) into k if given; return k, which the graded step's
@@ -145,8 +139,7 @@ def rhs_interior(u, g, p, out, scratch, grad=None):
     interior (u_x, u_y, |grad u|^(p-2)).  scratch is six arrays of the
     interior's shape: (u_x, u_y, |grad u|^2) are formed in the first three
     unless grad gives them, as `grad_norm_max` left them for u, and the
-    Laplacian and the rest in the last three; the k returned is the last.
-    u may also be the half-domain window of a uniform grid."""
+    Laplacian and the rest in the last three; the k returned is the last."""
     hx, hy = _axes(g)
     lap, t1, t2 = scratch[3:]
     laplacian(u, g, lap, (t1, t2))

@@ -34,9 +34,9 @@ from .errors import (ConfigurationError, DomainError, FitError, GbulabError,
                      NumericError, SnapshotError)
 from .grid import (Grid2D, ScalarField, gradient, graded_nodes,
                    read_snapshot, write_json, write_rows)
-from .profile_math import (calibrate_barrier_c0, manufactured_callbacks,
-                           manufactured_params, manufactured_solution,
-                           j_params, profile_constants)
+from .profile_math import (barrier_params, calibrate_barrier_c0,
+                           manufactured_callbacks, manufactured_params,
+                           manufactured_solution, j_params, profile_constants)
 
 __all__ = ["RunConfig", "load_config", "load_mms", "preset_path", "main",
            "cmd_run", "cmd_mms", "cmd_check", "cmd_barrier", "cmd_fit",
@@ -494,9 +494,12 @@ def cmd_barrier(args) -> int:
             os.path.dirname(args.out) or ".")):  # before any sampling
         raise ConfigurationError(f"--out {args.out}: cannot write a file")
     pc = profile_constants(args.p)
+    etas = args.eta or [0.01]
+    for eta in etas:  # the geometry, before any sampling
+        barrier_params(pc, args.x0, args.r, args.d, args.t0, args.T, eta, 1.0)
     report = {"p": args.p, "etas": []}
     first_fail = None
-    for eta in args.eta or [0.01]:
+    for eta in etas:
         try:
             C0, bp, rmin = calibrate_barrier_c0(
                 pc, args.x0, args.r, args.d, args.t0, args.T, eta,

@@ -147,10 +147,10 @@ class BarrierParams:
             raise DomainError("barrier requires r, d in (0, 1)")
         if not 0 < self.eta < 1:
             raise DomainError("barrier requires eta in (0, 1)")
-        if not self.kappa > 0:
-            raise DomainError("barrier requires kappa > 0")
         if not self.t0 < self.T:
             raise DomainError("barrier requires t0 < T")
+        if not self.kappa > 0:
+            raise DomainError("barrier requires kappa > 0")
 
 
 def barrier_params(pc: ProfileConstants, x0: float, r: float, d: float,

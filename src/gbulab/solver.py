@@ -16,7 +16,7 @@ _REL_CHANGE per step (scaled from the last step's change) and is cut back
 when u or grad_max changed by more than twice that.  It depends only on the
 state and the last step's dt and grad_max, which series.csv records, so a
 resumed run repeats the one-shot run.  The graded step holds the wall values
-fixed; it supports no forcing and the full domain only.
+fixed; it supports no forcing.
 
 The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
 uniform or graded in y, through the same step, run, persistence and resume:
@@ -32,16 +32,16 @@ Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
 (`SimulationState.work`, made by `make_state` and dropped from the run's
 outcome), so independent runs share nothing and may execute concurrently.
-The workspace holds every interior-size buffer a step needs: the kernels'
-scratch, the gradient handed between steps, and Heun's stage buffers (and
-half-domain window) or the graded step's right-hand side and line-solve
+The workspace depends on the grid alone and holds every interior-size buffer
+a step needs: the kernels' scratch, the gradient handed between steps, and
+Heun's stage buffers or the graded step's right-hand side and line-solve
 buffers.  A step allocates no interior-size array but its new values.
 Both steps hand the gradient that their grad_max formed for the new state to
 the next step's first right-hand side ("first same as last"), which then
 forms only the Laplacian and the source; the stencils give the same bits
 either way.  `make_state` forms it for the first state, so a resumed run
-repeats the one-shot run bit for bit.  A half-domain step works on a window
-of its own shape and forms its own gradient.
+repeats the one-shot run bit for bit.  The state's u_y at the origin is read
+off that gradient too.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class SolverConfig:
     # boundary(t) -> the edge values (bottom, top, left, right) at time t;
     # None holds u = 0 on the walls
     boundary: Optional[Callable] = None
-    symmetry_mode: str = "full"
 
     def __post_init__(self):
         if not self.dt_floor > 0:
@@ -103,10 +102,6 @@ class SolverConfig:
             raise ConfigurationError("stop_grad_norm must be positive")
         if self.snapshot_stride < 0:
             raise ConfigurationError("snapshot_stride must be >= 0")
-        if self.symmetry_mode not in ("full", "half"):
-            raise ConfigurationError(f"unknown symmetry_mode {self.symmetry_mode!r}")
-        if self.symmetry_mode == "half" and (self.forcing or self.boundary):
-            raise ConfigurationError("half mode supports homogeneous Dirichlet only")
 
 
 @dataclass
@@ -146,26 +141,21 @@ def default_stop_grad_norm(h: float, p: float) -> float:
     return 50.0 / h ** (1.0 / (p - 1.0))
 
 
-def _uy_origin(u: np.ndarray, g: Grid2D) -> float:
-    return float(_kernels.uy_wall(u, g)[g.ix0])
-
-
 class _Work:
-    """The buffers that one run's steps share, made once per run.  `grad`
-    holds the gradient of the values `of` over the grid ((u_x, u_y,
-    |grad u|^2), or (u_y,) on a column), left by `grad_max` for the next
-    step's right-hand side; `tmp` is one more array of the grid's shape;
-    `scratch` is the six arrays that `_kernels.rhs_interior` takes, on the
-    interior of the array of `shape` that a step works on: the grid, or in
-    half mode its window (none on a column)."""
+    """The buffers that one run's steps share, made once per run for its
+    grid.  `grad` holds the gradient of the values `of` over the grid
+    ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
+    the next step's right-hand side; `tmp` is one more array of the grid's
+    shape; `scratch` is the six interior-size arrays that
+    `_kernels.rhs_interior` takes (none on a column)."""
 
-    def __init__(self, g: Grid2D, shape):
-        self.grid, self.shape = g, shape
+    def __init__(self, g: Grid2D):
+        self.grid = g
         self.grad = tuple(np.empty((g.ny, g.nx))
                           for _ in range(1 if g.is_column else 3))
         self.tmp = np.empty((g.ny, g.nx))
         self.scratch = () if g.is_column else tuple(
-            np.empty((shape[0] - 2, shape[1] - 2)) for _ in range(6))
+            np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
         self.of = None
 
     def grad_max(self, u: np.ndarray) -> float:
@@ -184,24 +174,27 @@ class _Work:
         inner = np.s_[1:-1] if self.grid.is_column else np.s_[1:-1, 1:-1]
         return tuple(v[inner] for v in self.grad)
 
+    def uy_origin(self) -> float:
+        """u_y at the origin (x = 0 on the wall y = 0) of the values `of`."""
+        uy = self.grad[0 if self.grid.is_column else 1]
+        return float(uy[0, self.grid.ix0])
 
-def _workspace(state: SimulationState, kind, shape) -> _Work:
-    """The run's workspace of this kind, made anew if the state holds none
-    for its grid and this shape."""
-    ws, g = state.work, state.field.grid
-    if not (isinstance(ws, kind) and ws.grid is g and ws.shape == shape):
-        ws = kind(g, shape)
-    return ws
+
+def _workspace(g: Grid2D, ws) -> _Work:
+    """ws if it is the workspace of grid g, else a new one of the kind the
+    step on g takes: Heun's on a uniform grid, the graded step's otherwise."""
+    if ws is not None and ws.grid is g:
+        return ws
+    return (_HeunWork if g.uniform else _GradedWork)(g)
 
 
 def make_state(u0: ScalarField) -> SimulationState:
     """The state at t = 0 of u0, holding the run's workspace, handed the
     gradient of u0 (as `resume` needs it)."""
-    g = u0.grid
-    u = u0.values
-    work = (_HeunWork if g.uniform else _GradedWork)(g, u.shape)
-    return SimulationState(field=u0, t=0.0, step=0, grad_max=work.grad_max(u),
-                           uy_origin=_uy_origin(u, g), dt_last=0.0, work=work)
+    work = _workspace(u0.grid, None)
+    return SimulationState(field=u0, t=0.0, step=0,
+                           grad_max=work.grad_max(u0.values),
+                           uy_origin=work.uy_origin(), dt_last=0.0, work=work)
 
 
 _CFL_SAFETY = 0.4  # of the Heun step, a fraction of the diffusive limit
@@ -223,23 +216,20 @@ def _apply_bc(u: np.ndarray, cfg: SolverConfig, t: float):
         u[0, :], u[-1, :], u[:, 0], u[:, -1] = cfg.boundary(t)
 
 
-def _reset_half(w: np.ndarray, t: float):
-    """Boundary values of a half-domain window w, whose columns are
-    [ghost | x=0 .. x=Lx]: zero on the walls, the ghost mirrors x=hx."""
-    w[0, :] = 0.0
-    w[-1, :] = 0.0
-    w[:, -1] = 0.0
-    w[:, 0] = w[:, 2]
+def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
+    """Raise DtUnderflow if a step from state takes a dt under the floor."""
+    if dt < cfg.dt_floor:
+        raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
+                          f"at t={state.t:.6g}, step {state.step}")
 
 
 class _HeunWork(_Work):
     """`_Work` with the stage buffers (k1, k2, u1) of one run's Heun steps,
-    and in half mode the window `w`, all of the stepped array's shape."""
+    of the grid's shape."""
 
-    def __init__(self, g: Grid2D, shape):
-        super().__init__(g, shape)
-        self.stages = tuple(np.zeros(shape) for _ in range(3))
-        self.w = np.empty(shape) if shape != (g.ny, g.nx) else None
+    def __init__(self, g: Grid2D):
+        super().__init__(g)
+        self.stages = tuple(np.zeros((g.ny, g.nx)) for _ in range(3))
 
 
 def _rhs(u, g, cfg, t, out, scratch, grad=None):
@@ -249,21 +239,24 @@ def _rhs(u, g, cfg, t, out, scratch, grad=None):
         out[1:-1, 1:-1] += cfg.forcing(t)
 
 
-def _heun(u, g, cfg, t, dt, ws, handed, reset, un) -> np.ndarray:
-    """One Heun step from u into un on the buffers of ws; reset(v, t) sets
-    the boundary (and ghost) values of a stage v at time t.  The first
-    right-hand side takes the handed gradient, if any."""
+def _heun(state: SimulationState, cfg: SolverConfig, ws):
+    """One Heun step on the buffers of ws: (the new values, dt, their
+    grad_max).  The first right-hand side takes the handed gradient, if
+    any."""
+    g, u, t = state.field.grid, state.field.values, state.t
+    dt = _dt_for(state, cfg, g)
+    _check_dt(dt, cfg, state)
     k1, k2, u1 = ws.stages
-    _rhs(u, g, cfg, t, k1, ws.scratch, handed)
+    _rhs(u, g, cfg, t, k1, ws.scratch, ws.handed(u))
     np.multiply(k1, dt, out=u1)
     u1 += u
-    reset(u1, t + dt)
+    _apply_bc(u1, cfg, t + dt)
     _rhs(u1, g, cfg, t + dt, k2, ws.scratch)
     np.add(k1, k2, out=k1)
-    np.multiply(k1, 0.5 * dt, out=un)
+    un = np.multiply(k1, 0.5 * dt)
     un += u
-    reset(un, t + dt)
-    return un
+    _apply_bc(un, cfg, t + dt)
+    return un, dt, ws.grad_max(un)
 
 
 # target relative change of u and grad_max per graded step: halving it from
@@ -360,20 +353,20 @@ class _GradedWork(_Work):
     """`_Work` with the buffers of one run's graded steps: the right-hand
     side F and a `_Sweep` per axis, x first."""
 
-    def __init__(self, g: Grid2D, shape):
-        super().__init__(g, shape)
+    def __init__(self, g: Grid2D):
+        super().__init__(g)
         self.F = np.zeros((g.ny, g.nx))  # its walls stay 0
         self.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
             _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
 
 
-def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
-    if cfg.forcing or cfg.boundary or cfg.symmetry_mode != "full":
-        raise ConfigurationError("graded grids and columns support unforced "
-                                 "runs on the full domain only")
+def _step_graded(state: SimulationState, cfg: SolverConfig, ws):
+    """One linearly implicit step on the buffers of ws: (the new values,
+    dt, their grad_max)."""
+    if cfg.forcing or cfg.boundary:
+        raise ConfigurationError("graded grids and columns run unforced only")
     g = state.field.grid
     u = state.field.values
-    ws = _workspace(state, _GradedWork, u.shape)
     handed = ws.handed(u)
     F = ws.F
     if g.is_column:  # one y sweep over the interior rows
@@ -395,9 +388,7 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     umax = float(np.max(np.abs(u, out=ws.tmp)))
     dt = _dt_graded(state, cfg, umax, F)
     while True:
-        if dt < cfg.dt_floor:
-            raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
-                              f"at t={state.t:.6g}, step {state.step}")
+        _check_dt(dt, cfg, state)
         np.multiply(src, dt, out=ws.sweeps[0].Z[:, 1])
         delta = ws.sweeps[0].solve(dt)
         for sweep in ws.sweeps[1:]:  # the y lines of a 2D grid
@@ -412,50 +403,24 @@ def _step_graded(state: SimulationState, cfg: SolverConfig) -> SimulationState:
                      abs(gmax / state.grad_max - 1.0) if state.grad_max
                      else 0.0)
         if not change > 2.0 * _REL_CHANGE:  # NaN falls through to the check
-            return _advanced(state, g, un, dt, gmax, ws)
+            return un, dt, gmax
         dt *= _REL_CHANGE / change
-
-
-def _advanced(state, g, un, dt, gmax, work) -> SimulationState:
-    if not np.isfinite(gmax):
-        bad = np.argwhere(~np.isfinite(un))
-        where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"
-        raise NumericError(f"non-finite update at step {state.step + 1}: {where}")
-    return SimulationState(field=ScalarField(g, un), t=state.t + dt,
-                           step=state.step + 1, grad_max=gmax,
-                           uy_origin=_uy_origin(un, g), dt_last=dt,
-                           grad_prev=state.grad_max, work=work)
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     """Advance one adaptive step (Heun on a uniform grid, linearly implicit
     on a graded grid or a column); raises DtUnderflow below the dt floor."""
     g = state.field.grid
-    if not g.uniform:
-        return _step_graded(state, cfg)
-    dt = _dt_for(state, cfg, g)
-    if dt < cfg.dt_floor:
-        raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
-                          f"at t={state.t:.6g}, step {state.step}")
-    u = state.field.values
-    un = np.empty_like(u)
-    if cfg.symmetry_mode == "half":
-        # the window [ghost | x=0 .. x=Lx] has its own shape, so it forms
-        # its own gradient; the stage buffer k1 takes the new window
-        i0 = g.ix0
-        ws = _workspace(state, _HeunWork, (g.ny, g.nx - i0 + 1))
-        w = ws.w
-        w[:, 1:] = u[:, i0:]
-        w[:, 0] = w[:, 2]
-        wn = _heun(w, g, cfg, state.t, dt, ws, None, _reset_half,
-                   ws.stages[0])
-        un[:, i0:] = wn[:, 1:]
-        un[:, :i0] = wn[:, 2:i0 + 2][:, ::-1]
-    else:
-        ws = _workspace(state, _HeunWork, u.shape)
-        _heun(u, g, cfg, state.t, dt, ws, ws.handed(u),
-              lambda v, t: _apply_bc(v, cfg, t), un)
-    return _advanced(state, g, un, dt, ws.grad_max(un), ws)
+    ws = _workspace(g, state.work)
+    un, dt, gmax = (_heun if g.uniform else _step_graded)(state, cfg, ws)
+    if not np.isfinite(gmax):
+        bad = np.argwhere(~np.isfinite(un))
+        where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"
+        raise NumericError(f"non-finite update at step {state.step + 1}: {where}")
+    return SimulationState(field=ScalarField(g, un), t=state.t + dt,
+                           step=state.step + 1, grad_max=gmax,
+                           uy_origin=ws.uy_origin(), dt_last=dt,
+                           grad_prev=state.grad_max, work=ws)
 
 
 class _Series:

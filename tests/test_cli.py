@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config validation, run-directory artifacts,
 byte-identical replay, exit codes, and the MMS study."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,6 +59,14 @@ def test_config_unknown_field_has_path(tmp_path):
     path = write_config(tmp_path, solver={"dt": 1.0})
     with pytest.raises(ConfigurationError, match="solver.dt"):
         cli.load_config(path)
+
+
+def test_every_solver_option_has_a_caller():
+    """Each SolverConfig field is a key of a run config (p, or one under
+    solver:) or one that `mms` passes (its forcing and boundary callbacks),
+    so no solver option is out of every caller's reach."""
+    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert fields == {"p", *cli.RUN_SCHEMA["solver"], "forcing", "boundary"}
 
 
 def test_config_rejects_bad_family(tmp_path):
@@ -762,6 +771,23 @@ def test_barrier_lattice_below_1_exits_2(tmp_path, capsys, lattice):
     assert rc == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert "--lattice" in captured.err and "eta=" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, fault", [
+    (["--r", "2"], "r, d in (0, 1)"),
+    (["--d", "0"], "r, d in (0, 1)"),
+    (["--t0", "1", "--T", "0.5"], "t0 < T"),
+    (["--eta", "0.01", "--eta", "2"], "eta in (0, 1)"),
+])
+def test_barrier_invalid_geometry_exits_2(tmp_path, capsys, args, fault):
+    """A box or an eta outside the barrier's range exits 2, naming the
+    fault, before any eta is sampled or --out written."""
+    out = tmp_path / "barrier.json"
+    rc = cli.main(["barrier", *args, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert fault in captured.err and "eta=" not in captured.out
     assert not out.exists()
 
 

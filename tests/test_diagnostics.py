@@ -260,7 +260,7 @@ def test_build_and_write_report(tmp_path):
     assert len(h_lines) == 1 + 4
     # the h table reads u_y on the wall, bit for bit the wall stencil's
     ts, xs, h = report["h_table"]
-    wall = [_kernels.uy_wall(f.values, g) for _, f in snaps]
+    wall = [_kernels.gradient(f.values, g)[1][0] for _, f in snaps]
     np.testing.assert_array_equal(h, dg.modulation_h(ts, xs, wall, PC3)["h"])
 
 

@@ -1,7 +1,7 @@
 """Integrator tests: exactness oracles (zero data, shifted steady states),
 manufactured-solution convergence, qualitative invariants (nonnegativity,
-sup-norm bound), the half-domain symmetry reduction, run persistence and the
-1D reduction on a column."""
+sup-norm bound), run persistence and resume, the run's workspace and the 1D
+reduction on a column."""
 
 import hashlib
 import json
@@ -144,31 +144,6 @@ def test_dt_underflow():
         solver.step(solver.make_state(u0), cfg)
     out = solver.run(u0, cfg)
     assert out.reason == UNDERFLOW
-
-
-# --------------------------------------------------------------------------
-# Half-domain symmetry reduction
-# --------------------------------------------------------------------------
-
-
-def test_half_mode_matches_full():
-    g = Grid2D(Lx=0.25, Ly=0.06, nx=129, ny=129)
-    u0 = symmetric_cap(0.3, 0.18, g)
-    full = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
-    half = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9,
-                        symmetry_mode="half")
-    sf = advance(solver.make_state(u0.copy()), full, 150)
-    sh = advance(solver.make_state(u0.copy()), half, 150)
-    scale = np.max(np.abs(sf.field.values))
-    assert np.max(np.abs(sf.field.values - sh.field.values)) <= 1e-10 * scale
-    mirrored = sh.field.values[:, ::-1]
-    assert np.array_equal(sh.field.values, mirrored)
-
-
-def test_half_mode_rejects_forcing():
-    with pytest.raises(Exception):
-        SolverConfig(p=3.0, symmetry_mode="half",
-                     forcing=lambda t: 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -389,11 +364,14 @@ def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
         u, g, ws = state.field.values, state.field.grid, state.work
         assert ws.of is u
         if g.is_column:
-            assert np.array_equal(ws.grad[0], _kernels.derivative(u, g.ay))
+            uy = _kernels.derivative(u, g.ay)
+            assert np.array_equal(ws.grad[0], uy)
         else:
             ux, uy = _kernels.gradient(u, g)
             for a, b in zip(ws.grad, (ux, uy, ux * ux + uy * uy)):
                 assert np.array_equal(a, b)
+        # the state's u_y at the origin is that gradient's, bit for bit
+        assert state.uy_origin == uy[0, g.ix0]
         checked.append(state.step)
         return step(state, cfg)
 
@@ -451,13 +429,13 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
 
 def test_outcome_holds_no_buffers():
     """The run's workspace goes when its loop ends, before the caller fits
-    anything: the final state of a Heun run (full or half domain), a graded
-    run and a column run holds none."""
+    anything: the final state of a Heun run, a graded run and a column run
+    holds none."""
     g = Grid2D(Lx=0.25, Ly=0.06, nx=33, ny=33)
     heun = SolverConfig(p=3.0, t_max=1e-5)
     graded = SolverConfig(p=3.0, t_max=1e-3)
-    for grid, cfg in ((g, heun), (g, replace(heun, symmetry_mode="half")),
-                      (graded_grid(), graded), (graded_column(), graded)):
+    for grid, cfg in ((g, heun), (graded_grid(), graded),
+                      (graded_column(), graded)):
         out = solver.run(symmetric_cap(0.4, 0.18, grid), cfg)
         assert out.final.step > 0 and out.final.work is None
 
@@ -490,9 +468,9 @@ def test_sweep_matches_the_row_by_row_oracle(shape):
     assert np.array_equal(got, thomas_oracle(a, b.copy(), c, d.copy()))
 
 
-def test_graded_rejects_forcing_and_half_mode():
+def test_graded_rejects_forcing_and_boundary():
     st = solver.make_state(symmetric_cap(0.1, 0.18, graded_grid()))
     for cfg in (SolverConfig(p=3.0, forcing=lambda t: 0.0),
-                SolverConfig(p=3.0, symmetry_mode="half")):
+                SolverConfig(p=3.0, boundary=lambda t: (0.0,) * 4)):
         with pytest.raises(ConfigurationError):
             solver.step(st, cfg)
