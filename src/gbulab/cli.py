@@ -126,8 +126,8 @@ def _require(prefix, values, keys):
 class RunConfig:
     """A run config, its values converted by RUN_SCHEMA."""
     p: float
-    domain: dict = field(default_factory=lambda: {"Lx": 0.25, "Ly": 0.25})
-    grid: dict = field(default_factory=lambda: {"nx": 129, "ny": 129})
+    domain: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)
     initial_data: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
@@ -141,14 +141,7 @@ class RunConfig:
         _require("", top, ("p",))
         sec = {s: convert(s + ".", top.get(s), types)
                for s, types in RUN_SCHEMA.items()}
-        cfg = cls(p=top["p"], initial_data=sec["initial_data"],
-                  solver=sec["solver"], diagnostics=sec["diagnostics"],
-                  fits=sec["fits"])
-        cfg.domain.update(sec["domain"])
-        if any(k in sec["grid"] for k in _GRADED_KEYS):
-            cfg.grid = sec["grid"]  # graded: it sets the node counts
-        else:
-            cfg.grid.update(sec["grid"])
+        cfg = cls(p=top["p"], **sec)
         cfg.validate()
         return cfg
 
@@ -175,8 +168,9 @@ class RunConfig:
         j_params(profile_constants(self.p), 0.5, self.diagnostics.get("q"))
 
     def make_grid(self) -> Grid2D:
+        Lx, Ly = self.domain.get("Lx", 0.25), self.domain.get("Ly", 0.25)
+        nx, ny = self.grid.get("nx", 129), self.grid.get("ny", 129)
         try:
-            Lx, Ly = self.domain["Lx"], self.domain["Ly"]
             if self.graded and ("nx" in self.grid or "ny" in self.grid):
                 raise ConfigurationError(
                     "grid: nx/ny and a grading are exclusive")
@@ -185,14 +179,14 @@ class RunConfig:
                     y = graded_nodes(Ly, *(self.grid[k]
                                            for k in _GRADED_KEYS[:3]))
                 else:
-                    y = np.linspace(0.0, Ly, self.grid["ny"])
+                    y = np.linspace(0.0, Ly, ny)
                 return Grid2D.column(Lx, Ly, y)
             if self.graded:
                 return Grid2D.graded(Lx, Ly, **{
                     k: self.grid[k] for k in _GRADED_KEYS})
-            return Grid2D(Lx=Lx, Ly=Ly, nx=self.grid["nx"], ny=self.grid["ny"])
+            return Grid2D(Lx=Lx, Ly=Ly, nx=nx, ny=ny)
         except KeyError as exc:
-            raise ConfigurationError(f"missing grid/domain field: {exc}")
+            raise ConfigurationError(f"missing grid field: {exc}")
 
     @property
     def graded(self) -> bool:
@@ -422,8 +416,9 @@ def cmd_mms(config_path) -> int:
     p, t_end = m["p"], m["t_end"]
     pc = profile_constants(p)
     mp = manufactured_params(pc, m["alpha"], m["T"])
-    if not t_end < mp.T:
-        raise ConfigurationError(f"t_end: must precede T={mp.T}, got {t_end}")
+    if not 0 < t_end < mp.T:
+        raise ConfigurationError(f"t_end: must be in (0, T={mp.T}), "
+                                 f"got {t_end}")
     Lx, Ly, grids = m["Lx"], m["Ly"], m["grids"]
 
     def exact(x, y, t):
@@ -441,7 +436,7 @@ def cmd_mms(config_path) -> int:
         uex = exact(X, Y, outcome.t_stop)
         err = float(np.max(np.abs(outcome.final.field.values - uex)))
         errors.append(err)
-        print(f"n={n:4d}  h={2 * Lx / (n - 1):.5f}  max_err={err:.6e}")
+        print(f"n={n:4d}  h={g.hx:.5f}  max_err={err:.6e}")
     orders = [float(np.log2(errors[i] / errors[i + 1]))
               for i in range(len(errors) - 1)]
     for (na, nb), o in zip(zip(grids, grids[1:]), orders):

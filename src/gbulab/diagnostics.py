@@ -182,8 +182,9 @@ def xi_theta_ranges(snapshot: ScalarField, grad, geo: Geometry,
             (float(np.min(theta.values[mask])), float(np.max(theta.values[mask]))))
 
 
-def modulation_h(ts, xs, uy_rows, pc: ProfileConstants):
-    """Quasi-stationary height h = (u_y(x, 0, t) / d_p)^(-1/beta).
+def modulation_h(xs, uy_rows, pc: ProfileConstants):
+    """Quasi-stationary height h = (u_y(x, 0, t) / d_p)^(-1/beta), given
+    u_y on the wall nodes xs, one row per time.
 
     Returns a dict with the h table, the count of excluded (nonpositive u_y)
     samples and a log-log fit of h(t_last, x) vs x (expected slope
@@ -193,10 +194,8 @@ def modulation_h(ts, xs, uy_rows, pc: ProfileConstants):
     pos = uy_rows > 0
     h = np.full_like(uy_rows, np.nan)
     h[pos] = (uy_rows[pos] / pc.d_p) ** (-1.0 / pc.beta)
-    xs, last = np.asarray(xs), h[-1, :]
+    xs, last = np.asarray(xs, dtype=float), h[-1, :]
     return {
-        "t": np.asarray(ts, dtype=float),
-        "x": np.asarray(xs, dtype=float),
         "h": h,
         "n_excluded": int(uy_rows.size - np.count_nonzero(pos)),
         "fit_space": _powerlaw_or_none(xs, last,
@@ -210,8 +209,7 @@ def _powerlaw_or_none(x, y, ok):
     if np.count_nonzero(ok) < 5:
         return None
     try:
-        return powerlaw_fit(x[ok], y[ok],
-                            (float(np.min(x[ok])), float(np.max(x[ok]))))
+        return powerlaw_fit(x[ok], y[ok])
     except FitError:
         return None
 
@@ -255,9 +253,9 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
     probes.clear()  # used up: freed before the xi/Theta fields, the peak
     attempt(("xi_range", "theta_range"),  # f and grad of the last snapshot
             lambda: xi_theta_ranges(f, grad, geo, pc))
-    h = modulation_h([t for t, _ in snapshots], f.grid.x, walls, pc)
+    h = modulation_h(f.grid.x, walls, pc)
     out.update(h_excluded=h["n_excluded"], h_fit_space=h["fit_space"],
-               h_table=(h["t"], h["x"], h["h"]))
+               h_table=([t for t, _ in snapshots], f.grid.x, h["h"]))
     return out
 
 

@@ -63,14 +63,17 @@ def _line_fit(x, y):
     return slope, intercept, r2
 
 
-def powerlaw_fit(s, v, window) -> PowerLawFit:
-    """OLS fit of log v against log s over s in [window[0], window[1]].
+def powerlaw_fit(s, v, window=None) -> PowerLawFit:
+    """OLS fit of log v against log s over s in [window[0], window[1]],
+    by default the samples' own range.
 
     Nonpositive samples inside the window are excluded; fewer than 5 usable
     samples is an error.
     """
     s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
+    if window is None:
+        window = (float(np.min(s)), float(np.max(s)))
     lo, hi = window
     mask = (s >= lo) & (s <= hi) & (s > 0) & (v > 0)
     n = int(np.count_nonzero(mask))
@@ -164,21 +167,21 @@ def fit_tangential(uy: ScalarField, pc: ProfileConstants,
     return powerlaw_fit(xs, wall, (lo, hi))
 
 
-def _last_growth_decade(t, gmax):
-    """Indices of the monotone tail where gmax >= max/10."""
-    g_end = gmax[-1]
-    idx = np.nonzero(gmax >= g_end / 10.0)[0]
-    i0 = idx[0]
+def _last_growth_decade(series: dict):
+    """(t, grad_max) of the series over its monotone tail where grad_max >=
+    its last value / 10."""
+    t = np.asarray(series["t"], dtype=float)
+    gmax = np.asarray(series["grad_max"], dtype=float)
+    i0 = np.nonzero(gmax >= gmax[-1] / 10.0)[0][0]
     # trim any non-monotone stretch at the front of the decade
     tail = gmax[i0:]
     drops = np.nonzero(np.diff(tail) < 0)[0]
     if drops.size:
         i0 += drops[-1] + 1
-    sel = np.arange(i0, len(t))
-    if sel.size < 5:
+    if len(t) - i0 < 5:
         raise FitError("time-rate fit: fewer than 5 samples in the last "
                        "growth decade")
-    return sel
+    return t[i0:], gmax[i0:]
 
 
 def time_rate_linear(series: dict, pc: ProfileConstants):
@@ -186,10 +189,8 @@ def time_rate_linear(series: dict, pc: ProfileConstants):
 
     Returns (slope, intercept, r_squared, T_hat) with T_hat the zero crossing.
     """
-    t = np.asarray(series["t"], dtype=float)
-    g = np.asarray(series["grad_max"], dtype=float)
-    sel = _last_growth_decade(t, g)
-    slope, intercept, r2 = _line_fit(t[sel], g[sel] ** (-(pc.p - 2.0)))
+    t, g = _last_growth_decade(series)
+    slope, intercept, r2 = _line_fit(t, g ** (-(pc.p - 2.0)))
     if not slope < 0:
         raise FitError("time-rate fit: grad_max^-(p-2) is not decreasing")
     T_hat = -intercept / slope
@@ -201,14 +202,10 @@ def fit_time_rate(series: dict, pc: ProfileConstants):
     slope -1/(p-2).  T_hat and r_squared come from the linear fit of
     grad_max^-(p-2) against t (time_rate_linear)."""
     _, _, r2, T_hat = time_rate_linear(series, pc)
-    t = np.asarray(series["t"], dtype=float)
-    g = np.asarray(series["grad_max"], dtype=float)
-    sel = _last_growth_decade(t, g)
-    dt = T_hat - t[sel]
+    t, g = _last_growth_decade(series)
+    dt = T_hat - t
     keep = dt > 0
-    fit = powerlaw_fit(dt[keep], g[sel][keep],
-                       (float(np.min(dt[keep])), float(np.max(dt[keep]))))
-    return fit, T_hat, r2
+    return powerlaw_fit(dt[keep], g[keep]), T_hat, r2
 
 
 def _aniso_region(uy: ScalarField, pc: ProfileConstants, extent, floor):
@@ -312,6 +309,5 @@ def level_set_shape(uy: ScalarField, pc: ProfileConstants, level: float,
     keep = sag >= max(float(np.max(sag)), 0.0) / 10.0
     if np.count_nonzero(keep) < 5:
         raise FitError("level-set sag resolved in fewer than 5 columns")
-    xs, sag = xs[keep], sag[keep]
-    return powerlaw_fit(xs, sag, (float(np.min(xs)), float(np.max(xs))))
+    return powerlaw_fit(xs[keep], sag[keep])
 

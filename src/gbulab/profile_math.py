@@ -264,12 +264,11 @@ class ManufacturedParams:
     """Modulated quasi-stationary family with bounded forcing.
 
     alpha >= (p-1)/(p-2) controls how fast the modulation collapses; T is the
-    (exact) blow-up time; c_p is copied from the profile constants.
+    (exact) blow-up time.
     """
 
     alpha: float
     T: float
-    c_p: float
 
 
 def manufactured_params(pc: ProfileConstants, alpha: float, T: float) -> ManufacturedParams:
@@ -277,7 +276,7 @@ def manufactured_params(pc: ProfileConstants, alpha: float, T: float) -> Manufac
     if alpha < min_alpha - 1e-12:
         raise DomainError(
             f"alpha must be >= (p-1)/(p-2) = {min_alpha}, got {alpha}")
-    return ManufacturedParams(alpha=float(alpha), T=float(T), c_p=pc.c_p)
+    return ManufacturedParams(alpha=float(alpha), T=float(T))
 
 
 def _x_factors(mp: ManufacturedParams, x):

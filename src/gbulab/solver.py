@@ -15,8 +15,9 @@ solves per step.  Its size aims at a relative change of grad_max of
 _REL_CHANGE per step (scaled from the last step's change) and is cut back
 when u or grad_max changed by more than twice that.  It depends only on the
 state and the last step's dt and grad_max, which series.csv records, so a
-resumed run repeats the one-shot run.  The graded step holds the wall values
-fixed; it supports no forcing.
+resumed run repeats the one-shot run.  It supports no forcing.  Both steps
+hold the walls of the state they step from; only `SolverConfig.boundary`
+sets them, in a forced run.
 
 The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
 uniform or graded in y, through the same step, run, persistence and resume:
@@ -90,7 +91,7 @@ class SolverConfig:
     # forcing(t) -> the (ny-2, nx-2) interior values at time t
     forcing: Optional[Callable] = None
     # boundary(t) -> the edge values (bottom, top, left, right) at time t;
-    # None holds u = 0 on the walls
+    # None holds the walls of the initial data
     boundary: Optional[Callable] = None
 
     def __post_init__(self):
@@ -207,12 +208,7 @@ def _dt_for(state: SimulationState, cfg: SolverConfig, g: Grid2D) -> float:
 
 
 def _apply_bc(u: np.ndarray, cfg: SolverConfig, t: float):
-    if cfg.boundary is None:
-        u[0, :] = 0.0
-        u[-1, :] = 0.0
-        u[:, 0] = 0.0
-        u[:, -1] = 0.0
-    else:  # the side columns take the corners
+    if cfg.boundary is not None:  # the side columns take the corners
         u[0, :], u[-1, :], u[:, 0], u[:, -1] = cfg.boundary(t)
 
 
@@ -229,6 +225,8 @@ class _HeunWork(_Work):
 
     def __init__(self, g: Grid2D):
         super().__init__(g)
+        # rhs_interior writes only the interior: k1 and k2 keep zero walls,
+        # so u1 and the new values keep the walls of u
         self.stages = tuple(np.zeros((g.ny, g.nx)) for _ in range(3))
 
 
@@ -412,7 +410,9 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     on a graded grid or a column); raises DtUnderflow below the dt floor."""
     g = state.field.grid
     ws = _workspace(g, state.work)
-    un, dt, gmax = (_heun if g.uniform else _step_graded)(state, cfg, ws)
+    # an overflow or NaN reaches gmax and is reported below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        un, dt, gmax = (_heun if g.uniform else _step_graded)(state, cfg, ws)
     if not np.isfinite(gmax):
         bad = np.argwhere(~np.isfinite(un))
         where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"

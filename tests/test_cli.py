@@ -15,7 +15,7 @@ import yaml
 
 from gbulab import _kernels, cli, solver
 from gbulab.errors import ConfigurationError, SnapshotError
-from gbulab.grid import to_json
+from gbulab.grid import Grid2D, to_json
 
 
 ABSENT = object()  # an override that deletes the key
@@ -233,6 +233,27 @@ def test_preset_builds(name):
     assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
     u0 = cfg.make_initial(cfg.make_grid())
     assert np.all(np.isfinite(u0.values)) and np.max(u0.values) > 0
+
+
+def test_config_without_domain_and_grid(tmp_path):
+    """A config that sets no domain and no grid runs on the 0.25 x 0.25
+    domain and the 129 x 129 grid that make_grid reads by default; meta.json
+    echoes no domain or grid values, and fit and check replay the run."""
+    path = write_config(tmp_path, solver={"t_max": 1e-5})
+    with open(path) as fh:
+        raw = yaml.safe_load(fh)
+    del raw["domain"], raw["grid"]
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
+    g = cli.load_config(path).make_grid()
+    assert g == Grid2D(Lx=0.25, Ly=0.25, nx=129, ny=129)
+    out = tmp_path / "r"
+    assert cli.main(["run", path, "-o", str(out)]) == cli.EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config"]["domain"] == {} and meta["config"]["grid"] == {}
+    assert meta["grid"] == {"Lx": 0.25, "Ly": 0.25, "nx": 129, "ny": 129}
+    assert cli.main(["fit", str(out)]) == cli.EXIT_OK
+    assert cli.main(["check", str(out)]) == cli.EXIT_OK
 
 
 def test_preset_registry():
@@ -736,19 +757,25 @@ def test_mms_study(tmp_path, capsys):
 @pytest.mark.parametrize("over", [
     {"alpha": ABSENT}, {"alpha": "abc"}, {"alpha": 1.0}, {"cfl_safety": 0.4},
     {"grids": []}, {"grids": [33]}, {"grids": [33, 64]},
-    {"alpha": float("nan")}, {"t_end": float("inf")}],
+    {"alpha": float("nan")}, {"t_end": float("inf")}, {"t_end": 0.0},
+    {"t_end": -0.1}],
     ids=["no-alpha", "alpha-abc", "alpha-below-2", "cfl_safety",
-         "no-grids", "one-grid", "even-grid", "alpha-nan", "t_end-inf"])
+         "no-grids", "one-grid", "even-grid", "alpha-nan", "t_end-inf",
+         "t_end-zero", "t_end-negative"])
 def test_mms_config_errors(tmp_path, capsys, over):
     """A missing, malformed, non-finite, out-of-range or unknown mms value
     exits 2 before any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3); so
-    does a ladder of fewer than two grids or one with an even n."""
+    does a ladder of fewer than two grids or one with an even n.  A t_end
+    outside (0, T) is named as t_end."""
     cfg = {"p": 3.0, "alpha": 3.0, "T": 1.0, "t_end": 0.02, **over}
     cfg = {k: v for k, v in cfg.items() if v is not ABSENT}
     path = tmp_path / "mms.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert cli.main(["mms", str(path)]) == cli.EXIT_CONFIG
-    assert "n=" not in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "n=" not in out
+    if "t_end" in over:
+        assert "t_end" in err
 
 
 def test_barrier_report(tmp_path):

@@ -216,7 +216,7 @@ def test_modulation_h_recovers_scalings():
     # h(t, x) = (T - t)^2 + 40 x^4, the quasi-stationary prediction
     H = (T - ts[:, None]) ** 2 + 40.0 * xs[None, :] ** 4
     rows = PC3.d_p * H ** -0.5
-    out = dg.modulation_h(ts, xs, rows, PC3)
+    out = dg.modulation_h(xs, rows, PC3)
     assert out["n_excluded"] == 0
     np.testing.assert_allclose(out["h"], H, rtol=1e-12)
     # at t_last the (T-t)^2 offset is ~1e-2; restrict to the x range where
@@ -228,7 +228,7 @@ def test_modulation_h_excludes_nonpositive():
     xs = np.linspace(-0.1, 0.1, 11)
     rows = np.full((2, 11), -1.0)
     rows[0, :] = PC3.d_p
-    out = dg.modulation_h([0.0, 0.1], xs, rows, PC3)
+    out = dg.modulation_h(xs, rows, PC3)
     assert out["n_excluded"] == 11
     assert np.all(out["h"][0] == pytest.approx(1.0))
     assert np.all(np.isnan(out["h"][1]))
@@ -261,7 +261,7 @@ def test_build_and_write_report(tmp_path):
     # the h table reads u_y on the wall, bit for bit the wall stencil's
     ts, xs, h = report["h_table"]
     wall = [_kernels.gradient(f.values, g)[1][0] for _, f in snaps]
-    np.testing.assert_array_equal(h, dg.modulation_h(ts, xs, wall, PC3)["h"])
+    np.testing.assert_array_equal(h, dg.modulation_h(xs, wall, PC3)["h"])
 
 
 def test_build_report_takes_each_gradient_once(monkeypatch):

@@ -41,6 +41,17 @@ def test_powerlaw_window_and_sign_filter():
         profile_fit.powerlaw_fit(s, -v, (1e-2, 1.0))
 
 
+def test_powerlaw_default_window_is_the_samples_range():
+    """Without a window the fit runs over the samples' own range: the same
+    fit, field for field, as with that range passed."""
+    rng = np.random.default_rng(7)
+    s = rng.uniform(1e-3, 1.0, 40)
+    v = 2.5 * s**-0.75 * (1.0 + 0.01 * rng.normal(size=40))
+    v[3] = -1.0  # a nonpositive sample is dropped either way
+    assert profile_fit.powerlaw_fit(s, v) == profile_fit.powerlaw_fit(
+        s, v, (s.min(), s.max()))
+
+
 def test_powerlaw_too_few_points():
     s = np.geomspace(1e-3, 1.0, 4)
     with pytest.raises(FitError):

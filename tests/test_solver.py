@@ -109,6 +109,35 @@ def test_mms_second_order():
     assert 1.7 < order < 2.3
 
 
+def edges(v):
+    """The wall values of v: bottom, top, left and right edges."""
+    return np.concatenate([v[0], v[-1], v[:, 0], v[:, -1]])
+
+
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_a_step_holds_the_walls(grid):
+    """Without a boundary callback both steps keep the walls of the state
+    they step from bit for bit, nonzero walls included."""
+    g = (Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33) if grid == "uniform"
+         else graded_grid())
+    X, Y = g.meshgrid()
+    u0 = ScalarField(g, 1.0 + X + Y + symmetric_cap(0.2, 0.18, g).values)
+    st = solver.step(solver.make_state(u0), SolverConfig(p=3.0))
+    assert not np.array_equal(st.field.values, u0.values)
+    assert np.array_equal(edges(st.field.values), edges(u0.values))
+
+
+def test_a_forced_run_takes_its_walls_from_boundary():
+    """A forced run's walls are boundary(t) at its final time, the side
+    columns taking the corners."""
+    u0, cfg, _ = mms_start(33, 0.001)
+    out = solver.run(u0, cfg)
+    want = np.empty_like(u0.values)
+    want[0], want[-1], want[:, 0], want[:, -1] = cfg.boundary(out.t_stop)
+    assert out.final.step > 1
+    assert np.array_equal(edges(out.final.field.values), edges(want))
+
+
 # --------------------------------------------------------------------------
 # Qualitative invariants
 # --------------------------------------------------------------------------
