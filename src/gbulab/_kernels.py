@@ -126,7 +126,7 @@ def u_xx(u, g):
 
 def _source(g2, p, out, k=None):
     """Write |grad u|^p = g2 k into out, for g2 = |grad u|^2, and
-    k = |grad u|^(p-2) into k if given; return k, which the graded step's
+    k = |grad u|^(p-2) into k if given; return k, which the implicit step's
     advection speed p k grad u shares."""
     k = np.sqrt(g2, out=k) if p == 3.0 else np.power(g2, p / 2.0 - 1.0,
                                                       out=k)

@@ -239,12 +239,14 @@ class Grid2D:
 
     @cached_property
     def ax(self) -> Axis:
-        """Stencil weights along x (graded grids)."""
+        """Stencil weights along x: the graded stencils', and the implicit
+        step's line solves' on every grid."""
         return Axis(self.x)
 
     @cached_property
     def ay(self) -> Axis:
-        """Stencil weights along y (graded grids)."""
+        """Stencil weights along y: the graded stencils', and the implicit
+        step's line solves' on every grid."""
         return Axis(self.y)
 
     def meshgrid(self):

@@ -1,31 +1,34 @@
 """Adaptive integration of u_t = Lap(u) + |grad u|^p (+ forcing) with
 Dirichlet boundary, blow-up-aware stopping and snapshot persistence.
 
-On a uniform grid the step is explicit Heun.  Its size blends the diffusive
-limit min(h)^2/4 with an advective limit h / (p |grad u|^(p-1)) so the
-gradient-stiff endgame stays stable, with a fixed safety factor of 0.4:
+The step depends on whether the run is forced.  An unforced run, on a
+uniform grid, a graded grid or a column, takes linearized implicit Euler with
+approximate factorization, (I - dt J_x)(I - dt J_y) (u_new - u) = dt F(u),
+where F is the right-hand side and J_x, J_y hold the diffusion and the
+linearized p |grad u|^(p-2) grad u . grad along one axis each: two batched
+tridiagonal solves per step.  Its size aims at a relative change of grad_max
+of _REL_CHANGE per step (scaled from the last step's change) and is cut back
+when u or grad_max changed by more than twice that.  It depends only on the
+state and the last step's dt and grad_max, which series.csv records, so a
+resumed run repeats the one-shot run.
+
+A forced run takes explicit Heun steps on a uniform grid.  Their size blends
+the diffusive limit min(h)^2/4 with an advective limit h / (p |grad u|^(p-1)),
+with a fixed safety factor of 0.4:
 
     dt = 0.4 * min(h)^2/4 / (1 + p * grad_max^(p-1) * min(h)/4)
 
-On a graded grid the step is linearized implicit Euler with approximate
-factorization, (I - dt J_x)(I - dt J_y) (u_new - u) = dt F(u), where F is
-the right-hand side and J_x, J_y hold the diffusion and the linearized
-p |grad u|^(p-2) grad u . grad along one axis each: two batched tridiagonal
-solves per step.  Its size aims at a relative change of grad_max of
-_REL_CHANGE per step (scaled from the last step's change) and is cut back
-when u or grad_max changed by more than twice that.  It depends only on the
-state and the last step's dt and grad_max, which series.csv records, so a
-resumed run repeats the one-shot run.  It supports no forcing.  Both steps
-hold the walls of the state they step from; only `SolverConfig.boundary`
-sets them, in a forced run.
+Both steps hold the walls of the state they step from; only
+`SolverConfig.boundary` sets them, in a forced run.
 
 The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
 uniform or graded in y, through the same step, run, persistence and resume:
-it takes the graded step with one y sweep and no x sweep.
+it takes the implicit step with one y sweep and no x sweep.
 
 A forced run (the MMS study) passes `SolverConfig.forcing` and
 `SolverConfig.boundary`, two callbacks that take only the time: forcing(t)
-returns the interior values and boundary(t) the four edges.  They are meant
+returns the interior values and boundary(t) the four edges.  A forced graded
+grid or column raises ConfigurationError.  The callbacks are meant
 to be bound to the grid's nodes once, as `profile_math.manufactured_callbacks`
 binds the manufactured solution, so a step rebuilds no coordinates.
 
@@ -33,10 +36,11 @@ Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
 (`SimulationState.work`, made by `make_state` and dropped from the run's
 outcome), so independent runs share nothing and may execute concurrently.
-The workspace depends on the grid alone and holds every interior-size buffer
-a step needs: the kernels' scratch, the gradient handed between steps, and
-Heun's stage buffers or the graded step's right-hand side and line-solve
-buffers.  A step allocates no interior-size array but its new values.
+The workspace holds every interior-size buffer a step needs: the kernels'
+scratch and the gradient handed between steps, made with the state, and
+Heun's stage buffers or the implicit step's right-hand side and line-solve
+buffers, made by the run's first step, so a run holds only its own step's.
+A step allocates no interior-size array but its new values.
 Both steps hand the gradient that their grad_max formed for the new state to
 the next step's first right-hand side ("first same as last"), which then
 forms only the Laplacian and the source; the stencils give the same bits
@@ -114,8 +118,7 @@ class SimulationState:
     uy_origin: float
     dt_last: float
     grad_prev: Optional[float] = None  # grad_max one step earlier
-    # the run's buffers, a _HeunWork or a _GradedWork; a run's outcome
-    # drops them
+    # the run's buffers, a _Work; a run's outcome drops them
     work: object = None
 
 
@@ -148,7 +151,9 @@ class _Work:
     ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
     the next step's right-hand side; `tmp` is one more array of the grid's
     shape; `scratch` is the six interior-size arrays that
-    `_kernels.rhs_interior` takes (none on a column)."""
+    `_kernels.rhs_interior` takes (none on a column).  `stages` (Heun's)
+    or `F` and `sweeps` (the implicit step's) are made by the run's first
+    step; the other step's stay None."""
 
     def __init__(self, g: Grid2D):
         self.grid = g
@@ -158,6 +163,7 @@ class _Work:
         self.scratch = () if g.is_column else tuple(
             np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
         self.of = None
+        self.stages = self.F = self.sweeps = None
 
     def grad_max(self, u: np.ndarray) -> float:
         """Largest |grad u| over every node (a column has only u_y); the
@@ -182,11 +188,11 @@ class _Work:
 
 
 def _workspace(g: Grid2D, ws) -> _Work:
-    """ws if it is the workspace of grid g, else a new one of the kind the
-    step on g takes: Heun's on a uniform grid, the graded step's otherwise."""
+    """ws if it is the workspace of grid g, else a new one, which holds no
+    step's own buffers until a step makes them."""
     if ws is not None and ws.grid is g:
         return ws
-    return (_HeunWork if g.uniform else _GradedWork)(g)
+    return _Work(g)
 
 
 def make_state(u0: ScalarField) -> SimulationState:
@@ -219,17 +225,6 @@ def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
                           f"at t={state.t:.6g}, step {state.step}")
 
 
-class _HeunWork(_Work):
-    """`_Work` with the stage buffers (k1, k2, u1) of one run's Heun steps,
-    of the grid's shape."""
-
-    def __init__(self, g: Grid2D):
-        super().__init__(g)
-        # rhs_interior writes only the interior: k1 and k2 keep zero walls,
-        # so u1 and the new values keep the walls of u
-        self.stages = tuple(np.zeros((g.ny, g.nx)) for _ in range(3))
-
-
 def _rhs(u, g, cfg, t, out, scratch, grad=None):
     """Write the right-hand side at time t, forcing included, into out."""
     _kernels.rhs_interior(u, g, cfg.p, out, scratch, grad)
@@ -244,6 +239,10 @@ def _heun(state: SimulationState, cfg: SolverConfig, ws):
     g, u, t = state.field.grid, state.field.values, state.t
     dt = _dt_for(state, cfg, g)
     _check_dt(dt, cfg, state)
+    if ws.stages is None:
+        # k1, k2 and u1; rhs_interior writes only the interior, so k1 and k2
+        # keep zero walls and u1 and the new values keep the walls of u
+        ws.stages = tuple(np.zeros((g.ny, g.nx)) for _ in range(3))
     k1, k2, u1 = ws.stages
     _rhs(u, g, cfg, t, k1, ws.scratch, ws.handed(u))
     np.multiply(k1, dt, out=u1)
@@ -257,22 +256,26 @@ def _heun(state: SimulationState, cfg: SolverConfig, ws):
     return un, dt, ws.grad_max(un)
 
 
-# target relative change of u and grad_max per graded step: halving it from
+# target relative change of u and grad_max per implicit step: halving it from
 # 0.05 moved the p3-blowup fits (aniso residual 0.338 -> 0.318), halving it
 # again did not
 _REL_CHANGE = 0.025
-_DT_GROWTH = 1.5  # largest growth of dt from one graded step to the next
+_DT_GROWTH = 1.5  # largest growth of dt from one implicit step to the next
 
 
-def _dt_graded(state: SimulationState, cfg: SolverConfig, umax, F) -> float:
-    """First guess of the graded step size: the last dt scaled to a
+def _dt_implicit(state: SimulationState, cfg: SolverConfig, umax, F) -> float:
+    """First guess of the implicit step size: the last dt scaled to a
     _REL_CHANGE change of grad_max, or on the first step a _REL_CHANGE
-    change of u, whose largest |value| is umax, at the rate F."""
+    change of u, whose largest |value| is umax, at the rate F; NumericError
+    if that rate is not finite."""
     if state.grad_prev and state.dt_last > 0:
         rel = abs(state.grad_max - state.grad_prev) / state.grad_prev
         growth = _REL_CHANGE / rel if rel > 0 else _DT_GROWTH
         return min(state.dt_last * min(growth, _DT_GROWTH), cfg.t_max)
     fmax = float(np.max(np.abs(F)))
+    if not np.isfinite(fmax):
+        raise NumericError("non-finite right-hand side at step "
+                           f"{state.step + 1}")
     if fmax == 0.0:
         return cfg.t_max
     return min(_REL_CHANGE * umax / fmax, cfg.t_max)
@@ -347,25 +350,16 @@ class _Sweep:
         return _thomas(self.lo, self.Z, self.rows)
 
 
-class _GradedWork(_Work):
-    """`_Work` with the buffers of one run's graded steps: the right-hand
-    side F and a `_Sweep` per axis, x first."""
-
-    def __init__(self, g: Grid2D):
-        super().__init__(g)
-        self.F = np.zeros((g.ny, g.nx))  # its walls stay 0
-        self.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
-            _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
-
-
-def _step_graded(state: SimulationState, cfg: SolverConfig, ws):
+def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     """One linearly implicit step on the buffers of ws: (the new values,
     dt, their grad_max)."""
-    if cfg.forcing or cfg.boundary:
-        raise ConfigurationError("graded grids and columns run unforced only")
     g = state.field.grid
     u = state.field.values
     handed = ws.handed(u)
+    if ws.sweeps is None:  # the right-hand side and a _Sweep per axis, x first
+        ws.F = np.zeros((g.ny, g.nx))  # its walls stay 0
+        ws.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
+            _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
     F = ws.F
     if g.is_column:  # one y sweep over the interior rows
         inner = np.s_[1:-1]
@@ -384,7 +378,7 @@ def _step_graded(state: SimulationState, cfg: SolverConfig, ws):
         np.multiply(a, uy, out=ws.sweeps[1].speed)
         src = F[inner].T
     umax = float(np.max(np.abs(u, out=ws.tmp)))
-    dt = _dt_graded(state, cfg, umax, F)
+    dt = _dt_implicit(state, cfg, umax, F)
     while True:
         _check_dt(dt, cfg, state)
         np.multiply(src, dt, out=ws.sweeps[0].Z[:, 1])
@@ -406,13 +400,17 @@ def _step_graded(state: SimulationState, cfg: SolverConfig, ws):
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
-    """Advance one adaptive step (Heun on a uniform grid, linearly implicit
-    on a graded grid or a column); raises DtUnderflow below the dt floor."""
+    """Advance one adaptive step (linearly implicit in an unforced run, Heun
+    in a forced one, which needs a uniform grid); raises DtUnderflow below
+    the dt floor."""
     g = state.field.grid
+    forced = cfg.forcing is not None or cfg.boundary is not None
+    if forced and not g.uniform:
+        raise ConfigurationError("graded grids and columns run unforced only")
     ws = _workspace(g, state.work)
     # an overflow or NaN reaches gmax and is reported below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        un, dt, gmax = (_heun if g.uniform else _step_graded)(state, cfg, ws)
+        un, dt, gmax = (_heun if forced else _step_implicit)(state, cfg, ws)
     if not np.isfinite(gmax):
         bad = np.argwhere(~np.isfinite(un))
         where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"
@@ -609,7 +607,7 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     if not 0 <= last.step < len(old["t"]):
         raise SnapshotError(f"{run_dir}: snapshot step {last.step} is not a "
                             f"row of series.csv ({len(old['t'])} rows)")
-    # the graded step sizes dt from the last step's dt and grad_max change
+    # the implicit step sizes dt from the last step's dt and grad_max change
     st.dt_last = float(old["dt"][last.step])
     if last.step > 0:
         st.grad_prev = float(old["grad_max"][last.step - 1])

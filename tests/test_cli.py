@@ -518,16 +518,22 @@ def test_dt_underflow_reported_as_outcome(tmp_path, capsys):
 
 
 def test_numeric_failure_writes_crash_json(tmp_path):
-    """A cap of amplitude 1e150 overflows the source term on its first step:
-    exit 3 and crash.json, in the run-directory JSON format.  The directory
-    has no meta.json, so check reports it as malformed."""
-    cfg = write_config(tmp_path, initial_data={"amplitude": 1e150},
-                       solver={"stop_grad_norm": 1e300, "dt_floor": 1e-320})
-    out = tmp_path / "r"
-    assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_NUMERIC
-    text = (out / "crash.json").read_text()
-    assert "non-finite" in json.loads(text)["error"] and text.endswith("\n")
-    assert cli.main(["check", str(out)]) == cli.EXIT_SNAPSHOT
+    """A cap of amplitude 1e150 overflows the source term on its first step,
+    on a uniform and on a graded grid: exit 3 and crash.json, in the
+    run-directory JSON format.  The directory has no meta.json, so check
+    reports it as malformed."""
+    over = {"initial_data": {"amplitude": 1e150},
+            "solver": {"stop_grad_norm": 1e300, "dt_floor": 1e-320}}
+    uniform = write_config(tmp_path, **over)
+    graded = rewrite(write_config(tmp_path, name="graded.yaml", **over),
+                     grid=GRADED)
+    for name, cfg in (("uniform", uniform), ("graded", graded)):
+        out = tmp_path / name
+        assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_NUMERIC
+        text = (out / "crash.json").read_text()
+        assert "non-finite" in json.loads(text)["error"]
+        assert text.endswith("\n")
+        assert cli.main(["check", str(out)]) == cli.EXIT_SNAPSHOT
 
 
 def test_empty_level_set_window_is_a_fit_error(tmp_path):

@@ -206,7 +206,7 @@ def test_column_kernels_exact_on_quadratics():
 @pytest.mark.parametrize("shape", ["uniform", "graded", "column"])
 def test_rhs_source_is_g2_times_the_returned_power(shape, p):
     """The right-hand side writes the source as g2 k, g2 = |grad u|^2, and
-    returns k = |grad u|^(p-2), from which the graded step takes its speed."""
+    returns k = |grad u|^(p-2), from which the implicit step takes its speed."""
     def fn(X, Y):
         return np.sin(2 * X + 1) * np.cos(3 * Y) + 2.0 * Y
     if shape == "column":

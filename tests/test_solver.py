@@ -64,17 +64,6 @@ def test_steady_state_residual_1d():
     assert drift < 5e-4
 
 
-def test_dt_formula():
-    g = Grid2D(Lx=0.5, Ly=0.5, nx=33, ny=33)
-    cfg = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
-    st = solver.make_state(symmetric_cap(0.2, 0.3, g))
-    h = min(g.hx, g.hy)
-    expected = solver._CFL_SAFETY * h * h / 4.0 \
-        / (1.0 + cfg.p * st.grad_max ** (cfg.p - 1.0) * h / 4.0)
-    st2 = solver.step(st, cfg)
-    assert st2.dt_last == pytest.approx(expected, rel=1e-14)
-
-
 # --------------------------------------------------------------------------
 # Manufactured-solution accuracy
 # --------------------------------------------------------------------------
@@ -109,6 +98,53 @@ def test_mms_second_order():
     assert 1.7 < order < 2.3
 
 
+def test_dt_formula():
+    """A forced run's Heun step takes the blended explicit limit."""
+    u0, cfg, _ = mms_start(33, 1.0)
+    g = u0.grid
+    st = solver.make_state(u0)
+    h = min(g.hx, g.hy)
+    expected = solver._CFL_SAFETY * h * h / 4.0 \
+        / (1.0 + cfg.p * st.grad_max ** (cfg.p - 1.0) * h / 4.0)
+    st2 = solver.step(st, cfg)
+    assert st2.dt_last == pytest.approx(expected, rel=1e-14)
+
+
+def test_the_step_follows_the_forcing(monkeypatch):
+    """An unforced run takes the implicit step on a uniform grid as on a
+    graded one, and a forced run takes Heun's; a run makes only its own
+    step's buffers."""
+    taken = []
+
+    def recording(name):
+        real = getattr(solver, name)
+
+        def wrapped(*args):
+            taken.append(name)
+            return real(*args)
+        return wrapped
+
+    for name in ("_heun", "_step_implicit"):
+        monkeypatch.setattr(solver, name, recording(name))
+    uniform = Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33)
+    forced_u0, forced, _ = mms_start(33, 1.0)
+    for u0, cfg, want in (
+            (symmetric_cap(0.2, 0.18, uniform), SolverConfig(p=3.0),
+             "_step_implicit"),
+            (symmetric_cap(0.2, 0.18, graded_grid()), SolverConfig(p=3.0),
+             "_step_implicit"),
+            (forced_u0, forced, "_heun")):
+        ws = advance(solver.make_state(u0), cfg, 2).work
+        assert taken == [want] * 2
+        taken.clear()
+        if want == "_heun":
+            assert ws.stages is not None
+            assert ws.F is None and ws.sweeps is None
+        else:
+            assert ws.stages is None
+            assert ws.F is not None and ws.sweeps is not None
+
+
 def edges(v):
     """The wall values of v: bottom, top, left and right edges."""
     return np.concatenate([v[0], v[-1], v[:, 0], v[:, -1]])
@@ -116,8 +152,8 @@ def edges(v):
 
 @pytest.mark.parametrize("grid", ["uniform", "graded"])
 def test_a_step_holds_the_walls(grid):
-    """Without a boundary callback both steps keep the walls of the state
-    they step from bit for bit, nonzero walls included."""
+    """Without a boundary callback a step keeps the walls of the state it
+    steps from bit for bit, nonzero walls included."""
     g = (Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33) if grid == "uniform"
          else graded_grid())
     X, Y = g.meshgrid()
@@ -372,13 +408,13 @@ def fsal_runs():
     domain of a uniform grid an unforced cap and a forced 33² run from
     manufactured_callbacks, whose boundary moves every step."""
     graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
-    heun = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
+    cap = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
     mms_u0, mms, _ = mms_start(33, 1e-3)
     uniform = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=33)
     return [(symmetric_cap(0.4, 0.18, g), graded,
              replace(graded, stop_grad_norm=300.0))
             for g in (graded_grid(), graded_column())] + [
-        (symmetric_cap(0.1, 0.18, uniform), heun, replace(heun, t_max=1e-3)),
+        (symmetric_cap(0.1, 0.18, uniform), cap, replace(cap, t_max=1e-3)),
         (mms_u0, mms, replace(mms, t_max=2e-3))]
 
 
@@ -427,25 +463,33 @@ def test_handed_gradient_changes_no_bit():
             assert (a.dt_last, a.grad_max) == (b.dt_last, b.grad_max)
 
 
-@pytest.mark.parametrize("grid", ["uniform", "graded"])
+@pytest.mark.parametrize("grid", ["uniform", "graded", "forced"])
 def test_a_step_allocates_little_beyond_its_new_state(grid):
     """After a warm-up step, a full-domain step's traced allocation peak
     stays within 1.5 u.nbytes: the new state's values, plus numpy's own
     ufunc buffers (up to three of `np.getbufsize()` values, 192 KiB, for an
     operation on strided views), but no interior-size temporary, of about
-    u.nbytes each.  Before the kernels took the workspace's scratch, the
-    peak was 5.2 u.nbytes here for the Heun step and 4.2 for the graded
-    one.  The grids hold over 65k nodes, so numpy's buffers stay under
-    0.4 u.nbytes; on 129² they alone are 1.48 u.nbytes."""
-    if grid == "uniform":
-        g = Grid2D(Lx=0.25, Ly=0.06, nx=257, ny=257)
-        cfg = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
+    u.nbytes each.  It holds for the implicit step on a uniform and on a
+    graded grid, and for the Heun step of a forced run, whose forcing
+    callback overwrites one array of its own.  Before the kernels took
+    the workspace's scratch, the peak was 5.2 u.nbytes for the Heun step
+    on an unforced uniform grid and 4.2 for the graded step.  The grids
+    hold over 65k nodes, so numpy's buffers stay under 0.4 u.nbytes; on
+    129² they alone are 1.48 u.nbytes."""
+    if grid == "forced":
+        u0, cfg, _ = mms_start(257, 1.0)
     else:
-        g = Grid2D.graded(0.25, 0.06, y_first=1e-5, y_ratio=1.2, y_max=3e-4,
-                          x_first=1e-3, x_ratio=1.1, x_max=1.5e-3)
-        cfg = SolverConfig(p=3.0, t_max=0.05)
-    assert g.nx * g.ny > 65_000
-    st = solver.step(solver.make_state(symmetric_cap(0.4, 0.18, g)), cfg)
+        if grid == "uniform":
+            g = Grid2D(Lx=0.25, Ly=0.06, nx=257, ny=257)
+            cfg = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
+        else:
+            g = Grid2D.graded(0.25, 0.06, y_first=1e-5, y_ratio=1.2,
+                              y_max=3e-4, x_first=1e-3, x_ratio=1.1,
+                              x_max=1.5e-3)
+            cfg = SolverConfig(p=3.0, t_max=0.05)
+        u0 = symmetric_cap(0.4, 0.18, g)
+    assert u0.grid.nx * u0.grid.ny > 65_000
+    st = solver.step(solver.make_state(u0), cfg)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -458,14 +502,15 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
 
 def test_outcome_holds_no_buffers():
     """The run's workspace goes when its loop ends, before the caller fits
-    anything: the final state of a Heun run, a graded run and a column run
-    holds none."""
+    anything: the final state of a forced (Heun) run, and of an unforced run
+    on a uniform grid, a graded grid and a column, holds none."""
     g = Grid2D(Lx=0.25, Ly=0.06, nx=33, ny=33)
-    heun = SolverConfig(p=3.0, t_max=1e-5)
-    graded = SolverConfig(p=3.0, t_max=1e-3)
-    for grid, cfg in ((g, heun), (graded_grid(), graded),
-                      (graded_column(), graded)):
-        out = solver.run(symmetric_cap(0.4, 0.18, grid), cfg)
+    cfg = SolverConfig(p=3.0, t_max=1e-3)
+    forced_u0, forced, _ = mms_start(33, 1e-5)
+    runs = [(symmetric_cap(0.4, 0.18, grid), cfg)
+            for grid in (g, graded_grid(), graded_column())]
+    for u0, cfg in runs + [(forced_u0, forced)]:
+        out = solver.run(u0, cfg)
         assert out.final.step > 0 and out.final.work is None
 
 
