@@ -229,14 +229,18 @@ def load_config(path) -> RunConfig:
 
 def load_mms(path) -> dict:
     """An mms config, its values converted by MMS_SCHEMA and its defaults
-    filled in; each grid of its ladder (two or more) is built, to check it."""
+    filled in; each grid of its ladder (two or more, each halving the last
+    one's h, as the orders it prints assume) is built, to check it."""
     m = {"Lx": 0.5, "Ly": 0.5, "grids": [33, 65, 129],
          **convert("", _read_yaml(path), MMS_SCHEMA)}
     _require("", m, ("p", "alpha", "T", "t_end"))
-    if len(m["grids"]) < 2:
-        raise ConfigurationError(f"grids: need two or more, got {m['grids']}")
-    for n in m["grids"]:
+    grids = m["grids"]
+    for n in grids:
         Grid2D(Lx=m["Lx"], Ly=m["Ly"], nx=n, ny=n)
+    if len(grids) < 2 or any(n - 1 != 2 * (prev - 1)
+                             for prev, n in zip(grids, grids[1:])):
+        raise ConfigurationError("grids: need two or more, each n - 1 twice "
+                                 f"the one before, got {grids}")
     return m
 
 

@@ -26,11 +26,14 @@ uniform or graded in y, through the same step, run, persistence and resume:
 it takes the implicit step with one y sweep and no x sweep.
 
 A forced run (the MMS study) passes `SolverConfig.forcing` and
-`SolverConfig.boundary`, two callbacks that take only the time: forcing(t)
-returns the interior values and boundary(t) the four edges.  A forced graded
-grid or column raises ConfigurationError.  The callbacks are meant
-to be bound to the grid's nodes once, as `profile_math.manufactured_callbacks`
-binds the manufactured solution, so a step rebuilds no coordinates.
+`SolverConfig.boundary`, two callbacks that must be functions of the time
+alone: forcing(t) returns the interior values and boundary(t) the four
+edges.  A Heun step evaluates each once per time level: one boundary(t + dt)
+sets the walls of u1 and of the new values, and its second stage hands
+forcing(t + dt) to the next step's first.  A forced graded grid or column
+raises ConfigurationError.  The callbacks are meant to be bound to the
+grid's nodes once, as `profile_math.manufactured_callbacks` binds the
+manufactured solution, so a step rebuilds no coordinates.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
@@ -92,7 +95,8 @@ class SolverConfig:
     stop_grad_norm: Optional[float] = None  # None -> default_stop_grad_norm
     t_max: float = 1.0
     snapshot_stride: int = 0  # steps between periodic snapshots; 0 disables
-    # forcing(t) -> the (ny-2, nx-2) interior values at time t
+    # functions of t alone, each evaluated once per time level by a Heun
+    # step; forcing(t) -> the (ny-2, nx-2) interior values at time t
     forcing: Optional[Callable] = None
     # boundary(t) -> the edge values (bottom, top, left, right) at time t;
     # None holds the walls of the initial data
@@ -151,9 +155,9 @@ class _Work:
     ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
     the next step's right-hand side; `tmp` is one more array of the grid's
     shape; `scratch` is the six interior-size arrays that
-    `_kernels.rhs_interior` takes (none on a column).  `stages` (Heun's)
-    or `F` and `sweeps` (the implicit step's) are made by the run's first
-    step; the other step's stay None."""
+    `_kernels.rhs_interior` takes (none on a column).  `stages` and `f`,
+    the forcing at time `f_t` handed between Heun steps (Heun's), or `F` and
+    `sweeps` (the implicit step's) are made by the run's first step."""
 
     def __init__(self, g: Grid2D):
         self.grid = g
@@ -162,8 +166,8 @@ class _Work:
         self.tmp = np.empty((g.ny, g.nx))
         self.scratch = () if g.is_column else tuple(
             np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
-        self.of = None
-        self.stages = self.F = self.sweeps = None
+        self.of = self.f_t = None
+        self.stages = self.f = self.F = self.sweeps = None
 
     def grad_max(self, u: np.ndarray) -> float:
         """Largest |grad u| over every node (a column has only u_y); the
@@ -213,9 +217,9 @@ def _dt_for(state: SimulationState, cfg: SolverConfig, g: Grid2D) -> float:
     return diff / (1.0 + cfg.p * state.grad_max ** (cfg.p - 1.0) * h / 4.0)
 
 
-def _apply_bc(u: np.ndarray, cfg: SolverConfig, t: float):
-    if cfg.boundary is not None:  # the side columns take the corners
-        u[0, :], u[-1, :], u[:, 0], u[:, -1] = cfg.boundary(t)
+def _apply_bc(u: np.ndarray, walls):
+    if walls is not None:  # the side columns take the corners
+        u[0, :], u[-1, :], u[:, 0], u[:, -1] = walls
 
 
 def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
@@ -225,17 +229,21 @@ def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
                           f"at t={state.t:.6g}, step {state.step}")
 
 
-def _rhs(u, g, cfg, t, out, scratch, grad=None):
-    """Write the right-hand side at time t, forcing included, into out."""
-    _kernels.rhs_interior(u, g, cfg.p, out, scratch, grad)
+def _rhs(u, g, cfg, t, out, ws, grad=None):
+    """Write the right-hand side at time t, forcing included, into out; the
+    forcing comes from ws.f if it is forcing(t), else it is evaluated there."""
+    _kernels.rhs_interior(u, g, cfg.p, out, ws.scratch, grad)
     if cfg.forcing is not None:
-        out[1:-1, 1:-1] += cfg.forcing(t)
+        if ws.f_t != t:
+            np.copyto(ws.f, cfg.forcing(t))
+            ws.f_t = t
+        out[1:-1, 1:-1] += ws.f
 
 
 def _heun(state: SimulationState, cfg: SolverConfig, ws):
     """One Heun step on the buffers of ws: (the new values, dt, their
-    grad_max).  The first right-hand side takes the handed gradient, if
-    any."""
+    grad_max).  The first right-hand side takes the handed gradient and
+    forcing, if any."""
     g, u, t = state.field.grid, state.field.values, state.t
     dt = _dt_for(state, cfg, g)
     _check_dt(dt, cfg, state)
@@ -243,16 +251,18 @@ def _heun(state: SimulationState, cfg: SolverConfig, ws):
         # k1, k2 and u1; rhs_interior writes only the interior, so k1 and k2
         # keep zero walls and u1 and the new values keep the walls of u
         ws.stages = tuple(np.zeros((g.ny, g.nx)) for _ in range(3))
+        ws.f = np.empty((g.ny - 2, g.nx - 2))
     k1, k2, u1 = ws.stages
-    _rhs(u, g, cfg, t, k1, ws.scratch, ws.handed(u))
+    _rhs(u, g, cfg, t, k1, ws, ws.handed(u))
     np.multiply(k1, dt, out=u1)
     u1 += u
-    _apply_bc(u1, cfg, t + dt)
-    _rhs(u1, g, cfg, t + dt, k2, ws.scratch)
+    walls = None if cfg.boundary is None else cfg.boundary(t + dt)
+    _apply_bc(u1, walls)
+    _rhs(u1, g, cfg, t + dt, k2, ws)
     np.add(k1, k2, out=k1)
     un = np.multiply(k1, 0.5 * dt)
     un += u
-    _apply_bc(un, cfg, t + dt)
+    _apply_bc(un, walls)
     return un, dt, ws.grad_max(un)
 
 

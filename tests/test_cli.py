@@ -763,16 +763,21 @@ def test_mms_study(tmp_path, capsys):
 @pytest.mark.parametrize("over", [
     {"alpha": ABSENT}, {"alpha": "abc"}, {"alpha": 1.0}, {"cfl_safety": 0.4},
     {"grids": []}, {"grids": [33]}, {"grids": [33, 64]},
+    {"grids": [33, 33]}, {"grids": [65, 33]}, {"grids": [33, 49]},
+    {"grids": [33, 65, 127]},
     {"alpha": float("nan")}, {"t_end": float("inf")}, {"t_end": 0.0},
     {"t_end": -0.1}],
     ids=["no-alpha", "alpha-abc", "alpha-below-2", "cfl_safety",
-         "no-grids", "one-grid", "even-grid", "alpha-nan", "t_end-inf",
+         "no-grids", "one-grid", "even-grid", "same-grid", "coarser-grid",
+         "not-halving", "last-not-halving", "alpha-nan", "t_end-inf",
          "t_end-zero", "t_end-negative"])
 def test_mms_config_errors(tmp_path, capsys, over):
     """A missing, malformed, non-finite, out-of-range or unknown mms value
     exits 2 before any grid is run (alpha >= (p-1)/(p-2) = 2 at p = 3); so
-    does a ladder of fewer than two grids or one with an even n.  A t_end
-    outside (0, T) is named as t_end."""
+    does a ladder of fewer than two grids, one with an even n, or one whose
+    grids do not each halve h (n - 1 twice the last one's), on which log2
+    of an error ratio is no order.  A t_end outside (0, T) is named as
+    t_end."""
     cfg = {"p": 3.0, "alpha": 3.0, "T": 1.0, "t_end": 0.02, **over}
     cfg = {k: v for k, v in cfg.items() if v is not ABSENT}
     path = tmp_path / "mms.yaml"

@@ -138,10 +138,10 @@ def test_the_step_follows_the_forcing(monkeypatch):
         assert taken == [want] * 2
         taken.clear()
         if want == "_heun":
-            assert ws.stages is not None
+            assert ws.stages is not None and ws.f is not None
             assert ws.F is None and ws.sweeps is None
         else:
-            assert ws.stages is None
+            assert ws.stages is None and ws.f is None
             assert ws.F is not None and ws.sweeps is not None
 
 
@@ -172,6 +172,43 @@ def test_a_forced_run_takes_its_walls_from_boundary():
     want[0], want[-1], want[:, 0], want[:, -1] = cfg.boundary(out.t_stop)
     assert out.final.step > 1
     assert np.array_equal(edges(out.final.field.values), edges(want))
+
+
+def test_a_forced_run_evaluates_each_callback_once_per_time_level():
+    """A forced run of N steps evaluates forcing N + 1 times, once at each
+    time it reaches (a Heun step's second stage hands forcing(t + dt) to
+    the next step's first), and boundary N times, once per step for both
+    u1 and the new values."""
+    u0, cfg, _ = mms_start(33, 1e-3)
+    times = {"forcing": [], "boundary": []}
+
+    def recorded(name, callback):
+        def wrapped(t):
+            times[name].append(t)
+            return callback(t)
+        return wrapped
+
+    out = solver.run(u0, replace(
+        cfg, forcing=recorded("forcing", cfg.forcing),
+        boundary=recorded("boundary", cfg.boundary)))
+    levels = out.series["t"].tolist()
+    assert len(levels) == out.final.step + 1 > 2
+    assert times == {"forcing": levels, "boundary": levels[1:]}
+
+
+def test_handed_forcing_is_taken_only_at_its_time():
+    """A step from a state whose workspace holds the forcing of another
+    time (here the state's own t moved on) evaluates the forcing itself:
+    it gives the bits of a step from the same state without the
+    workspace."""
+    u0, cfg, _ = mms_start(33, 1.0)
+    st = solver.step(solver.make_state(u0), cfg)
+    assert st.work.f_t == st.t
+    moved = replace(st, t=st.t + 1e-4)
+    a = solver.step(moved, cfg)
+    b = solver.step(replace(moved, work=None), cfg)
+    assert np.array_equal(a.field.values, b.field.values)
+    assert (a.dt_last, a.grad_max) == (b.dt_last, b.grad_max)
 
 
 # --------------------------------------------------------------------------
