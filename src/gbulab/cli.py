@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import functools
+import math
 import os
 import shutil
 import sys
@@ -428,16 +429,21 @@ def cmd_mms(config_path) -> int:
     def exact(x, y, t):
         return manufactured_solution(mp, pc, x, y, t)[0]
 
-    errors = []
+    errors, n_steps = [], None
     for n in grids:
         g = Grid2D(Lx=Lx, Ly=Ly, nx=n, ny=n)
+        # the fewest equal steps with dt <= min(h)^2 on the coarsest grid,
+        # then 4x the last grid's, so that dt / h^2 is the same on every grid
+        n_steps = (math.ceil(t_end / min(g.hx, g.hy) ** 2) if n_steps is None
+                   else 4 * n_steps)
         X, Y = g.meshgrid()
         u0 = ScalarField(g, exact(X, Y, 0.0))
         forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
         scfg = solver.SolverConfig(p=p, t_max=t_end, stop_grad_norm=1e30,
-                                   forcing=forcing, boundary=boundary)
+                                   forcing=forcing, boundary=boundary,
+                                   n_steps=n_steps)
         outcome = solver.run(u0, scfg)
-        uex = exact(X, Y, outcome.t_stop)
+        uex = exact(X, Y, t_end)  # where every grid's run ends
         err = float(np.max(np.abs(outcome.final.field.values - uex)))
         errors.append(err)
         print(f"n={n:4d}  h={g.hx:.5f}  max_err={err:.6e}")

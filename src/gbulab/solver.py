@@ -1,55 +1,52 @@
-"""Adaptive integration of u_t = Lap(u) + |grad u|^p (+ forcing) with
-Dirichlet boundary, blow-up-aware stopping and snapshot persistence.
+"""Integration of u_t = Lap(u) + |grad u|^p (+ forcing) with Dirichlet
+boundary, blow-up-aware stopping and snapshot persistence.
 
-The step depends on whether the run is forced.  An unforced run, on a
-uniform grid, a graded grid or a column, takes linearized implicit Euler with
-approximate factorization, (I - dt J_x)(I - dt J_y) (u_new - u) = dt F(u),
-where F is the right-hand side and J_x, J_y hold the diffusion and the
-linearized p |grad u|^(p-2) grad u . grad along one axis each: two batched
-tridiagonal solves per step.  Its size aims at a relative change of grad_max
-of _REL_CHANGE per step (scaled from the last step's change) and is cut back
-when u or grad_max changed by more than twice that.  It depends only on the
-state and the last step's dt and grad_max, which series.csv records, so a
-resumed run repeats the one-shot run.
+Every run, on a uniform grid, a graded grid or a column, forced or not, takes
+linearized implicit Euler with approximate factorization,
+(I - dt J_x)(I - dt J_y) (u_new - u) = dt F, where F is the right-hand side
+and J_x, J_y hold the diffusion and the linearized p |grad u|^(p-2) grad u .
+grad along one axis each: two batched tridiagonal solves per step, with the
+update zero on the walls.
 
-A forced run takes explicit Heun steps on a uniform grid.  Their size blends
-the diffusive limit min(h)^2/4 with an advective limit h / (p |grad u|^(p-1)),
-with a fixed safety factor of 0.4:
-
-    dt = 0.4 * min(h)^2/4 / (1 + p * grad_max^(p-1) * min(h)/4)
-
-Both steps hold the walls of the state they step from; only
-`SolverConfig.boundary` sets them, in a forced run.
-
-The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
-uniform or graded in y, through the same step, run, persistence and resume:
-it takes the implicit step with one y sweep and no x sweep.
+An unforced run sizes its steps to a relative change of grad_max of
+_REL_CHANGE per step (scaled from the last step's change) and cuts a step
+back when u or grad_max changed by more than twice that.  The size depends
+only on the state and the last step's dt and grad_max, which series.csv
+records, so a resumed run repeats the one-shot run.  A step that would pass
+t_max is taken again from the same state, shortened to land on t_max.  It
+holds the walls of the state it steps from.
 
 A forced run (the MMS study) passes `SolverConfig.forcing` and
 `SolverConfig.boundary`, two callbacks that must be functions of the time
 alone: forcing(t) returns the interior values and boundary(t) the four
-edges.  A Heun step evaluates each once per time level: one boundary(t + dt)
-sets the walls of u1 and of the new values, and its second stage hands
-forcing(t + dt) to the next step's first.  A forced graded grid or column
-raises ConfigurationError.  The callbacks are meant to be bound to the
+edges.  It takes `SolverConfig.n_steps` equal steps and lands on t_max bit
+for bit: step k + 1 goes from t_k to t_(k+1) = t_max (k + 1) / n_steps.  In
+that order it sets the walls of the new values to boundary(t_(k+1)), forms
+F from those values (their walls moved, so it forms its own gradient) plus
+forcing(t_(k+1)), and solves for the interior update: one call of each
+callback per step.  A forced column raises ConfigurationError, as its side
+walls are the whole column.  The callbacks are meant to be bound to the
 grid's nodes once, as `profile_math.manufactured_callbacks` binds the
 manufactured solution, so a step rebuilds no coordinates.
+
+The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
+uniform or graded in y, through the same step, run, persistence and resume,
+with one y sweep and no x sweep.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
 (`SimulationState.work`, made by `make_state` and dropped from the run's
 outcome), so independent runs share nothing and may execute concurrently.
 The workspace holds every interior-size buffer a step needs: the kernels'
-scratch and the gradient handed between steps, made with the state, and
-Heun's stage buffers or the implicit step's right-hand side and line-solve
-buffers, made by the run's first step, so a run holds only its own step's.
+scratch and the gradient handed between steps, made with the state, and the
+step's right-hand side and line-solve buffers, made by the run's first step.
 A step allocates no interior-size array but its new values.
-Both steps hand the gradient that their grad_max formed for the new state to
-the next step's first right-hand side ("first same as last"), which then
-forms only the Laplacian and the source; the stencils give the same bits
-either way.  `make_state` forms it for the first state, so a resumed run
-repeats the one-shot run bit for bit.  The state's u_y at the origin is read
-off that gradient too.
+A step leaves the gradient that its grad_max formed for the new state in the
+workspace.  An unforced step's right-hand side takes it ("first same as
+last") and then forms only the Laplacian and the source; the stencils give
+the same bits either way.  `make_state` forms it for the first state, so a
+resumed run repeats the one-shot run bit for bit.  The state's u_y at the
+origin is read off that gradient too.
 """
 
 from __future__ import annotations
@@ -95,14 +92,24 @@ class SolverConfig:
     stop_grad_norm: Optional[float] = None  # None -> default_stop_grad_norm
     t_max: float = 1.0
     snapshot_stride: int = 0  # steps between periodic snapshots; 0 disables
-    # functions of t alone, each evaluated once per time level by a Heun
-    # step; forcing(t) -> the (ny-2, nx-2) interior values at time t
+    # a forced run's callbacks, functions of t alone, each evaluated once per
+    # step at the step's new time; forcing(t) -> the (ny-2, nx-2) interior
+    # values at time t
     forcing: Optional[Callable] = None
     # boundary(t) -> the edge values (bottom, top, left, right) at time t;
     # None holds the walls of the initial data
     boundary: Optional[Callable] = None
+    # the number of equal steps a forced run takes to t_max; a forced run
+    # needs it (>= 1) and an unforced run, which sizes its own, takes none
+    n_steps: Optional[int] = None
 
     def __post_init__(self):
+        forced = self.forcing is not None or self.boundary is not None
+        if (self.n_steps is not None) != forced or forced and not (
+                isinstance(self.n_steps, int) and self.n_steps >= 1):
+            raise ConfigurationError("n_steps: a forced run needs an int >= "
+                                     f"1, an unforced run none; got "
+                                     f"{self.n_steps!r}")
         if not self.dt_floor > 0:
             raise ConfigurationError("dt_floor must be positive")
         if not self.t_max > 0:
@@ -155,9 +162,8 @@ class _Work:
     ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
     the next step's right-hand side; `tmp` is one more array of the grid's
     shape; `scratch` is the six interior-size arrays that
-    `_kernels.rhs_interior` takes (none on a column).  `stages` and `f`,
-    the forcing at time `f_t` handed between Heun steps (Heun's), or `F` and
-    `sweeps` (the implicit step's) are made by the run's first step."""
+    `_kernels.rhs_interior` takes (none on a column).  `F`, the right-hand
+    side, and `sweeps`, the line solves, are made by the run's first step."""
 
     def __init__(self, g: Grid2D):
         self.grid = g
@@ -166,8 +172,7 @@ class _Work:
         self.tmp = np.empty((g.ny, g.nx))
         self.scratch = () if g.is_column else tuple(
             np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
-        self.of = self.f_t = None
-        self.stages = self.f = self.F = self.sweeps = None
+        self.of = self.F = self.sweeps = None
 
     def grad_max(self, u: np.ndarray) -> float:
         """Largest |grad u| over every node (a column has only u_y); the
@@ -208,62 +213,11 @@ def make_state(u0: ScalarField) -> SimulationState:
                            uy_origin=work.uy_origin(), dt_last=0.0, work=work)
 
 
-_CFL_SAFETY = 0.4  # of the Heun step, a fraction of the diffusive limit
-
-
-def _dt_for(state: SimulationState, cfg: SolverConfig, g: Grid2D) -> float:
-    h = min(g.hx, g.hy)
-    diff = _CFL_SAFETY * h * h / 4.0
-    return diff / (1.0 + cfg.p * state.grad_max ** (cfg.p - 1.0) * h / 4.0)
-
-
-def _apply_bc(u: np.ndarray, walls):
-    if walls is not None:  # the side columns take the corners
-        u[0, :], u[-1, :], u[:, 0], u[:, -1] = walls
-
-
 def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
     """Raise DtUnderflow if a step from state takes a dt under the floor."""
     if dt < cfg.dt_floor:
         raise DtUnderflow(f"dt={dt:.3e} under floor {cfg.dt_floor:.3e} "
                           f"at t={state.t:.6g}, step {state.step}")
-
-
-def _rhs(u, g, cfg, t, out, ws, grad=None):
-    """Write the right-hand side at time t, forcing included, into out; the
-    forcing comes from ws.f if it is forcing(t), else it is evaluated there."""
-    _kernels.rhs_interior(u, g, cfg.p, out, ws.scratch, grad)
-    if cfg.forcing is not None:
-        if ws.f_t != t:
-            np.copyto(ws.f, cfg.forcing(t))
-            ws.f_t = t
-        out[1:-1, 1:-1] += ws.f
-
-
-def _heun(state: SimulationState, cfg: SolverConfig, ws):
-    """One Heun step on the buffers of ws: (the new values, dt, their
-    grad_max).  The first right-hand side takes the handed gradient and
-    forcing, if any."""
-    g, u, t = state.field.grid, state.field.values, state.t
-    dt = _dt_for(state, cfg, g)
-    _check_dt(dt, cfg, state)
-    if ws.stages is None:
-        # k1, k2 and u1; rhs_interior writes only the interior, so k1 and k2
-        # keep zero walls and u1 and the new values keep the walls of u
-        ws.stages = tuple(np.zeros((g.ny, g.nx)) for _ in range(3))
-        ws.f = np.empty((g.ny - 2, g.nx - 2))
-    k1, k2, u1 = ws.stages
-    _rhs(u, g, cfg, t, k1, ws, ws.handed(u))
-    np.multiply(k1, dt, out=u1)
-    u1 += u
-    walls = None if cfg.boundary is None else cfg.boundary(t + dt)
-    _apply_bc(u1, walls)
-    _rhs(u1, g, cfg, t + dt, k2, ws)
-    np.add(k1, k2, out=k1)
-    un = np.multiply(k1, 0.5 * dt)
-    un += u
-    _apply_bc(un, walls)
-    return un, dt, ws.grad_max(un)
 
 
 # target relative change of u and grad_max per implicit step: halving it from
@@ -360,16 +314,33 @@ class _Sweep:
         return _thomas(self.lo, self.Z, self.rows)
 
 
+def _solve(ws, src, dt):
+    """The interior update of a step of size dt: the solution of
+    (I - dt J_x)(I - dt J_y) delta = dt F, for src the interior of F as the
+    first sweep takes it (transposed on a 2D grid)."""
+    np.multiply(src, dt, out=ws.sweeps[0].Z[:, 1])
+    delta = ws.sweeps[0].solve(dt)
+    for sweep in ws.sweeps[1:]:  # the y lines of a 2D grid
+        np.copyto(sweep.Z[:, 1], delta.T)
+        delta = sweep.solve(dt)
+    return delta
+
+
 def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     """One linearly implicit step on the buffers of ws: (the new values,
-    dt, their grad_max)."""
+    their time, dt, their grad_max)."""
     g = state.field.grid
     u = state.field.values
-    handed = ws.handed(u)
     if ws.sweeps is None:  # the right-hand side and a _Sweep per axis, x first
         ws.F = np.zeros((g.ny, g.nx))  # its walls stay 0
         ws.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
             _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
+    if cfg.n_steps:  # forced: the new values, with their walls, from the start
+        t = cfg.t_max * ((state.step + 1) / cfg.n_steps)
+        u = u.copy()
+        if cfg.boundary is not None:  # the side columns take the corners
+            u[0, :], u[-1, :], u[:, 0], u[:, -1] = cfg.boundary(t)
+    handed = ws.handed(u)  # None on the new values of a forced step
     F = ws.F
     if g.is_column:  # one y sweep over the interior rows
         inner = np.s_[1:-1]
@@ -387,15 +358,18 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         np.multiply(a.T, ux.T, out=ws.sweeps[0].speed)
         np.multiply(a, uy, out=ws.sweeps[1].speed)
         src = F[inner].T
+    if cfg.n_steps:
+        if cfg.forcing is not None:
+            F[inner] += cfg.forcing(t)
+        dt = t - state.t
+        _check_dt(dt, cfg, state)
+        u[inner] += _solve(ws, src, dt)
+        return u, t, dt, ws.grad_max(u)
     umax = float(np.max(np.abs(u, out=ws.tmp)))
     dt = _dt_implicit(state, cfg, umax, F)
     while True:
         _check_dt(dt, cfg, state)
-        np.multiply(src, dt, out=ws.sweeps[0].Z[:, 1])
-        delta = ws.sweeps[0].solve(dt)
-        for sweep in ws.sweeps[1:]:  # the y lines of a 2D grid
-            np.copyto(sweep.Z[:, 1], delta.T)
-            delta = sweep.solve(dt)
+        delta = _solve(ws, src, dt)
         un = u.copy()
         un[inner] += delta
         gmax = ws.grad_max(un)
@@ -405,27 +379,34 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
                      abs(gmax / state.grad_max - 1.0) if state.grad_max
                      else 0.0)
         if not change > 2.0 * _REL_CHANGE:  # NaN falls through to the check
-            return un, dt, gmax
+            break
         dt *= _REL_CHANGE / change
+    t = state.t + dt
+    if t > cfg.t_max:  # the same step, shortened to land on t_max
+        dt, t = cfg.t_max - state.t, cfg.t_max
+        un = u.copy()
+        un[inner] += _solve(ws, src, dt)
+        gmax = ws.grad_max(un)
+    return un, t, dt, gmax
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
-    """Advance one adaptive step (linearly implicit in an unforced run, Heun
-    in a forced one, which needs a uniform grid); raises DtUnderflow below
-    the dt floor."""
+    """Advance one linearly implicit step, adaptive in an unforced run and
+    of fixed size in a forced one, which needs a 2D grid; raises
+    DtUnderflow below the dt floor."""
     g = state.field.grid
-    forced = cfg.forcing is not None or cfg.boundary is not None
-    if forced and not g.uniform:
-        raise ConfigurationError("graded grids and columns run unforced only")
+    if cfg.n_steps and g.is_column:
+        raise ConfigurationError("a column runs unforced only: its side "
+                                 "walls are the whole column")
     ws = _workspace(g, state.work)
     # an overflow or NaN reaches gmax and is reported below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        un, dt, gmax = (_heun if forced else _step_implicit)(state, cfg, ws)
+        un, t, dt, gmax = _step_implicit(state, cfg, ws)
     if not np.isfinite(gmax):
         bad = np.argwhere(~np.isfinite(un))
         where = f"node (i={bad[0][1]}, j={bad[0][0]})" if len(bad) else "gradient"
         raise NumericError(f"non-finite update at step {state.step + 1}: {where}")
-    return SimulationState(field=ScalarField(g, un), t=state.t + dt,
+    return SimulationState(field=ScalarField(g, un), t=t,
                            step=state.step + 1, grad_max=gmax,
                            uy_origin=ws.uy_origin(), dt_last=dt,
                            grad_prev=state.grad_max, work=ws)
@@ -561,7 +542,7 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
         "config": config_echo,
         "grid": {"Lx": g.Lx, "Ly": g.Ly, "nx": g.nx, "ny": g.ny},
         "solver": {k: v for k, v in cfg.__dict__.items()
-                   if k not in ("forcing", "boundary")},
+                   if k not in ("forcing", "boundary", "n_steps")},
         "outcome": {
             "reason": outcome.reason,
             "t_stop": outcome.t_stop,

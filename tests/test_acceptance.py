@@ -7,9 +7,9 @@ boundary quench to grad_max 1e5, so gates 4-9 read its deep singular regime.
 p25-blowup still runs on a uniform 257 x 257 grid, which cannot reach the
 p = 2.5 tangential tail, so the p = 2.5 half of gate 5 fails (see its
 assertion message); it is asserted faithfully rather than weakened.  Every
-preset run, p25-blowup's uniform grid included, takes the solver's linearly
-implicit step; only gate 2's manufactured-solution study, the one forced
-run, takes explicit Heun steps.
+run, p25-blowup's uniform grid and gate 2's manufactured-solution study
+included, takes the solver's linearly implicit step: adaptive in the preset
+runs, N0 4^k equal steps to t_end on the k-th grid of the forced study.
 """
 
 import json

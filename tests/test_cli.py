@@ -63,10 +63,12 @@ def test_config_unknown_field_has_path(tmp_path):
 
 def test_every_solver_option_has_a_caller():
     """Each SolverConfig field is a key of a run config (p, or one under
-    solver:) or one that `mms` passes (its forcing and boundary callbacks),
-    so no solver option is out of every caller's reach."""
+    solver:) or one that `mms` passes (its forcing and boundary callbacks
+    and their step count), so no solver option is out of every caller's
+    reach."""
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert fields == {"p", *cli.RUN_SCHEMA["solver"], "forcing", "boundary"}
+    assert fields == {"p", *cli.RUN_SCHEMA["solver"], "forcing", "boundary",
+                      "n_steps"}
 
 
 def test_config_rejects_bad_family(tmp_path):

@@ -5,6 +5,7 @@ reduction on a column."""
 
 import hashlib
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -69,80 +70,66 @@ def test_steady_state_residual_1d():
 # --------------------------------------------------------------------------
 
 
-def mms_start(n, t_end):
-    """The manufactured solution at t = 0 on an n x n grid, and the forced
-    config that runs it to t_end."""
+def mms_grid(n, stretch=0.0):
+    """An n x n grid of [-0.5, 0.5] x [0, 0.5]: uniform, or with stretch
+    s > 0 the nodes L sinh(s xi) / sinh s of evenly spaced xi, clustered at
+    x = 0 and at y = 0."""
+    if not stretch:
+        return Grid2D(Lx=0.5, Ly=0.5, nx=n, ny=n)
+
+    def nodes(xi):
+        return 0.5 * (np.sinh(stretch * xi) / np.sinh(stretch))
+    x = nodes(np.linspace(-1.0, 1.0, n))
+    x[n // 2] = 0.0
+    return Grid2D(Lx=0.5, Ly=0.5, nx=n, ny=n,
+                  coords=(x, nodes(np.linspace(0.0, 1.0, n))))
+
+
+def mms_start(n, t_end, n_steps=None, stretch=0.0):
+    """The manufactured solution at t = 0 on mms_grid(n, stretch), and the
+    forced config that runs it to t_end in n_steps equal steps (by default
+    the fewest with dt <= min(h)^2, as `gbulab mms` takes on its coarsest
+    grid)."""
     pc = profile_constants(3.0)
     mp = manufactured_params(pc, 3.0, 1.0)
-    g = Grid2D(Lx=0.5, Ly=0.5, nx=n, ny=n)
+    g = mms_grid(n, stretch)
     X, Y = g.meshgrid()
     u0 = manufactured_solution(mp, pc, X, Y, 0.0)[0]
     forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
+    if n_steps is None:
+        n_steps = math.ceil(t_end / min(g.hx, g.hy) ** 2)
     cfg = SolverConfig(p=3.0, t_max=t_end, stop_grad_norm=1e9,
-                       forcing=forcing, boundary=boundary)
+                       forcing=forcing, boundary=boundary, n_steps=n_steps)
     return ScalarField(g, u0), cfg, (mp, pc)
 
 
-def mms_error(n, t_end=0.02):
-    u0, cfg, (mp, pc) = mms_start(n, t_end)
-    out = solver.run(u0, cfg)
-    assert out.reason == HORIZON
-    X, Y = u0.grid.meshgrid()
-    exact = manufactured_solution(mp, pc, X, Y, out.t_stop)[0]
-    return float(np.max(np.abs(out.final.field.values - exact)))
+def mms_orders(ladder, t_end, n0, stretch=0.0):
+    """The orders log2(e_k / e_(k+1)) of the max errors at t_end on the
+    ladder's grids, the k-th taking n0 4^k steps, as `gbulab mms` does."""
+    errors = []
+    for k, n in enumerate(ladder):
+        u0, cfg, (mp, pc) = mms_start(n, t_end, n0 * 4 ** k, stretch)
+        out = solver.run(u0, cfg)
+        assert out.reason == HORIZON and out.final.t == t_end
+        X, Y = u0.grid.meshgrid()
+        exact = manufactured_solution(mp, pc, X, Y, t_end)[0]
+        errors.append(float(np.max(np.abs(out.final.field.values - exact))))
+    return np.log2(np.array(errors[:-1]) / errors[1:])
 
 
 def test_mms_second_order():
-    e33, e65 = mms_error(33), mms_error(65)
-    order = np.log2(e33 / e65)
+    (order,) = mms_orders((33, 65), 0.02, 82)
     assert 1.7 < order < 2.3
 
 
-def test_dt_formula():
-    """A forced run's Heun step takes the blended explicit limit."""
-    u0, cfg, _ = mms_start(33, 1.0)
-    g = u0.grid
-    st = solver.make_state(u0)
-    h = min(g.hx, g.hy)
-    expected = solver._CFL_SAFETY * h * h / 4.0 \
-        / (1.0 + cfg.p * st.grad_max ** (cfg.p - 1.0) * h / 4.0)
-    st2 = solver.step(st, cfg)
-    assert st2.dt_last == pytest.approx(expected, rel=1e-14)
-
-
-def test_the_step_follows_the_forcing(monkeypatch):
-    """An unforced run takes the implicit step on a uniform grid as on a
-    graded one, and a forced run takes Heun's; a run makes only its own
-    step's buffers."""
-    taken = []
-
-    def recording(name):
-        real = getattr(solver, name)
-
-        def wrapped(*args):
-            taken.append(name)
-            return real(*args)
-        return wrapped
-
-    for name in ("_heun", "_step_implicit"):
-        monkeypatch.setattr(solver, name, recording(name))
-    uniform = Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33)
-    forced_u0, forced, _ = mms_start(33, 1.0)
-    for u0, cfg, want in (
-            (symmetric_cap(0.2, 0.18, uniform), SolverConfig(p=3.0),
-             "_step_implicit"),
-            (symmetric_cap(0.2, 0.18, graded_grid()), SolverConfig(p=3.0),
-             "_step_implicit"),
-            (forced_u0, forced, "_heun")):
-        ws = advance(solver.make_state(u0), cfg, 2).work
-        assert taken == [want] * 2
-        taken.clear()
-        if want == "_heun":
-            assert ws.stages is not None and ws.f is not None
-            assert ws.F is None and ws.sweeps is None
-        else:
-            assert ws.stages is None and ws.f is None
-            assert ws.F is not None and ws.sweeps is not None
+def test_mms_order_on_graded_grids():
+    """The forced run keeps second order on sinh-mapped grids clustered at
+    x = 0 and y = 0: the non-uniform stencils and line solves that carry
+    the blow-up runs on graded grids.  40 steps on 33² (dt about 3.4
+    min(h)^2, where the min(h)^2 rule would take 135) keep it near 2 s;
+    the orders are 1.941 and 1.997."""
+    orders = mms_orders((33, 65, 129), 0.01, 40, stretch=2.0)
+    assert np.all((1.7 <= orders) & (orders <= 2.3)), orders
 
 
 def edges(v):
@@ -169,17 +156,16 @@ def test_a_forced_run_takes_its_walls_from_boundary():
     u0, cfg, _ = mms_start(33, 0.001)
     out = solver.run(u0, cfg)
     want = np.empty_like(u0.values)
-    want[0], want[-1], want[:, 0], want[:, -1] = cfg.boundary(out.t_stop)
+    want[0], want[-1], want[:, 0], want[:, -1] = cfg.boundary(out.final.t)
     assert out.final.step > 1
     assert np.array_equal(edges(out.final.field.values), edges(want))
 
 
 def test_a_forced_run_evaluates_each_callback_once_per_time_level():
-    """A forced run of N steps evaluates forcing N + 1 times, once at each
-    time it reaches (a Heun step's second stage hands forcing(t + dt) to
-    the next step's first), and boundary N times, once per step for both
-    u1 and the new values."""
-    u0, cfg, _ = mms_start(33, 1e-3)
+    """A forced run of n_steps = N takes N equal steps and ends on t_max
+    bit for bit; each step evaluates forcing and boundary once, at its new
+    time, so the calls come at t_1 ... t_N."""
+    u0, cfg, _ = mms_start(33, 1e-3, n_steps=7)
     times = {"forcing": [], "boundary": []}
 
     def recorded(name, callback):
@@ -191,24 +177,48 @@ def test_a_forced_run_evaluates_each_callback_once_per_time_level():
     out = solver.run(u0, replace(
         cfg, forcing=recorded("forcing", cfg.forcing),
         boundary=recorded("boundary", cfg.boundary)))
-    levels = out.series["t"].tolist()
-    assert len(levels) == out.final.step + 1 > 2
-    assert times == {"forcing": levels, "boundary": levels[1:]}
+    t = out.series["t"]
+    assert out.reason == HORIZON and out.final.step == 7
+    assert out.final.t == t[-1] == cfg.t_max
+    assert np.allclose(np.diff(t), cfg.t_max / 7, rtol=1e-12, atol=0.0)
+    assert times == {"forcing": t[1:].tolist(), "boundary": t[1:].tolist()}
 
 
-def test_handed_forcing_is_taken_only_at_its_time():
-    """A step from a state whose workspace holds the forcing of another
-    time (here the state's own t moved on) evaluates the forcing itself:
-    it gives the bits of a step from the same state without the
-    workspace."""
-    u0, cfg, _ = mms_start(33, 1.0)
-    st = solver.step(solver.make_state(u0), cfg)
-    assert st.work.f_t == st.t
-    moved = replace(st, t=st.t + 1e-4)
-    a = solver.step(moved, cfg)
-    b = solver.step(replace(moved, work=None), cfg)
-    assert np.array_equal(a.field.values, b.field.values)
-    assert (a.dt_last, a.grad_max) == (b.dt_last, b.grad_max)
+def test_the_step_count_belongs_to_a_forced_run():
+    """SolverConfig rejects a forced run without a step count or with one
+    below 1, and a count on an unforced run."""
+    forcing, boundary = (lambda t: 0.0), (lambda t: (0.0,) * 4)
+    for bad in ({"forcing": forcing}, {"boundary": boundary},
+                {"forcing": forcing, "boundary": boundary, "n_steps": 0},
+                {"boundary": boundary, "n_steps": -2},
+                {"forcing": forcing, "n_steps": 2.5}, {"n_steps": 10}):
+        with pytest.raises(ConfigurationError, match="n_steps"):
+            SolverConfig(p=3.0, **bad)
+    SolverConfig(p=3.0, forcing=forcing, boundary=boundary, n_steps=1)
+
+
+def test_a_column_rejects_forcing_and_boundary():
+    """A forced column is rejected: its side walls are the whole column."""
+    st = solver.make_state(symmetric_cap(0.1, 0.18, graded_column()))
+    for cfg in (SolverConfig(p=3.0, forcing=lambda t: 0.0, n_steps=4),
+                SolverConfig(p=3.0, boundary=lambda t: (0.0,) * 4,
+                             n_steps=4)):
+        with pytest.raises(ConfigurationError, match="column"):
+            solver.step(st, cfg)
+
+
+@pytest.mark.parametrize("grid", ["uniform", "graded", "column"])
+def test_an_unforced_run_ends_on_its_horizon(grid):
+    """An unforced run whose step would pass t_max takes that step again,
+    shortened, and ends on t_max bit for bit."""
+    g = {"uniform": Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33),
+         "graded": graded_grid(), "column": graded_column()}[grid]
+    cfg = SolverConfig(p=3.0, t_max=1e-3, stop_grad_norm=1e9)
+    out = solver.run(symmetric_cap(0.05, 0.15, g), cfg)
+    t = out.series["t"]
+    assert out.reason == HORIZON and len(t) > 3
+    assert out.final.t == t[-1] == cfg.t_max and t[-2] < cfg.t_max
+    assert out.series["dt"][-1] == cfg.t_max - t[-2]
 
 
 # --------------------------------------------------------------------------
@@ -440,10 +450,11 @@ def test_graded_resume_is_deterministic(tmp_path):
 
 
 def fsal_runs():
-    """(initial field, config, a later stop) of the runs whose steps hand
-    their gradient over: a graded run and a column run, and on the full
-    domain of a uniform grid an unforced cap and a forced 33² run from
-    manufactured_callbacks, whose boundary moves every step."""
+    """(initial field, config, a later stop) of runs whose states hold
+    their gradient: a graded run and a column run, whose steps take it, and
+    on the full domain of a uniform grid an unforced cap, whose steps take
+    it, and a forced 33² run from manufactured_callbacks, whose boundary
+    moves every step, so its steps form their own."""
     graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
     cap = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
     mms_u0, mms, _ = mms_start(33, 1e-3)
@@ -452,7 +463,7 @@ def fsal_runs():
              replace(graded, stop_grad_norm=300.0))
             for g in (graded_grid(), graded_column())] + [
         (symmetric_cap(0.1, 0.18, uniform), cap, replace(cap, t_max=1e-3)),
-        (mms_u0, mms, replace(mms, t_max=2e-3))]
+        (mms_u0, mms, replace(mms, t_max=2e-3, n_steps=2 * mms.n_steps))]
 
 
 def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
@@ -506,12 +517,10 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
     stays within 1.5 u.nbytes: the new state's values, plus numpy's own
     ufunc buffers (up to three of `np.getbufsize()` values, 192 KiB, for an
     operation on strided views), but no interior-size temporary, of about
-    u.nbytes each.  It holds for the implicit step on a uniform and on a
-    graded grid, and for the Heun step of a forced run, whose forcing
-    callback overwrites one array of its own.  Before the kernels took
-    the workspace's scratch, the peak was 5.2 u.nbytes for the Heun step
-    on an unforced uniform grid and 4.2 for the graded step.  The grids
-    hold over 65k nodes, so numpy's buffers stay under 0.4 u.nbytes; on
+    u.nbytes each.  It holds for the step on a uniform and on a graded
+    grid, and for the step of a forced run, whose new values take their
+    walls before its right-hand side is formed and whose forcing callback
+    overwrites one array of its own.  The grids hold over 65k nodes, so numpy's buffers stay under 0.4 u.nbytes; on
     129² they alone are 1.48 u.nbytes."""
     if grid == "forced":
         u0, cfg, _ = mms_start(257, 1.0)
@@ -539,7 +548,7 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
 
 def test_outcome_holds_no_buffers():
     """The run's workspace goes when its loop ends, before the caller fits
-    anything: the final state of a forced (Heun) run, and of an unforced run
+    anything: the final state of a forced run, and of an unforced run
     on a uniform grid, a graded grid and a column, holds none."""
     g = Grid2D(Lx=0.25, Ly=0.06, nx=33, ny=33)
     cfg = SolverConfig(p=3.0, t_max=1e-3)
@@ -577,11 +586,3 @@ def test_sweep_matches_the_row_by_row_oracle(shape):
     Z = np.stack([b, d, c], axis=1)
     got = solver._thomas(a, Z, solver._thomas_rows(a, Z))
     assert np.array_equal(got, thomas_oracle(a, b.copy(), c, d.copy()))
-
-
-def test_graded_rejects_forcing_and_boundary():
-    st = solver.make_state(symmetric_cap(0.1, 0.18, graded_grid()))
-    for cfg in (SolverConfig(p=3.0, forcing=lambda t: 0.0),
-                SolverConfig(p=3.0, boundary=lambda t: (0.0,) * 4)):
-        with pytest.raises(ConfigurationError):
-            solver.step(st, cfg)
