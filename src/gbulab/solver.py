@@ -12,9 +12,9 @@ An unforced run sizes its steps to a relative change of grad_max of
 _REL_CHANGE per step (scaled from the last step's change) and cuts a step
 back when u or grad_max changed by more than twice that.  The size depends
 only on the state and the last step's dt and grad_max, which series.csv
-records, so a resumed run repeats the one-shot run.  A step that would pass
-t_max is taken again from the same state, shortened to land on t_max.  It
-holds the walls of the state it steps from.
+records, so a resumed run repeats the one-shot run.  A step that would
+cross t_max is taken again from the same state, shortened to land on t_max.
+It holds the walls of the state it steps from.
 
 A forced run (the MMS study) passes `SolverConfig.forcing` and
 `SolverConfig.boundary`, two callbacks that must be functions of the time
@@ -382,7 +382,7 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
             break
         dt *= _REL_CHANGE / change
     t = state.t + dt
-    if t > cfg.t_max:  # the same step, shortened to land on t_max
+    if state.t < cfg.t_max < t:  # the same step, shortened to land on t_max
         dt, t = cfg.t_max - state.t, cfg.t_max
         un = u.copy()
         un[inner] += _solve(ws, src, dt)

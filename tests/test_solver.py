@@ -209,8 +209,9 @@ def test_a_column_rejects_forcing_and_boundary():
 
 @pytest.mark.parametrize("grid", ["uniform", "graded", "column"])
 def test_an_unforced_run_ends_on_its_horizon(grid):
-    """An unforced run whose step would pass t_max takes that step again,
-    shortened, and ends on t_max bit for bit."""
+    """An unforced run whose step would cross t_max takes that step again,
+    shortened, and ends on t_max bit for bit; a step from t_max on is not
+    held there."""
     g = {"uniform": Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33),
          "graded": graded_grid(), "column": graded_column()}[grid]
     cfg = SolverConfig(p=3.0, t_max=1e-3, stop_grad_norm=1e9)
@@ -219,6 +220,7 @@ def test_an_unforced_run_ends_on_its_horizon(grid):
     assert out.reason == HORIZON and len(t) > 3
     assert out.final.t == t[-1] == cfg.t_max and t[-2] < cfg.t_max
     assert out.series["dt"][-1] == cfg.t_max - t[-2]
+    assert solver.step(out.final, cfg).t > cfg.t_max
 
 
 # --------------------------------------------------------------------------
@@ -520,8 +522,9 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
     u.nbytes each.  It holds for the step on a uniform and on a graded
     grid, and for the step of a forced run, whose new values take their
     walls before its right-hand side is formed and whose forcing callback
-    overwrites one array of its own.  The grids hold over 65k nodes, so numpy's buffers stay under 0.4 u.nbytes; on
-    129² they alone are 1.48 u.nbytes."""
+    overwrites one array of its own.  The grids hold over 65k nodes, so
+    numpy's buffers stay under 0.4 u.nbytes; on 129² they alone are 1.48
+    u.nbytes."""
     if grid == "forced":
         u0, cfg, _ = mms_start(257, 1.0)
     else:
