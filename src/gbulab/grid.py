@@ -6,14 +6,17 @@ nx is forced odd so the symmetry line x = 0 is a node.
 
 Every grid carries its x and y nodes, evenly spaced unless given, with the
 node of the symmetry line x = 0 exactly 0.  It is uniform when it is not a
-column and its nodes are those evenly spaced ones bit for bit; its stencils
-then keep their constant-spacing arithmetic.  A graded grid
+column and its nodes are those evenly spaced ones bit for bit.  A graded grid
 (`Grid2D.graded`) is geometric toward both walls y = 0 and y = Ly and toward
-x = 0, and every stencil on it uses the three-point non-uniform weights of
-`Axis`.  The 1D reduction runs on a column (`Grid2D.column`):
-nx = 1, the one node x = 0, and y nodes of its own, uniform or graded toward
-both walls (`graded_nodes`); it takes no x derivatives.  The stencils
-themselves live in `_kernels`.
+x = 0.  The 1D reduction runs on a column (`Grid2D.column`): nx = 1, the one
+node x = 0, and y nodes of its own, uniform or graded toward both walls
+(`graded_nodes`); it takes no x derivatives.
+
+Every stencil takes its three-point weights from an `Axis` per direction,
+`Grid2D.ax` and `Grid2D.ay`: floats from the spacing on a uniform grid,
+per-node weights on any other.  This is the one place that tells the two
+apart; the stencils themselves, in `_kernels`, do the same arithmetic on
+either.
 """
 
 from __future__ import annotations
@@ -50,15 +53,27 @@ _HEADER = struct.Struct("<4sHHddd")  # magic, nx, ny, Lx, Ly, time (32 bytes)
 
 
 class Axis:
-    """Three-point stencil weights on the nodes z of one graded axis.
+    """Three-point stencil weights on the nodes z of one axis.
 
     `d1` and `d2` hold the (left, centre, right) weights of the first and
     second derivative at the interior nodes z[1:-1]; `lo` and `hi` hold the
     one-sided first-derivative weights at z[0] (on z[0], z[1], z[2]) and at
-    z[-1] (on z[-3], z[-2], z[-1]).  All are exact on quadratics.  The
-    interior weights are (n - 2, 1) columns, so they broadcast along axis 0
-    of a field: y of a (ny, nx) field, x of its transpose.
+    z[-1] (on z[-3], z[-2], z[-1]).  All are exact on quadratics.  On nodes
+    given as z the interior weights are (n - 2, 1) columns, so they
+    broadcast along axis 0 of a field: y of a (ny, nx) field, x of its
+    transpose.  On evenly spaced nodes (`Axis.even`) every weight is one
+    float, the same at every node.
     """
+
+    @classmethod
+    def even(cls, h) -> "Axis":
+        """The weights of an axis of constant spacing h, as floats."""
+        axis = cls.__new__(cls)
+        axis.d1 = (-0.5 / h, 0.0, 0.5 / h)
+        axis.d2 = (1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
+        axis.lo = (-1.5 / h, 2.0 / h, -0.5 / h)
+        axis.hi = (0.5 / h, -2.0 / h, 1.5 / h)
+        return axis
 
     def __init__(self, z):
         z = np.asarray(z, dtype=float)
@@ -239,15 +254,17 @@ class Grid2D:
 
     @cached_property
     def ax(self) -> Axis:
-        """Stencil weights along x: the graded stencils', and the implicit
-        step's line solves' on every grid."""
-        return Axis(self.x)
+        """Stencil weights along x, for every stencil and the implicit
+        step's line solves: floats from hx on a uniform grid, else the
+        weights on the x nodes."""
+        return Axis.even(self.hx) if self.uniform else Axis(self.x)
 
     @cached_property
     def ay(self) -> Axis:
-        """Stencil weights along y: the graded stencils', and the implicit
-        step's line solves' on every grid."""
-        return Axis(self.y)
+        """Stencil weights along y, for every stencil and the implicit
+        step's line solves: floats from hy on a uniform grid, else the
+        weights on the y nodes."""
+        return Axis.even(self.hy) if self.uniform else Axis(self.y)
 
     def meshgrid(self):
         """(X, Y) of shape (ny, nx), as read-only broadcast views of x and y

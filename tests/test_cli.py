@@ -3,6 +3,7 @@ byte-identical replay, exit codes, and the MMS study."""
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -69,6 +70,15 @@ def test_every_solver_option_has_a_caller():
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
     assert fields == {"p", *cli.RUN_SCHEMA["solver"], "forcing", "boundary",
                       "n_steps"}
+
+
+def test_kernels_read_only_the_grid_axes():
+    """The stencils take their weights from `Grid2D.ax`/`ay` alone: `grid`
+    decides between uniform and graded, so `_kernels` holds no type test
+    and reads no spacing or uniform flag of a grid."""
+    source = inspect.getsource(_kernels)
+    for banned in ("isinstance(", ".hx", ".hy", ".uniform"):
+        assert banned not in source
 
 
 def test_config_rejects_bad_family(tmp_path):

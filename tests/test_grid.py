@@ -237,17 +237,12 @@ def oracle_rhs(u, g, p):
     the reference for the kernels working on scratch."""
     c, e, w = u[1:-1, 1:-1], u[1:-1, 2:], u[1:-1, :-2]
     n, s = u[2:, 1:-1], u[:-2, 1:-1]
-    if g.uniform:
-        lap = (e - 2.0 * c + w) / g.hx**2 + (n - 2.0 * c + s) / g.hy**2
-        ux, uy = (e - w) / (2.0 * g.hx), (n - s) / (2.0 * g.hy)
-    else:
-        def rows(wt):  # the x weights, one per column
-            return [v.T for v in wt]
-        lap = (rows(g.ax.d2)[0] * w + rows(g.ax.d2)[1] * c
-               + rows(g.ax.d2)[2] * e) \
-            + (g.ay.d2[0] * s + g.ay.d2[1] * c + g.ay.d2[2] * n)
-        ux = rows(g.ax.d1)[0] * w + rows(g.ax.d1)[1] * c + rows(g.ax.d1)[2] * e
-        uy = g.ay.d1[0] * s + g.ay.d1[1] * c + g.ay.d1[2] * n
+    # the x weights, one per column (floats on a uniform grid)
+    xd1, xd2 = ([np.transpose(v) for v in wt] for wt in (g.ax.d1, g.ax.d2))
+    lap = (xd2[0] * w + xd2[1] * c + xd2[2] * e) \
+        + (g.ay.d2[0] * s + g.ay.d2[1] * c + g.ay.d2[2] * n)
+    ux = xd1[0] * w + xd1[1] * c + xd1[2] * e
+    uy = g.ay.d1[0] * s + g.ay.d1[1] * c + g.ay.d1[2] * n
     g2 = ux * ux + uy * uy
     k = np.sqrt(g2) if p == 3.0 else np.power(g2, p / 2.0 - 1.0)
     return lap, ux, uy, g2, k
@@ -333,30 +328,40 @@ def test_graded_stencils_second_order_on_geometric_mesh():
         assert 1.8 < np.log2(c / f) < 2.3
 
 
-def test_uniform_stencils_keep_constant_spacing_arithmetic():
-    """A uniform grid keeps the constant-spacing formulas bit for bit; the
-    non-uniform weights of `Axis` on the same nodes agree to round-off."""
+def test_uniform_axes_hold_scalar_weights():
+    """A uniform grid's axes hold one float per weight, equal to round-off
+    to the weights `Axis` works out on the same nodes, and the stencils
+    built on them match the constant-spacing formulas to round-off."""
     g = Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21)
+    # the same nodes given as coords make the same uniform grid
+    assert Grid2D(Lx=g.Lx, Ly=g.Ly, nx=g.nx, ny=g.ny,
+                  coords=(g.x, g.y)).uniform
+    for axis, z, h in ((g.ax, g.x, g.hx), (g.ay, g.y, g.hy)):
+        nodes = Axis(z)
+        for name, scale in (("d1", h), ("d2", h**2), ("lo", h), ("hi", h)):
+            even, given = getattr(axis, name), getattr(nodes, name)
+            assert all(type(v) is float for v in even)
+            for a, b in zip(even, given):
+                assert np.allclose(a * scale, np.asarray(b) * scale,
+                                   rtol=0, atol=1e-12)
+
     f = make_field(g, lambda X, Y: np.sin(2 * X + 1) * np.cos(3 * Y))
     u = f.values
     lap = np.zeros_like(u)
     lap[1:-1, 1:-1] = (
         (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / g.hx**2
         + (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / g.hy**2)
-    fy = np.empty_like(u)
-    fy[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * g.hy)
-    fy[0, :] = (-3.0 * u[0, :] + 4.0 * u[1, :] - u[2, :]) / (2.0 * g.hy)
-    fy[-1, :] = (3.0 * u[-1, :] - 4.0 * u[-2, :] + u[-3, :]) / (2.0 * g.hy)
-    assert np.array_equal(laplacian(f).values, lap)
-    assert np.array_equal(gradient(f)[1].values, fy)
 
-    # the same nodes given as coords make the same uniform grid
-    assert Grid2D(Lx=g.Lx, Ly=g.Ly, nx=g.nx, ny=g.ny,
-                  coords=(g.x, g.y)).uniform
-    ax, ay = Axis(g.x), Axis(g.y)
-    lap_w = _kernels.d2(u[1:-1].T, ax).T + _kernels.d2(u[:, 1:-1], ay)
-    assert np.allclose(lap_w, lap[1:-1, 1:-1], rtol=0, atol=1e-9)
-    assert np.allclose(_kernels.derivative(u, ay), fy, rtol=0, atol=1e-12)
+    def derivative(v, h):  # along axis 0
+        d = np.empty_like(v)
+        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        return d
+    fx, fy = derivative(u.T, g.hx).T, derivative(u, g.hy)
+    for got, want in ((laplacian(f).values, lap), (gradient(f)[0].values, fx),
+                      (gradient(f)[1].values, fy)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_axis_one_sided_weights():
