@@ -303,14 +303,13 @@ class _Sweep:
 
     def solve(self, dt):
         """Solve for the rhs in Z[:, 1] with step dt; return the solution."""
-        # -dt (d2 + speed d1) in each of the three bands, plus 1 on the
-        # diagonal
-        for out, w1, w2 in zip((self.lo, self.Z[:, 0], self.Z[:, 2]),
-                               self.axis.d1, self.axis.d2):
-            np.multiply(self.speed, w1, out=out)
-            out += w2
-            out *= -dt
-        self.Z[:, 0] += 1.0
+        # speed (-dt d1) + (one - dt d2) in each of the three bands, with
+        # one = 1 on the diagonal: two passes over each band
+        for out, w1, w2, one in zip((self.lo, self.Z[:, 0], self.Z[:, 2]),
+                                    self.axis.d1, self.axis.d2,
+                                    (0.0, 1.0, 0.0)):
+            np.multiply(self.speed, -dt * w1, out=out)
+            out += one - dt * w2
         return _thomas(self.lo, self.Z, self.rows)
 
 
