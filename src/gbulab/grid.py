@@ -61,8 +61,8 @@ class Axis:
     z[-1] (on z[-3], z[-2], z[-1]).  All are exact on quadratics.  On nodes
     given as z the interior weights are (n - 2, 1) columns, so they
     broadcast along axis 0 of a field: y of a (ny, nx) field, x of its
-    transpose.  On evenly spaced nodes (`Axis.even`) every weight is one
-    float, the same at every node.
+    transpose.  On an axis of constant spacing (`Axis.even`) every weight
+    is one float, the same at every node.
     """
 
     @classmethod
