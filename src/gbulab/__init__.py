@@ -2,10 +2,9 @@
 of the diffusive Hamilton-Jacobi equation u_t - Lap(u) = |grad u|^p, p > 2.
 
 Layers: closed-form profile mathematics (profile_math), grids and stencils
-(grid, over the numpy kernels of _kernels), initial data families
-(initial_data), the adaptive solver (solver), runtime monitors
-(diagnostics), exponent extraction (profile_fit) and the command-line front
-end (cli).
+(grid, over the numpy kernels of _kernels), initial data (initial_data), the
+adaptive solver (solver), runtime monitors (diagnostics), exponent
+extraction (profile_fit) and the command-line front end (cli).
 """
 
 from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
@@ -13,7 +12,7 @@ from .errors import (ConfigurationError, DomainError, DtUnderflow, FitError,
                      SnapshotError)
 from .grid import (Grid2D, ScalarField, gradient, laplacian, read_snapshot,
                    write_snapshot)
-from .initial_data import BumpParams, concentrated_bump, symmetric_cap
+from .initial_data import symmetric_cap
 from .profile_math import (BarrierParams, BoundManufactured, JParams,
                            ManufacturedParams, ProfileConstants, barrier_eval,
                            barrier_params, calibrate_barrier_c0,
@@ -31,7 +30,7 @@ __all__ = [
     "GbulabError", "NumericError", "SingularityError", "SnapshotError",
     "Grid2D", "ScalarField", "gradient", "laplacian", "read_snapshot",
     "write_snapshot",
-    "BumpParams", "concentrated_bump", "symmetric_cap",
+    "symmetric_cap",
     "BarrierParams", "BoundManufactured", "JParams", "ManufacturedParams",
     "ProfileConstants", "barrier_eval", "barrier_params",
     "calibrate_barrier_c0", "final_profile_model", "j_model", "j_params",

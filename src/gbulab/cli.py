@@ -33,8 +33,8 @@ from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
 from .errors import (ConfigurationError, DomainError, FitError, GbulabError,
                      NumericError, SnapshotError)
-from .grid import (Grid2D, ScalarField, gradient, graded_nodes,
-                   read_snapshot, write_json, write_rows)
+from .grid import (Grid2D, ScalarField, graded_nodes, read_snapshot,
+                   write_json, write_rows)
 from .profile_math import (barrier_params, calibrate_barrier_c0,
                            manufactured_callbacks, manufactured_params,
                            manufactured_solution, j_params, profile_constants)
@@ -77,16 +77,14 @@ RUN_SCHEMA = {
     "domain": {"Lx": float, "Ly": float},
     "grid": {"nx": _integer, "ny": _integer,
              **dict.fromkeys(_GRADED_KEYS, float)},
-    "initial_data": {"family": str, "C_amp": float, "epsilon": float,
-                     "amplitude": float, "width": float},
+    "initial_data": {"family": str, "amplitude": float, "width": float},
     "solver": {"dt_floor": float, "stop_grad_norm": float, "t_max": float,
                "snapshot_stride": _integer},
     "diagnostics": {"q": float},
     "fits": {"level_frac": float, "extent": float},
 }
 # the initial_data keys each family needs
-_FAMILY_KEYS = {"bump": ("C_amp", "epsilon"), "cap": ("amplitude", "width"),
-                "sine_1d": ("amplitude",)}
+_FAMILY_KEYS = {"cap": ("amplitude", "width"), "sine_1d": ("amplitude",)}
 MMS_SCHEMA = {"p": float, "alpha": float, "T": float, "t_end": float,
               "Lx": float, "Ly": float, "grids": _integers}
 
@@ -198,12 +196,7 @@ class RunConfig:
 
     def make_initial(self, g: Grid2D):
         d = self.initial_data
-        fam = d["family"]
-        if fam == "bump":
-            bp = initial_data.BumpParams(C_amp=d["C_amp"],
-                                         epsilon=d["epsilon"], p=self.p)
-            return initial_data.concentrated_bump(bp, g)
-        if fam == "cap":
+        if d["family"] == "cap":
             return initial_data.symmetric_cap(d["amplitude"], d["width"], g)
         # sine_1d: the arch amplitude sin(pi y / Ly) on the column of a 1D run
         return ScalarField(
@@ -343,10 +336,12 @@ def _write_fits(out_dir, meta, snaps, series, cfg: RunConfig):
                    compute_fits(meta, None, series, cfg))
         return
     # the report first: its per-snapshot gradients set the peak RSS, which
-    # was 1 MB lower on p3-blowup before the fits had run than after
-    diag.write_report(diag.build_report(snaps, profile_constants(cfg.p),
-                                        q=cfg.diagnostics.get("q")), out_dir)
-    uy = gradient(snaps[-1][1])[1]  # the final profile every fit reads
+    # was 1 MB lower on p3-blowup before the fits had run than after.  It
+    # hands back the final snapshot's u_y, the profile every fit reads.
+    report = diag.build_report(snaps, profile_constants(cfg.p),
+                               q=cfg.diagnostics.get("q"))
+    diag.write_report(report, out_dir)
+    uy = report["final_uy"]
     fits = compute_fits(meta, uy, series, cfg)
     write_json(os.path.join(out_dir, "fits.json"), fits)
     _emit_profile_csvs(uy, cfg, out_dir, fits)

@@ -217,9 +217,10 @@ def _powerlaw_or_none(x, y, ok):
 def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
     """Full diagnostic pass over a list of (t, ScalarField) snapshot pairs:
     the mapping report.json holds, plus the (t, x, h) table of h_table.csv
-    under `h_table`.  Each snapshot's gradient is computed once, and of it
-    only u_x on the J probe box and u_y on the wall y = 0 are kept past its
-    own monitors.  A monitor whose probe box holds no usable node records
+    under `h_table` and the final snapshot's u_y, which the fits read, under
+    `final_uy`.  Each snapshot's gradient is computed once, and of it only
+    u_x on the J probe box and u_y on the wall y = 0 are kept past its own
+    monitors, the final snapshot's u_y aside.  A monitor whose probe box holds no usable node records
     {"error": ...} under the keys it fills, as a failed fit does in
     fits.json."""
     geo = Geometry(snapshots[0][1].grid, pc)
@@ -255,7 +256,8 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
             lambda: xi_theta_ranges(f, grad, geo, pc))
     h = modulation_h(f.grid.x, walls, pc)
     out.update(h_excluded=h["n_excluded"], h_fit_space=h["fit_space"],
-               h_table=([t for t, _ in snapshots], f.grid.x, h["h"]))
+               h_table=([t for t, _ in snapshots], f.grid.x, h["h"]),
+               final_uy=grad[1])
     return out
 
 
@@ -263,7 +265,8 @@ def write_report(report: dict, run_dir):
     """Emit report.json and h_table.csv into the run directory."""
     ts, xs, h = report["h_table"]
     write_json(os.path.join(run_dir, "report.json"),
-               {k: v for k, v in report.items() if k != "h_table"})
+               {k: v for k, v in report.items()
+                if k not in ("h_table", "final_uy")})
     write_rows(os.path.join(run_dir, "h_table.csv"),
                ["t", *(repr(float(x)) for x in xs)],
                ([t, *row] for t, row in zip(ts, h)))

@@ -2,8 +2,8 @@
 normal decay of u_y(0, y), tangential decay of u_y(x, 0), the 1D time rate,
 the two-parameter anisotropic profile fit, and level-set curve shapes.
 
-The 2D fits read the final snapshot's u_y as a ScalarField, which their
-caller derives once (`grid.gradient`) and hands to each of them.
+The 2D fits read the final snapshot's u_y as a ScalarField, derived once by
+`diagnostics.build_report` and handed to each of them.
 
 Fit windows exclude the innermost grid cells and the resolution crossover —
 the scale below which the grid saturates and measured slopes bias toward 0.
@@ -30,7 +30,6 @@ __all__ = [
     "fit_normal",
     "fit_tangential",
     "resolution_crossover",
-    "time_rate_linear",
     "fit_time_rate",
     "fit_aniso",
     "level_set_curve",
@@ -184,28 +183,18 @@ def _last_growth_decade(series: dict):
     return t[i0:], gmax[i0:]
 
 
-def time_rate_linear(series: dict, pc: ProfileConstants):
-    """Linear fit of grad_max^-(p-2) against t on the last growth decade.
-
-    Returns (slope, intercept, r_squared, T_hat) with T_hat the zero crossing.
-    """
+def fit_time_rate(series: dict, pc: ProfileConstants):
+    """(power-law fit of grad_max vs T_hat - t, T_hat, r_squared) on the
+    last growth decade; expected slope -1/(p-2).  T_hat is the zero crossing
+    of the linear fit of grad_max^-(p-2) against t, r_squared that fit's."""
     t, g = _last_growth_decade(series)
     slope, intercept, r2 = _line_fit(t, g ** (-(pc.p - 2.0)))
     if not slope < 0:
         raise FitError("time-rate fit: grad_max^-(p-2) is not decreasing")
-    T_hat = -intercept / slope
-    return float(slope), float(intercept), float(r2), float(T_hat)
-
-
-def fit_time_rate(series: dict, pc: ProfileConstants):
-    """(power-law fit of grad_max vs T_hat - t, T_hat, r_squared); expected
-    slope -1/(p-2).  T_hat and r_squared come from the linear fit of
-    grad_max^-(p-2) against t (time_rate_linear)."""
-    _, _, r2, T_hat = time_rate_linear(series, pc)
-    t, g = _last_growth_decade(series)
+    T_hat = float(-intercept / slope)
     dt = T_hat - t
     keep = dt > 0
-    return powerlaw_fit(dt[keep], g[keep]), T_hat, r2
+    return powerlaw_fit(dt[keep], g[keep]), T_hat, float(r2)
 
 
 def _aniso_region(uy: ScalarField, pc: ProfileConstants, extent, floor):

@@ -47,7 +47,6 @@ class ProfileConstants:
     beta           normal singularity exponent, 1/(p-1)
     d_p            amplitude of the normal-derivative profile, beta**beta
     c_p            amplitude of the 1D steady state, d_p/(1-beta)
-    k_id           concentration exponent of the bump family, (p-2)/(p-1)
     tangential_exp boundary decay exponent, 2/(p-2)
     anisotropy_exp level-set curve exponent, 2(p-1)/(p-2)
     time_rate_exp  gradient growth-in-time exponent, 1/(p-2)
@@ -57,7 +56,6 @@ class ProfileConstants:
     beta: float
     d_p: float
     c_p: float
-    k_id: float
     tangential_exp: float
     anisotropy_exp: float
     time_rate_exp: float
@@ -73,7 +71,6 @@ def profile_constants(p: float) -> ProfileConstants:
         beta=beta,
         d_p=d_p,
         c_p=d_p / (1.0 - beta),
-        k_id=(p - 2.0) / (p - 1.0),
         tangential_exp=2.0 / (p - 2.0),
         anisotropy_exp=2.0 * (p - 1.0) / (p - 2.0),
         time_rate_exp=1.0 / (p - 2.0),

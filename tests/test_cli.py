@@ -72,6 +72,17 @@ def test_every_solver_option_has_a_caller():
                       "n_steps"}
 
 
+def test_every_family_has_a_preset():
+    """Each initial-data family a run config can name is the family of a
+    shipped preset, so no family is out of every preset's reach."""
+    families = set()
+    for name in os.listdir(cli._PRESET_DIR):  # the mms presets have none
+        with open(os.path.join(cli._PRESET_DIR, name)) as fh:
+            families.add(yaml.safe_load(fh).get("initial_data", {})
+                         .get("family"))
+    assert set(cli._FAMILY_KEYS) <= families
+
+
 def test_kernels_read_only_the_grid_axes():
     """The stencils take their weights from `Grid2D.ax`/`ay` alone: `grid`
     decides between uniform and graded, so `_kernels` holds no type test
@@ -126,6 +137,7 @@ def bad(over, name, case):
         "initial_data.amplitude", "amplitude-nan-2"),
     bad({"initial_data": {"width": -1.0}}, "cap width", "width-negative-2"),
     bad({"initial_data": {"width": 0.0}}, "cap width", "width-0-2"),
+    bad({"initial_data": {"family": "bump"}}, "initial_data.family", "bump-2"),
     bad({"diagnostics": {"q": 1.5}}, "q=1.5", "q-1.5-2"),
     bad({"diagnostics": {"threshold": 5.0}}, "diagnostics.threshold",
         "threshold-2"),
@@ -483,8 +495,8 @@ def test_derived_files_names_every_file_fit_writes(request, tmp_path,
 
 def test_fit_takes_one_gradient_per_snapshot_and_one_profile(
         run_dir, tmp_path, monkeypatch):
-    """fit derives the final snapshot's u_y once for every fit and profile
-    CSV, and the report one gradient per snapshot: snapshots + 1 calls."""
+    """fit takes one gradient per snapshot, in the report, which hands the
+    final snapshot's u_y to every fit and profile CSV: snapshots calls."""
     clone = tmp_path / "clone7"
     shutil.copytree(run_dir, clone)
     calls = []
@@ -498,7 +510,7 @@ def test_fit_takes_one_gradient_per_snapshot_and_one_profile(
     assert cli.cmd_fit(str(clone)) == cli.EXIT_OK
     n_snaps = len(json.loads((clone / "meta.json").read_text())
                   ["outcome"]["snapshots"])
-    assert len(calls) == n_snaps + 1
+    assert len(calls) == n_snaps
 
 
 def test_check_rejects_an_edited_series(run_dir, tmp_path):

@@ -253,7 +253,7 @@ def test_build_and_write_report(tmp_path):
     assert 0.0 <= report["j_k"] < 1.0
     dg.write_report(report, tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert set(doc) == set(report) - {"h_table"}
+    assert set(doc) == set(report) - {"h_table", "final_uy"}
     assert doc["j_k"] == report["j_k"]
     assert len(doc["envelopes"]) == len(report["envelopes"])
     h_lines = (tmp_path / "h_table.csv").read_text().strip().split("\n")
@@ -262,6 +262,9 @@ def test_build_and_write_report(tmp_path):
     ts, xs, h = report["h_table"]
     wall = [_kernels.gradient(f.values, g)[1][0] for _, f in snaps]
     np.testing.assert_array_equal(h, dg.modulation_h(xs, wall, PC3)["h"])
+    # the final u_y the fits read is the last snapshot's, bit for bit
+    np.testing.assert_array_equal(report["final_uy"].values,
+                                  _kernels.gradient(snaps[-1][1].values, g)[1])
 
 
 def test_build_report_takes_each_gradient_once(monkeypatch):

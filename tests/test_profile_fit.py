@@ -168,14 +168,6 @@ def synthetic_series(T=1.0, c=2.0, n=4000):
     return {"t": t, "grad_max": g}
 
 
-def test_time_rate_linear_recovers_T():
-    slope, intercept, r2, T_hat = profile_fit.time_rate_linear(
-        synthetic_series(), PC3)
-    assert T_hat == pytest.approx(1.0, abs=1e-9)
-    assert slope == pytest.approx(-0.5, rel=1e-9)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-
-
 def test_fit_time_rate_exponent():
     fit, T_hat, r2 = profile_fit.fit_time_rate(synthetic_series(), PC3)
     assert T_hat == pytest.approx(1.0, abs=1e-9)
@@ -189,7 +181,7 @@ def test_time_rate_rejects_decay():
     t = np.linspace(0.0, 1.0, 100)
     series = {"t": t, "grad_max": 10.0 * np.exp(-t)}
     with pytest.raises(FitError):
-        profile_fit.time_rate_linear(series, PC3)
+        profile_fit.fit_time_rate(series, PC3)
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ def test_constants_p3():
     assert pc.beta == pytest.approx(0.5)
     assert pc.d_p == pytest.approx(0.5**0.5)
     assert pc.c_p == pytest.approx(2.0 * 0.5**0.5)
-    assert pc.k_id == pytest.approx(0.5)
     assert pc.tangential_exp == pytest.approx(2.0)
     assert pc.anisotropy_exp == pytest.approx(4.0)
     assert pc.time_rate_exp == pytest.approx(1.0)
