@@ -220,9 +220,9 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
     under `h_table` and the final snapshot's u_y, which the fits read, under
     `final_uy`.  Each snapshot's gradient is computed once, and of it only
     u_x on the J probe box and u_y on the wall y = 0 are kept past its own
-    monitors, the final snapshot's u_y aside.  A monitor whose probe box holds no usable node records
-    {"error": ...} under the keys it fills, as a failed fit does in
-    fits.json."""
+    monitors, the final snapshot's u_y aside.  A monitor whose probe box
+    holds no usable node records {"error": ...} under the keys it fills, as
+    a failed fit does in fits.json."""
     geo = Geometry(snapshots[0][1].grid, pc)
     envelopes, probes = [], []
     walls = np.empty((len(snapshots), geo.X.shape[1]))  # u_y(x, 0), for h
