@@ -58,7 +58,8 @@ class Geometry:
     """The masks and arrays of grid g that the monitors of every snapshot
     share; `build_report` makes one per report.  Of full-size float arrays
     it keeps only dist^beta: keeping the x and y of every mask's nodes as
-    well raised the peak RSS of `gbulab run p3-blowup` by 3.6 MB (8%)."""
+    well raised the peak RSS of `gbulab fit` on a p3-blowup run directory
+    by 1.1 MB (3%)."""
 
     def __init__(self, g, pc: ProfileConstants):
         self.X, self.Y = X, Y = g.meshgrid()  # views, of no size
@@ -127,21 +128,21 @@ def bernstein_monitor(grad, geo: Geometry, t: float) -> MonitorEnvelope:
 
 def j_monitor(probe, geo: Geometry, jp: JParams, pc: ProfileConstants) -> float:
     """Maximum of J = u_x + k x y^-gamma (1+y) u^q over probe-box nodes,
-    given probe, a snapshot and its u_x on the probe box (`Geometry.probe`).
+    given probe, a snapshot's (u, u_x) on the probe box (`Geometry.probe`).
 
     Nodes at y = 0 are excluded (the weight is singular there).
     """
-    snapshot, ux = probe
+    u, ux = probe
     if not ux.size:
         x1, y1 = geo.probe_box
         raise DomainError(f"probe box (0, {x1}] x (0, {y1}] contains no nodes")
-    u = np.clip(snapshot.values[geo.probe], 0.0, None)
+    u = np.clip(u, 0.0, None)
     return float(np.max(j_model(jp, pc, u, ux, *geo.probe_xy)))
 
 
 def j_k_ladder(probes, geo: Geometry, pc: ProfileConstants, q: float = None):
     """Largest k = 2^-n, n = 1..20, with max J <= 0 on every snapshot, given
-    each with its u_x on the probe box.
+    each as its (u, u_x) on the probe box.
 
     Returns (k, table) with k = 0.0 if no rung passes; table maps each tried
     k to its worst max-J over the window.
@@ -215,24 +216,27 @@ def _powerlaw_or_none(x, y, ok):
 
 
 def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
-    """Full diagnostic pass over a list of (t, ScalarField) snapshot pairs:
-    the mapping report.json holds, plus the (t, x, h) table of h_table.csv
-    under `h_table` and the final snapshot's u_y, which the fits read, under
-    `final_uy`.  Each snapshot's gradient is computed once, and of it only
-    u_x on the J probe box and u_y on the wall y = 0 are kept past its own
-    monitors, the final snapshot's u_y aside.  A monitor whose probe box
+    """Full diagnostic pass over (t, ScalarField) snapshot pairs in time
+    order, iterated once: the mapping report.json holds, plus the (t, x, h)
+    table of h_table.csv under `h_table` and the final snapshot's u_y, which
+    the fits read, under `final_uy`.  Each snapshot's gradient is computed
+    once.  Past its own monitors, only t, u and u_x on the J probe box and
+    u_y on the wall y = 0 are kept of a snapshot, and the snapshot itself
+    only until the next one's u_t, so a stream holds two at a time at most;
+    the final snapshot's u_y is kept as well.  A monitor whose probe box
     holds no usable node records {"error": ...} under the keys it fills, as
     a failed fit does in fits.json."""
-    geo = Geometry(snapshots[0][1].grid, pc)
-    envelopes, probes = [], []
-    walls = np.empty((len(snapshots), geo.X.shape[1]))  # u_y(x, 0), for h
-    prev = prev_t = None
-    for (t, f), wall in zip(snapshots, walls):
+    geo = prev = prev_t = None
+    envelopes, ts, probes, walls = [], [], [], []  # walls: u_y(x, 0), for h
+    for t, f in snapshots:
+        if geo is None:
+            geo = Geometry(f.grid, pc)
         grad = gradient(f)
         envelopes.extend(monitor_bounds(f, t, grad, geo, prev, prev_t))
         envelopes.append(bernstein_monitor(grad, geo, t))
-        probes.append((f, grad[0].values[geo.probe]))
-        wall[:] = grad[1].values[0]
+        ts.append(t)
+        probes.append((f.values[geo.probe], grad[0].values[geo.probe]))
+        walls.append(grad[1].values[0].copy())  # a view keeps all of u_y
         prev, prev_t = f, t
     out = {"envelopes": envelopes}
 
@@ -247,17 +251,14 @@ def build_report(snapshots, pc: ProfileConstants, q: float = None) -> dict:
         # snapshot at that rung, or at k = 1/2 if none passed
         k, _ = j_k_ladder(probes[len(probes) * 3 // 4:], geo, pc, q)
         jp = j_params(pc, k if k > 0 else 0.5, q)
-        return k, [(t, j_monitor(p, geo, jp, pc))
-                   for (t, _), p in zip(snapshots, probes)]
+        return k, [(t, j_monitor(p, geo, jp, pc)) for t, p in zip(ts, probes)]
 
     attempt(("j_k", "j_max"), ladder)
-    probes.clear()  # used up: freed before the xi/Theta fields, the peak
     attempt(("xi_range", "theta_range"),  # f and grad of the last snapshot
             lambda: xi_theta_ranges(f, grad, geo, pc))
     h = modulation_h(f.grid.x, walls, pc)
     out.update(h_excluded=h["n_excluded"], h_fit_space=h["fit_space"],
-               h_table=([t for t, _ in snapshots], f.grid.x, h["h"]),
-               final_uy=grad[1])
+               h_table=(ts, f.grid.x, h["h"]), final_uy=grad[1])
     return out
 
 

@@ -32,6 +32,16 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigurationError, NumericError, SnapshotError
 
+try:  # the interpreter's own sha256, as random.py takes its sha512: hashlib's
+    # loads OpenSSL, which adds about 3.5 MB to the resident size of every
+    # run, fit and check.  The digests are the same.
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256 as _sha256
+
 __all__ = [
     "Axis",
     "Grid2D",
@@ -90,13 +100,6 @@ class Axis:
         a, b = z[-1] - z[-2], z[-2] - z[-3]
         self.hi = (a / (b * (a + b)), -(a + b) / (a * b),
                    (2.0 * a + b) / (a * (a + b)))
-
-
-def _sha256(data=b""):
-    # imported on first use: hashlib loads OpenSSL, which adds about 3.5 MB
-    # to the resident size of a run that never writes or reads a snapshot
-    import hashlib
-    return hashlib.sha256(data)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -9,12 +9,15 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import yaml
 
-from gbulab import _kernels, cli, solver
+from gbulab import _kernels, cli, grid, solver
 from gbulab.errors import ConfigurationError, SnapshotError
 from gbulab.grid import Grid2D, to_json
 
@@ -388,10 +391,41 @@ def test_check_verifies_every_snapshot(run_dir, tmp_path):
     entries = meta["outcome"]["snapshots"]
     assert len(entries) >= 3 and all("sha256" in e for e in entries)
 
-    snap = clone / "snapshots" / "0001.bin"
+    flip_a_bit(clone / "snapshots" / "0001.bin")
+    assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
+    assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
+
+
+def flip_a_bit(snap):
+    """Flip the last bit of one value of a snapshot file."""
     raw = bytearray(snap.read_bytes())
-    raw[32 + 8 * (len(raw) // 16)] ^= 1  # the last bit of one value
+    raw[32 + 8 * (len(raw) // 16)] ^= 1
     snap.write_bytes(bytes(raw))
+
+
+def test_fit_writes_nothing_before_the_last_snapshot_is_verified(run_dir,
+                                                                 tmp_path):
+    """fit reads each snapshot, against its sha256, only when the report
+    reaches it, but writes no derived file before the last one has passed:
+    with a bit of the last snapshot flipped it exits 5 and every derived
+    file keeps its bytes."""
+    clone = tmp_path / "clone8"
+    shutil.copytree(run_dir, clone)
+    for name in derived_files(clone):
+        (clone / name).write_text("stale\n")
+    before = derived_files(clone)
+    flip_a_bit(max((clone / "snapshots").iterdir()))
+    assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
+    assert derived_files(clone) == before
+
+
+def test_fit_and_check_verify_the_snapshots_of_a_1d_run(run_dir_1d,
+                                                        tmp_path):
+    """No fit of a 1D run reads its snapshots; fit and check verify each
+    one all the same."""
+    clone = tmp_path / "clone9"
+    shutil.copytree(run_dir_1d, clone)
+    flip_a_bit(min((clone / "snapshots").iterdir()))
     assert cli.main(["check", str(clone)]) == cli.EXIT_SNAPSHOT
     assert cli.main(["fit", str(clone)]) == cli.EXIT_SNAPSHOT
 
@@ -511,6 +545,29 @@ def test_fit_takes_one_gradient_per_snapshot_and_one_profile(
     n_snaps = len(json.loads((clone / "meta.json").read_text())
                   ["outcome"]["snapshots"])
     assert len(calls) == n_snaps
+
+
+@pytest.mark.skipif(grid._sha256 is hashlib.sha256,
+                    reason="this interpreter has no built-in sha256")
+def test_run_fit_and_check_leave_openssl_unloaded(tmp_path):
+    """Run directories are hashed with the interpreter's own sha256, so
+    `run`, `fit` and `check` never load hashlib's OpenSSL module, which
+    costs about 3.5 MB resident.  A subprocess keeps pytest's imports out."""
+    cfg, out = write_config(tmp_path), str(tmp_path / "run")
+    script = textwrap.dedent("""
+        import sys
+        src, cfg, out = sys.argv[1:]
+        sys.path.insert(0, src)
+        from gbulab import cli
+        for args in (["run", cfg, "-o", out], ["fit", out], ["check", out]):
+            assert cli.main(args) == 0, args
+        print("_hashlib" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script, src, cfg, out],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_check_rejects_an_edited_series(run_dir, tmp_path):

@@ -2,6 +2,7 @@
 steady layer profile) plus report assembly and serialization."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gbulab import (DomainError, Grid2D, ScalarField, gradient, j_params,
                     profile_constants, symmetric_cap)
 from gbulab import _kernels
 from gbulab import diagnostics as dg
+from gbulab.grid import to_json
 
 PC3 = profile_constants(3.0)
 
@@ -30,9 +32,9 @@ def prepared(f):
 
 
 def probe(f):
-    """f with its u_x on the J probe box, and the grid's monitor arrays."""
+    """f's u and u_x on the J probe box, and the grid's monitor arrays."""
     grad, geo = prepared(f)
-    return (f, grad[0].values[geo.probe]), geo
+    return (f.values[geo.probe], grad[0].values[geo.probe]), geo
 
 
 def j_max(f, jp):
@@ -265,6 +267,36 @@ def test_build_and_write_report(tmp_path):
     # the final u_y the fits read is the last snapshot's, bit for bit
     np.testing.assert_array_equal(report["final_uy"].values,
                                   _kernels.gradient(snaps[-1][1].values, g)[1])
+
+
+def test_build_report_holds_two_snapshots_at_most():
+    """build_report iterates its snapshots once and keeps each only until
+    the next one's u_t: fed a one-shot generator, at most two of its fields
+    are alive at each yield, and the report is bit for bit a list's."""
+    g = Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33)
+    ts = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05)
+    alive, counts = [], []
+
+    def cap(t):
+        return symmetric_cap(0.2 / (1.0 + 5 * t), 0.18, g)
+
+    def stream():
+        for t in ts:
+            f = cap(t)
+            alive.append(weakref.ref(f))
+            counts.append(sum(r() is not None for r in alive))
+            yield t, f
+
+    streamed = dg.build_report(stream(), PC3, q=3.0)
+    listed = dg.build_report([(t, cap(t)) for t in ts], PC3, q=3.0)
+    assert len(counts) == len(ts) and max(counts) <= 2
+    arrays = ("h_table", "final_uy")
+    assert to_json({k: v for k, v in streamed.items() if k not in arrays}) \
+        == to_json({k: v for k, v in listed.items() if k not in arrays})
+    for a, b in zip(streamed["h_table"], listed["h_table"]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(streamed["final_uy"].values,
+                                  listed["final_uy"].values)
 
 
 def test_build_report_takes_each_gradient_once(monkeypatch):

@@ -5,6 +5,7 @@ exact on polynomials of degree <= 2, so quadratic fields give machine-accuracy
 references; smooth fields give the second-order convergence check.
 """
 
+import hashlib
 import struct
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from gbulab import (ConfigurationError, Grid2D, NumericError, ScalarField,
                     SnapshotError, gradient, laplacian, read_snapshot,
                     write_snapshot)
-from gbulab import _kernels
+from gbulab import _kernels, grid
 from gbulab.grid import Axis, graded_nodes
 
 
@@ -387,6 +388,19 @@ def test_snapshot_roundtrip(tmp_path):
     assert t2 == 0.125
     assert f2.grid == g
     assert np.array_equal(f2.values, f.values)
+
+
+def test_sha256_is_hashlib_sha256():
+    """The sha256 that run directories record, the interpreter's own rather
+    than OpenSSL's, gives hashlib.sha256's digest: empty, in one call and
+    fed in chunks, as write_snapshot feeds it."""
+    data = bytes(range(256)) * 1000
+    assert grid._sha256().hexdigest() == hashlib.sha256().hexdigest()
+    assert grid._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    digest = grid._sha256()
+    for i in range(0, len(data), 4099):
+        digest.update(data[i:i + 4099])
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_snapshot_bytes_deterministic(tmp_path):
