@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 import yaml
 
-from gbulab import _kernels, cli, grid, solver
+from gbulab import _kernels, cli, solver
 from gbulab.errors import ConfigurationError, SnapshotError
-from gbulab.grid import Grid2D, to_json
+from gbulab.grid import Grid2D, _sha256, to_json
 
 
 ABSENT = object()  # an override that deletes the key
@@ -547,7 +547,7 @@ def test_fit_takes_one_gradient_per_snapshot_and_one_profile(
     assert len(calls) == n_snaps
 
 
-@pytest.mark.skipif(grid._sha256 is hashlib.sha256,
+@pytest.mark.skipif(_sha256 is hashlib.sha256,
                     reason="this interpreter has no built-in sha256")
 def test_run_fit_and_check_leave_openssl_unloaded(tmp_path):
     """Run directories are hashed with the interpreter's own sha256, so
