@@ -81,7 +81,7 @@ RUN_SCHEMA = {
     "solver": {"dt_floor": float, "stop_grad_norm": float, "t_max": float,
                "snapshot_stride": _integer},
     "diagnostics": {"q": float},
-    "fits": {"level_frac": float, "extent": float},
+    "fits": {"level_frac": float},
 }
 # the initial_data keys each family needs
 _FAMILY_KEYS = {"cap": ("amplitude", "width"), "sine_1d": ("amplitude",)}
@@ -274,12 +274,9 @@ class _Snapshots:
 
 
 def _load_run(run_dir):
-    """(meta, snapshots, series) of a run directory, series.csv checked
-    against the sha256 meta.json records for it and the snapshots a
-    `_Snapshots`; NumericError for 0 steps."""
-    meta, refs, series_sha256 = solver.open_run(run_dir)
-    series = solver.load_series(os.path.join(run_dir, "series.csv"),
-                                series_sha256)
+    """(meta, snapshots, series) of a run directory as `solver.open_run`
+    reads it, the snapshots a `_Snapshots`; NumericError for 0 steps."""
+    meta, refs, series = solver.open_run(run_dir)
     if meta["outcome"].get("steps") == 0:
         raise NumericError(f"{run_dir}: 0 steps ({meta['outcome']['reason']})")
     return meta, _Snapshots(refs), series
@@ -310,7 +307,7 @@ def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
         attempt("time_rate", timerate)
         return out
 
-    extent = cfg.fits.get("extent", 0.1)
+    extent = profile_fit.EXTENT
     level_frac = cfg.fits.get("level_frac", 0.5)
     # the near-wall windows start at the layer's resolution crossover only
     # in a run that built a layer, i.e. blew up (profile_fit.wall_floor)
@@ -321,9 +318,8 @@ def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
         return profile_fit.wall_floor(uy, pc, layer=blew_up)
 
     attempt("normal", lambda: profile_fit.fit_normal(uy, pc, floor=floor()))
-    attempt("tangential", lambda: profile_fit.fit_tangential(uy, pc, hi=extent))
-    attempt("aniso", lambda: profile_fit.fit_aniso(uy, pc, extent=extent,
-                                                   floor=floor()))
+    attempt("tangential", lambda: profile_fit.fit_tangential(uy, pc))
+    attempt("aniso", lambda: profile_fit.fit_aniso(uy, pc, floor=floor()))
 
     def levelset():
         X, Y = uy.grid.meshgrid()
@@ -331,7 +327,7 @@ def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
         if not np.any(sel):
             raise FitError(f"level-set window (extent {extent}) has no nodes")
         level = level_frac * float(np.max(uy.values[sel]))
-        fitv = profile_fit.level_set_shape(uy, pc, level, extent=extent)
+        fitv = profile_fit.level_set_shape(uy, pc, level)
         return {"level": level, "fit": fitv}
 
     attempt("level_set", levelset)
@@ -365,10 +361,10 @@ def _write_fits(out_dir, meta, snaps, series, cfg: RunConfig):
     uy = report["final_uy"]
     fits = compute_fits(meta, uy, series, cfg)
     write_json(os.path.join(out_dir, "fits.json"), fits)
-    _emit_profile_csvs(uy, cfg, out_dir, fits)
+    _emit_profile_csvs(uy, out_dir, fits)
 
 
-def _emit_profile_csvs(uy, cfg: RunConfig, out_dir, fits):
+def _emit_profile_csvs(uy, out_dir, fits):
     g, v = uy.grid, uy.values
     write_rows(os.path.join(out_dir, "profile_normal.csv"), ("y", "uy"),
                zip(g.y, v[:, g.ix0]))
@@ -376,8 +372,7 @@ def _emit_profile_csvs(uy, cfg: RunConfig, out_dir, fits):
                zip(g.x[g.ix0:], v[0, g.ix0:]))
     # a level in fits.json means level_set_shape found this curve
     if (level := fits["level_set"].get("level")) is not None:
-        xs, ys = profile_fit.level_set_curve(
-            uy, level, extent=cfg.fits.get("extent", 0.1))
+        xs, ys = profile_fit.level_set_curve(uy, level)
         write_rows(os.path.join(out_dir, "profile_levelset.csv"), ("x", "y"),
                    zip(xs, ys))
 
@@ -454,10 +449,9 @@ def cmd_mms(config_path) -> int:
                    else 4 * n_steps)
         X, Y = g.meshgrid()
         u0 = ScalarField(g, exact(X, Y, 0.0))
-        forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
-        scfg = solver.SolverConfig(p=p, t_max=t_end, stop_grad_norm=1e30,
-                                   forcing=forcing, boundary=boundary,
-                                   n_steps=n_steps)
+        scfg = solver.SolverConfig(
+            p=p, t_max=t_end, stop_grad_norm=1e30, n_steps=n_steps,
+            forced=manufactured_callbacks(mp, pc, g.x, g.y))
         outcome = solver.run(u0, scfg)
         uex = exact(X, Y, t_end)  # where every grid's run ends
         err = float(np.max(np.abs(outcome.final.field.values - uex)))

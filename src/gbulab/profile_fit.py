@@ -9,7 +9,9 @@ Fit windows exclude the innermost grid cells and the resolution crossover —
 the scale below which the grid saturates and measured slopes bias toward 0.
 Window edges are stated in node coordinates, so they hold on graded grids:
 the near-wall y windows start at `wall_floor`, the tangential window at the
-larger of the third node beside x = 0 and its own crossover.
+larger of the third node beside x = 0 and its own crossover.  EXTENT is the
+top of the tangential window and the side of the anisotropic and level-set
+boxes; the normal window stays [wall floor, min(0.1, Ly)].
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "level_set_curve",
     "level_set_shape",
 ]
+
+EXTENT = 0.1
 
 
 @dataclass(frozen=True)
@@ -146,9 +150,9 @@ def resolution_crossover(s, v, target_exponent, hi):
     return float(s[flat[-1] + 1])
 
 
-def fit_tangential(uy: ScalarField, pc: ProfileConstants,
-                   hi=None) -> PowerLawFit:
-    """Fit one-sided u_y(x, 0) vs x > 0; the expected slope is -2/(p-2).
+def fit_tangential(uy: ScalarField, pc: ProfileConstants) -> PowerLawFit:
+    """Fit one-sided u_y(x, 0) vs x > 0 up to EXTENT; the expected slope is
+    -2/(p-2).
 
     The window's lower edge is the resolution crossover (the discrete profile
     plateaus below it); an outer decade that never steepens is an error.
@@ -156,14 +160,12 @@ def fit_tangential(uy: ScalarField, pc: ProfileConstants,
     g = uy.grid
     wall = uy.values[0, g.ix0 + 1:]
     xs = g.x[g.ix0 + 1:]
-    if hi is None:
-        hi = min(0.1, g.Lx)
-    lo = resolution_crossover(xs, wall, -pc.tangential_exp, hi)
+    lo = resolution_crossover(xs, wall, -pc.tangential_exp, EXTENT)
     lo = max(lo, float(xs[2]))  # the third node beside x = 0
-    if hi / lo < 2.0:
+    if EXTENT / lo < 2.0:
         raise FitError(f"insufficient resolution: tangential window "
-                       f"[{lo:.4g}, {hi:.4g}] narrower than a factor 2")
-    return powerlaw_fit(xs, wall, (lo, hi))
+                       f"[{lo:.4g}, {EXTENT:.4g}] narrower than a factor 2")
+    return powerlaw_fit(xs, wall, (lo, EXTENT))
 
 
 def _last_growth_decade(series: dict):
@@ -197,24 +199,24 @@ def fit_time_rate(series: dict, pc: ProfileConstants):
     return powerlaw_fit(dt[keep], g[keep]), T_hat, float(r2)
 
 
-def _aniso_region(uy: ScalarField, pc: ProfileConstants, extent, floor):
-    """(x, y, measured u_y) over [0, extent]^2 from y = floor up."""
+def _aniso_region(uy: ScalarField, pc: ProfileConstants, floor):
+    """(x, y, measured u_y) over [0, EXTENT]^2 from y = floor up."""
     X, Y = uy.grid.meshgrid()
     if floor is None:
         floor = wall_floor(uy, pc)
     v = uy.values
-    mask = (X >= 0) & (X <= extent) & (Y >= floor) & (Y <= extent) & (v > 0)
+    mask = (X >= 0) & (X <= EXTENT) & (Y >= floor) & (Y <= EXTENT) & (v > 0)
     if np.count_nonzero(mask) < 5:
         raise FitError("fit_aniso: fewer than 5 usable nodes in the region")
     return X[mask], Y[mask], v[mask]
 
 
-def fit_aniso(uy: ScalarField, pc: ProfileConstants, extent=0.1,
+def fit_aniso(uy: ScalarField, pc: ProfileConstants,
               floor=None) -> AnisoFit:
     """Golden-section search on C1 minimizing the max relative deviation of
     measured u_y from d_p [y + C1 |x|^(2(p-1)/(p-2))]^(-beta) over
-    [0, extent] x [floor, extent], floor defaulting to `wall_floor`."""
-    xs, ys, v = _aniso_region(uy, pc, extent, floor)
+    [0, EXTENT] x [floor, EXTENT], floor defaulting to `wall_floor`."""
+    xs, ys, v = _aniso_region(uy, pc, floor)
 
     def cost(logc):
         model = final_profile_model(pc, float(np.exp(logc)), xs, ys)
@@ -239,41 +241,35 @@ def fit_aniso(uy: ScalarField, pc: ProfileConstants, extent=0.1,
     return AnisoFit(C1_hat=float(np.exp(logc)), residual_rel=cost(logc))
 
 
-def _column_crossing(col, ys, level):
-    """First downward crossing of a column through the level, linearly
-    interpolated; None if the column never crosses."""
-    above = np.nonzero(col[:-1] >= level)[0]
-    for j in above:
-        if col[j + 1] < level:
-            frac = (col[j] - level) / (col[j] - col[j + 1])
-            return ys[j] + frac * (ys[j + 1] - ys[j])
-    return None
+def _crossings(v, ys, level):
+    """(the columns of v that cross the level downward as ys rises, the
+    height of each one's first such crossing, linearly interpolated)."""
+    down = (v[:-1] >= level) & (v[1:] < level)
+    cols = np.nonzero(down.any(axis=0))[0]
+    j = np.argmax(down[:, cols], axis=0)
+    hi, lo = v[j, cols], v[j + 1, cols]
+    return cols, ys[j] + (hi - level) / (hi - lo) * (ys[j + 1] - ys[j])
 
 
-def level_set_curve(uy: ScalarField, level: float, extent=0.1):
-    """Per-column crossing heights of u_y = level for x > 0.
+def level_set_curve(uy: ScalarField, level: float):
+    """Per-column crossing heights of u_y = level for 0 < x <= EXTENT.
 
     Each column is scanned upward; the first downward crossing is located by
     linear interpolation.  Returns (x, y) arrays of the crossings found.
     """
     g = uy.grid
-    xs_out, ys_out = [], []
-    for i in range(g.ix0 + 1, g.nx):
-        if g.x[i] > extent:
-            break
-        hit = _column_crossing(uy.values[:, i], g.y, level)
-        if hit is None:
-            continue
-        ys_out.append(hit)
-        xs_out.append(g.x[i])
-    if len(xs_out) < 5:
-        raise FitError(f"level {level:.4g} crossed in only {len(xs_out)} "
+    xs = g.x[g.ix0 + 1:]
+    xs = xs[xs <= EXTENT]  # the nodes rise, so these are the first columns
+    cols, ys = _crossings(uy.values[:, g.ix0 + 1:g.ix0 + 1 + xs.size], g.y,
+                          level)
+    if cols.size < 5:
+        raise FitError(f"level {level:.4g} crossed in only {cols.size} "
                        "columns, need >= 5")
-    return np.asarray(xs_out), np.asarray(ys_out)
+    return xs[cols], ys
 
 
-def level_set_shape(uy: ScalarField, pc: ProfileConstants, level: float,
-                    extent=0.1) -> PowerLawFit:
+def level_set_shape(uy: ScalarField, pc: ProfileConstants,
+                    level: float) -> PowerLawFit:
     """Fit the sag of the level-set curve of u_y below its apex at x = 0.
 
     On the layer-profile model u_y = d_p [y + C1 |x|^a]^(-beta) the crossing
@@ -290,11 +286,11 @@ def level_set_shape(uy: ScalarField, pc: ProfileConstants, level: float,
     p = 3.
     """
     g = uy.grid
-    y0 = _column_crossing(uy.values[:, g.ix0], g.y, level)
-    if y0 is None:
+    apex, y0 = _crossings(uy.values[:, g.ix0:g.ix0 + 1], g.y, level)
+    if not apex.size:
         raise FitError(f"level {level:.4g} not crossed on the x = 0 column")
-    xs, ys = level_set_curve(uy, level, extent)
-    sag = y0 - ys
+    xs, ys = level_set_curve(uy, level)
+    sag = y0[0] - ys
     keep = sag >= max(float(np.max(sag)), 0.0) / 10.0
     if np.count_nonzero(keep) < 5:
         raise FitError("level-set sag resolved in fewer than 5 columns")

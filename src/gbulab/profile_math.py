@@ -6,10 +6,10 @@ residual and sign checks built on top of this module carry no discretization
 error.  All functions accept scalars or numpy arrays and are pure.
 
 For a solver run, `manufactured_callbacks` binds the manufactured solution to
-a grid's nodes once and returns the two callbacks `SolverConfig` takes, each
-called with the time alone: forcing(t), the interior forcing, and
-boundary(t), the four edges.  They compute the factors of x alone once per
-run and give the values of `manufactured_solution` bit for bit.
+a grid's nodes once and returns the callback `SolverConfig.forced` takes,
+called with the time alone: forced(t) returns the interior forcing and the
+four edges.  It computes the factors of x alone once per run and gives the
+values of `manufactured_solution` bit for bit.
 """
 
 from __future__ import annotations
@@ -416,13 +416,13 @@ class BoundManufactured:
 
 def manufactured_callbacks(mp: ManufacturedParams, pc: ProfileConstants,
                            x, y):
-    """The solver callbacks of the manufactured solution on the tensor grid
-    of the node coordinates x (nx) and y (ny).
+    """The forced-run callback of the manufactured solution on the tensor
+    grid of the node coordinates x (nx) and y (ny).
 
-    Returns (forcing, boundary): forcing(t) is the forcing on the interior
-    nodes, a (ny-2, nx-2) array that the next call overwrites, and
-    boundary(t) the exact values on the edges (bottom, top, left, right).
-    One evaluator serves the four edges, laid end to end.
+    forced(t) returns (the forcing on the interior nodes, a (ny-2, nx-2)
+    array that the next call overwrites, the exact values on the edges
+    (bottom, top, left, right)).  One evaluator serves the four edges, laid
+    end to end.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -432,12 +432,12 @@ def manufactured_callbacks(mp: ManufacturedParams, pc: ProfileConstants,
         mp, pc, np.concatenate([x, x, 0.0 * y + x[0], 0.0 * y + x[-1]]),
         np.concatenate([0.0 * x, 0.0 * x + y[-1], y, y]))
 
-    def boundary(t):
+    def forced(t):
         u = edges.u(t)
-        return (u[:nx], u[nx:2 * nx], u[2 * nx:2 * nx + ny],
-                u[2 * nx + ny:])
+        return interior.forcing(t), (u[:nx], u[nx:2 * nx],
+                                     u[2 * nx:2 * nx + ny], u[2 * nx + ny:])
 
-    return interior.forcing, boundary
+    return forced
 
 
 # --------------------------------------------------------------------------

@@ -16,18 +16,17 @@ records, so a resumed run repeats the one-shot run.  A step that would
 cross t_max is taken again from the same state, shortened to land on t_max.
 It holds the walls of the state it steps from.
 
-A forced run (the MMS study) passes `SolverConfig.forcing` and
-`SolverConfig.boundary`, two callbacks that must be functions of the time
-alone: forcing(t) returns the interior values and boundary(t) the four
-edges.  It takes `SolverConfig.n_steps` equal steps and lands on t_max bit
-for bit: step k + 1 goes from t_k to t_(k+1) = t_max (k + 1) / n_steps.  In
-that order it sets the walls of the new values to boundary(t_(k+1)), forms
-F from those values (their walls moved, so it forms its own gradient) plus
-forcing(t_(k+1)), and solves for the interior update: one call of each
-callback per step.  A forced column raises ConfigurationError, as its side
-walls are the whole column.  The callbacks are meant to be bound to the
-grid's nodes once, as `profile_math.manufactured_callbacks` binds the
-manufactured solution, so a step rebuilds no coordinates.
+A forced run (the MMS study) passes `SolverConfig.forced`, a callback that
+must be a function of the time alone: forced(t) returns the interior forcing
+and the four edges.  It takes `SolverConfig.n_steps` equal steps and lands
+on t_max bit for bit: step k + 1 goes from t_k to t_(k+1) = t_max (k + 1) /
+n_steps.  It calls forced(t_(k+1)) once, sets the walls of the new values to
+its edges, forms F from those values (their walls moved, so it forms its own
+gradient) plus its forcing, and solves for the interior update.  A forced
+column raises ConfigurationError, as its side walls are the whole column.
+The callback is meant to be bound to the grid's nodes once, as
+`profile_math.manufactured_callbacks` binds the manufactured solution, so a
+step rebuilds no coordinates.
 
 The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
 uniform or graded in y, through the same step, run, persistence and resume,
@@ -37,10 +36,10 @@ Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
 (`SimulationState.work`, made by `make_state` and dropped from the run's
 outcome), so independent runs share nothing and may execute concurrently.
-The workspace holds every interior-size buffer a step needs: the kernels'
-scratch and the gradient handed between steps, made with the state, and the
-step's right-hand side and line-solve buffers, made by the run's first step.
-A step allocates no interior-size array but its new values.
+The workspace, made with the state, holds every interior-size buffer a step
+needs: the kernels' scratch, the gradient handed between steps, the step's
+right-hand side and the line-solve buffers.  A step allocates no
+interior-size array but its new values.
 A step leaves the gradient that its grad_max formed for the new state in the
 workspace.  An unforced step's right-hand side takes it ("first same as
 last") and then forms only the Laplacian and the source; the stencils give
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -92,19 +90,16 @@ class SolverConfig:
     stop_grad_norm: Optional[float] = None  # None -> default_stop_grad_norm
     t_max: float = 1.0
     snapshot_stride: int = 0  # steps between periodic snapshots; 0 disables
-    # a forced run's callbacks, functions of t alone, each evaluated once per
-    # step at the step's new time; forcing(t) -> the (ny-2, nx-2) interior
-    # values at time t
-    forcing: Optional[Callable] = None
-    # boundary(t) -> the edge values (bottom, top, left, right) at time t;
-    # None holds the walls of the initial data
-    boundary: Optional[Callable] = None
+    # a forced run's callback, a function of t alone evaluated once per step
+    # at the step's new time: forced(t) -> (the (ny-2, nx-2) interior
+    # forcing, the edge values (bottom, top, left, right)) at time t
+    forced: Optional[Callable] = None
     # the number of equal steps a forced run takes to t_max; a forced run
     # needs it (>= 1) and an unforced run, which sizes its own, takes none
     n_steps: Optional[int] = None
 
     def __post_init__(self):
-        forced = self.forcing is not None or self.boundary is not None
+        forced = self.forced is not None
         if (self.n_steps is not None) != forced or forced and not (
                 isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise ConfigurationError("n_steps: a forced run needs an int >= "
@@ -145,7 +140,7 @@ class SnapshotRef:
 class RunOutcome:
     reason: str
     t_stop: float
-    series: dict  # arrays: t, grad_max, uy_origin, dt
+    series: dict  # an array per SERIES column
     snapshots: list
     final: SimulationState
 
@@ -162,8 +157,8 @@ class _Work:
     ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
     the next step's right-hand side; `tmp` is one more array of the grid's
     shape; `scratch` is the six interior-size arrays that
-    `_kernels.rhs_interior` takes (none on a column).  `F`, the right-hand
-    side, and `sweeps`, the line solves, are made by the run's first step."""
+    `_kernels.rhs_interior` takes (none on a column); `F` is the right-hand
+    side, its walls 0, and `sweeps` a `_Sweep` per axis, x first."""
 
     def __init__(self, g: Grid2D):
         self.grid = g
@@ -172,7 +167,10 @@ class _Work:
         self.tmp = np.empty((g.ny, g.nx))
         self.scratch = () if g.is_column else tuple(
             np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
-        self.of = self.F = self.sweeps = None
+        self.F = np.zeros((g.ny, g.nx))
+        self.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
+            _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
+        self.of = None
 
     def grad_max(self, u: np.ndarray) -> float:
         """Largest |grad u| over every node (a column has only u_y); the
@@ -196,18 +194,10 @@ class _Work:
         return float(uy[0, self.grid.ix0])
 
 
-def _workspace(g: Grid2D, ws) -> _Work:
-    """ws if it is the workspace of grid g, else a new one, which holds no
-    step's own buffers until a step makes them."""
-    if ws is not None and ws.grid is g:
-        return ws
-    return _Work(g)
-
-
 def make_state(u0: ScalarField) -> SimulationState:
     """The state at t = 0 of u0, holding the run's workspace, handed the
     gradient of u0 (as `resume` needs it)."""
-    work = _workspace(u0.grid, None)
+    work = _Work(u0.grid)
     return SimulationState(field=u0, t=0.0, step=0,
                            grad_max=work.grad_max(u0.values),
                            uy_origin=work.uy_origin(), dt_last=0.0, work=work)
@@ -330,15 +320,11 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     their time, dt, their grad_max)."""
     g = state.field.grid
     u = state.field.values
-    if ws.sweeps is None:  # the right-hand side and a _Sweep per axis, x first
-        ws.F = np.zeros((g.ny, g.nx))  # its walls stay 0
-        ws.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
-            _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
     if cfg.n_steps:  # forced: the new values, with their walls, from the start
         t = cfg.t_max * ((state.step + 1) / cfg.n_steps)
         u = u.copy()
-        if cfg.boundary is not None:  # the side columns take the corners
-            u[0, :], u[-1, :], u[:, 0], u[:, -1] = cfg.boundary(t)
+        forcing, edges = cfg.forced(t)
+        u[0, :], u[-1, :], u[:, 0], u[:, -1] = edges  # the sides take corners
     handed = ws.handed(u)  # None on the new values of a forced step
     F = ws.F
     if g.is_column:  # one y sweep over the interior rows
@@ -358,8 +344,7 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         np.multiply(a, uy, out=ws.sweeps[1].speed)
         src = F[inner].T
     if cfg.n_steps:
-        if cfg.forcing is not None:
-            F[inner] += cfg.forcing(t)
+        F[inner] += forcing
         dt = t - state.t
         _check_dt(dt, cfg, state)
         u[inner] += _solve(ws, src, dt)
@@ -397,7 +382,9 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
     if cfg.n_steps and g.is_column:
         raise ConfigurationError("a column runs unforced only: its side "
                                  "walls are the whole column")
-    ws = _workspace(g, state.work)
+    ws = state.work
+    if ws is None or ws.grid is not g:
+        ws = _Work(g)
     # an overflow or NaN reaches gmax and is reported below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         un, t, dt, gmax = _step_implicit(state, cfg, ws)
@@ -411,26 +398,13 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
                            grad_prev=state.grad_max, work=ws)
 
 
-class _Series:
-    cols = ("t", "grad_max", "uy_origin", "dt")
-
-    def __init__(self):
-        self.data = {c: array("d") for c in self.cols}
-
-    def append(self, t, gmax, uy0, dt):
-        self.data["t"].append(t)
-        self.data["grad_max"].append(gmax)
-        self.data["uy_origin"].append(uy0)
-        self.data["dt"].append(dt)
-
-    def as_dict(self):
-        return {c: np.asarray(self.data[c]) for c in self.cols}
+# the columns of series.csv, a row per step from step 0
+SERIES = ("t", "grad_max", "uy_origin", "dt")
 
 
 def write_series(series: dict, path) -> str:
     """Write series.csv; returns the sha256 hex digest of its bytes."""
-    return write_rows(path, _Series.cols,
-                      zip(*(series[c] for c in _Series.cols)))
+    return write_rows(path, SERIES, zip(*(series[c] for c in SERIES)))
 
 
 def load_series(path, sha256: Optional[str] = None) -> dict:
@@ -441,9 +415,9 @@ def load_series(path, sha256: Optional[str] = None) -> dict:
         raw = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise SnapshotError(f"cannot read {path}: {exc}")
-    if raw.shape[1] != len(_Series.cols):
+    if raw.shape[1] != len(SERIES):
         raise SnapshotError(f"{path}: wrong number of columns")
-    return {c: raw[:, i] for i, c in enumerate(_Series.cols)}
+    return {c: raw[:, i] for i, c in enumerate(SERIES)}
 
 
 class _SnapshotWriter:
@@ -490,16 +464,17 @@ def run(u0: ScalarField, cfg: SolverConfig, run_dir=None,
     without it, the outcome lists no snapshots.
     """
     state = make_state(u0.copy())
-    series = _Series()
-    series.append(state.t, state.grad_max, state.uy_origin, 0.0)
     snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride, state.grad_max)
     snaps.maybe(state, force=True)
-    return _advance(state, cfg, series, snaps, run_dir, config_echo)
+    return _advance(state, cfg,
+                    [(state.t, state.grad_max, state.uy_origin, 0.0)],
+                    snaps, run_dir, config_echo)
 
 
-def _advance(state: SimulationState, cfg: SolverConfig, series: _Series,
+def _advance(state: SimulationState, cfg: SolverConfig, rows: list,
              snaps: _SnapshotWriter, run_dir, config_echo) -> RunOutcome:
-    """The loop of `run` and `resume` from a state recorded in series."""
+    """The loop of `run` and `resume` from a state whose series row, a
+    tuple of the SERIES columns, ends rows."""
     g = state.field.grid
     if cfg.stop_grad_norm is None:
         cfg = replace(cfg, stop_grad_norm=default_stop_grad_norm(
@@ -517,13 +492,14 @@ def _advance(state: SimulationState, cfg: SolverConfig, series: _Series,
         except DtUnderflow:
             reason = UNDERFLOW
             break
-        series.append(state.t, state.grad_max, state.uy_origin, state.dt_last)
+        rows.append((state.t, state.grad_max, state.uy_origin, state.dt_last))
         snaps.maybe(state)
 
     snaps.maybe(state, force=True)
     # the run's buffers go before the fits are computed
     outcome = RunOutcome(reason=reason, t_stop=state.t,
-                         series=series.as_dict(), snapshots=snaps.refs,
+                         series=dict(zip(SERIES, np.array(rows).T)),
+                         snapshots=snaps.refs,
                          final=replace(state, work=None))
     if run_dir is not None:
         _persist(outcome, cfg, g, run_dir, config_echo)
@@ -541,7 +517,7 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
         "config": config_echo,
         "grid": {"Lx": g.Lx, "Ly": g.Ly, "nx": g.nx, "ny": g.ny},
         "solver": {k: v for k, v in cfg.__dict__.items()
-                   if k not in ("forcing", "boundary", "n_steps")},
+                   if k not in ("forced", "n_steps")},
         "outcome": {
             "reason": outcome.reason,
             "t_stop": outcome.t_stop,
@@ -558,10 +534,12 @@ def _persist(outcome: RunOutcome, cfg: SolverConfig, g: Grid2D, run_dir,
 
 
 def open_run(run_dir):
-    """(meta, a SnapshotRef per snapshot, series.csv's sha256) of a run
+    """(meta, a SnapshotRef per snapshot, the series.csv columns) of a run
     directory.  SnapshotError if meta.json is unreadable or lacks `config`
     (null is allowed), `outcome.reason`, `outcome.series_sha256`, a
-    snapshot, or a snapshot's integer `step`, `t`, `path` or `sha256`."""
+    snapshot, or a snapshot's integer `step`, `t`, `path` or `sha256`; if
+    series.csv is malformed or its sha256 is not `outcome.series_sha256`;
+    or if the last snapshot's step is not a row of series.csv."""
     path = os.path.join(run_dir, "meta.json")
     try:
         with open(path) as fh:
@@ -580,34 +558,33 @@ def open_run(run_dir):
                and isinstance(s.get("sha256"), str) for s in entries):
         raise SnapshotError(f"{path}: a snapshot lacks an integer step, "
                             "t, path or sha256")
+    series = load_series(os.path.join(run_dir, "series.csv"),
+                         outcome["series_sha256"])
+    step = entries[-1]["step"]
+    if not 0 <= step < len(series["t"]):
+        raise SnapshotError(f"{run_dir}: snapshot step {step} is not a "
+                            f"row of series.csv ({len(series['t'])} rows)")
     return meta, [SnapshotRef(s["step"], s["t"],
                               os.path.join(run_dir, s["path"]), s["sha256"])
-                  for s in entries], outcome["series_sha256"]
+                  for s in entries], series
 
 
 def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     """Restart a persisted run from its last snapshot, deterministically."""
-    meta, refs, series_sha256 = open_run(run_dir)
+    meta, refs, old = open_run(run_dir)
     last = refs[-1]
     fld, t_snap = read_snapshot(last.path, last.sha256)
     st = make_state(fld)
     st.t, st.step = t_snap, last.step
-
-    old = load_series(os.path.join(run_dir, "series.csv"), series_sha256)
-    if not 0 <= last.step < len(old["t"]):
-        raise SnapshotError(f"{run_dir}: snapshot step {last.step} is not a "
-                            f"row of series.csv ({len(old['t'])} rows)")
     # the implicit step sizes dt from the last step's dt and grad_max change
     st.dt_last = float(old["dt"][last.step])
     if last.step > 0:
         st.grad_prev = float(old["grad_max"][last.step - 1])
-    series = _Series()
+    rows = list(zip(*(old[c][:last.step + 1] for c in SERIES)))
     snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride,
                             float(old["grad_max"][0]))
     snaps.refs = refs
-    # series rows are one per step starting at step 0; replaying the
-    # cascade's doubling over them restores its next level bit for bit
-    for row in zip(*(old[c][:last.step + 1] for c in _Series.cols)):
-        series.append(*row)
-        snaps.crossed(row[1])
-    return _advance(st, cfg, series, snaps, run_dir, meta["config"])
+    # the cascade doubled its level past every grad_max so far; doubling is
+    # exact, so doubling past the largest restores the level bit for bit
+    snaps.crossed(float(np.max(old["grad_max"][:last.step + 1])))
+    return _advance(st, cfg, rows, snaps, run_dir, meta["config"])

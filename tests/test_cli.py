@@ -33,7 +33,7 @@ def write_config(tmp_path, name="cfg.yaml", **over):
         "initial_data": {"family": "cap", "amplitude": 0.4, "width": 0.18},
         "solver": {"stop_grad_norm": 200.0, "t_max": 0.05},
         "diagnostics": {"q": 3.0},
-        "fits": {"level_frac": 0.5, "extent": 0.05},
+        "fits": {"level_frac": 0.5},
     }
     for key, val in over.items():
         if isinstance(val, dict):
@@ -67,12 +67,10 @@ def test_config_unknown_field_has_path(tmp_path):
 
 def test_every_solver_option_has_a_caller():
     """Each SolverConfig field is a key of a run config (p, or one under
-    solver:) or one that `mms` passes (its forcing and boundary callbacks
-    and their step count), so no solver option is out of every caller's
-    reach."""
+    solver:) or one that `mms` passes (its forced-run callback and its step
+    count), so no solver option is out of every caller's reach."""
     fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert fields == {"p", *cli.RUN_SCHEMA["solver"], "forcing", "boundary",
-                      "n_steps"}
+    assert fields == {"p", *cli.RUN_SCHEMA["solver"], "forced", "n_steps"}
 
 
 def test_every_family_has_a_preset():
@@ -84,6 +82,32 @@ def test_every_family_has_a_preset():
             families.add(yaml.safe_load(fh).get("initial_data", {})
                          .get("family"))
     assert set(cli._FAMILY_KEYS) <= families
+
+
+# the default of each fits and diagnostics key, as the code that reads it
+# takes it, for a preset's config
+PRESET_DEFAULTS = {("fits", "level_frac"): lambda d: 0.5,
+                   ("diagnostics", "q"): lambda d: d["p"]}
+
+
+def test_every_fits_and_diagnostics_key_varies_across_presets():
+    """Each fits and diagnostics key takes two or more distinct values across
+    the shipped run presets, an unset key counting as its default: a key
+    that every preset leaves at one value is a constant, not a knob."""
+    presets = []
+    for name in sorted(os.listdir(cli._PRESET_DIR)):
+        with open(os.path.join(cli._PRESET_DIR, name)) as fh:
+            d = yaml.safe_load(fh)
+        if "initial_data" in d:  # a run preset, not an mms one
+            presets.append(d)
+    for section in ("fits", "diagnostics"):
+        for key in cli.RUN_SCHEMA[section]:
+            assert (section, key) in PRESET_DEFAULTS, \
+                f"{section}.{key}: no default recorded in this test"
+            default = PRESET_DEFAULTS[section, key]
+            values = {(d.get(section) or {}).get(key, default(d))
+                      for d in presets}
+            assert len(values) >= 2, f"{section}.{key}: only {values}"
 
 
 def test_kernels_read_only_the_grid_axes():
@@ -126,7 +150,8 @@ def bad(over, name, case):
         "abc-2"),
     pytest.param({"diagnostics": {"q": "3e0"}}, cli.EXIT_OK, None,
                  id="q-3e0-0"),
-    bad({"fits": {"extent": "abc"}}, "fits.extent", "extent-abc-2"),
+    bad({"fits": {"level_frac": "abc"}}, "fits.level_frac",
+        "level_frac-abc-2"),
     bad({"grid": {"nx": "3.3e1"}}, "grid.nx", "nx-3.3e1-2"),
     bad({"grid": {"nx": 64.5}}, "grid.nx", "nx-64.5-2"),
     bad({"p": "abc"}, "p: expected float", "p-abc-2"),
@@ -431,8 +456,8 @@ def test_fit_and_check_verify_the_snapshots_of_a_1d_run(run_dir_1d,
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("fits", "extent", "abc"), ("initial_data", "amplitude", ABSENT)],
-    ids=["extent-abc", "no-amplitude"])
+    ("fits", "level_frac", "abc"), ("initial_data", "amplitude", ABSENT)],
+    ids=["level_frac-abc", "no-amplitude"])
 def test_fit_and_check_reject_a_bad_config_echo(run_dir, tmp_path, section,
                                                 key, value):
     """fit and check validate the config echoed in meta.json as run does."""
@@ -499,8 +524,9 @@ def test_check_names_a_derived_file_that_differs(run_dir, tmp_path, capsys,
 
 def test_check_flags_a_stray_derived_file(tmp_path, capsys):
     """A run whose level-set fit failed writes no profile_levelset.csv: a
-    made-up one in its run directory fails check, which names it."""
-    cfg = write_config(tmp_path, fits={"extent": -1.0},
+    made-up one in its run directory fails check, which names it.  A y grid
+    whose third node lies above 0.1 leaves the level-set window empty."""
+    cfg = write_config(tmp_path, domain={"Ly": 0.3}, grid={"ny": 9},
                        initial_data={"amplitude": 0.1},
                        solver={"t_max": 0.001})
     out = tmp_path / "r"
@@ -618,10 +644,11 @@ def test_numeric_failure_writes_crash_json(tmp_path):
 
 
 def test_empty_level_set_window_is_a_fit_error(tmp_path):
-    """fits.extent below the wall floor leaves the level-set window without
-    nodes: fits.json records a FitError there, as for the other fits, and
-    the run completes with its report."""
-    cfg = write_config(tmp_path, fits={"extent": -1.0},
+    """A wall floor (the third node, y[3] = 0.1125) above the window's top
+    of 0.1 leaves the level-set window without nodes: fits.json records a
+    FitError there, as for the other fits, and the run completes with its
+    report."""
+    cfg = write_config(tmp_path, domain={"Ly": 0.3}, grid={"ny": 9},
                        initial_data={"amplitude": 0.1},
                        solver={"t_max": 0.001})
     out = tmp_path / "r"
@@ -711,7 +738,7 @@ def last_snapshot_as_gbu1(run_dir):
      cli.EXIT_SNAPSHOT),
     ("run_dir_1d", cut_series_row, cli.EXIT_SNAPSHOT),
     ("run_dir", set_last_step("5"), cli.EXIT_SNAPSHOT),
-    ("run_dir", set_last_step(1000000), cli.EXIT_OK),
+    ("run_dir", set_last_step(1000000), cli.EXIT_SNAPSHOT),
     ("run_dir", lambda d: max((d / "snapshots").iterdir()).unlink(),
      cli.EXIT_SNAPSHOT),
     ("run_dir", last_snapshot_as_gbu1, cli.EXIT_SNAPSHOT)],
@@ -721,10 +748,10 @@ def last_snapshot_as_gbu1(run_dir):
          "gbu1-snapshot"])
 def test_malformed_run_directory_exits_5(request, tmp_path, source, damage,
                                          code):
-    """fit, check and resume read a run directory through solver.open_run
-    and solver.load_series: a malformed meta.json or series.csv is a
-    SnapshotError, exit 5, not a traceback.  Only resume reads a snapshot's
-    step against series.csv, so fit and check pass a step past its end."""
+    """fit, check and resume read a run directory through solver.open_run:
+    a malformed meta.json or series.csv, or a last snapshot whose step is
+    not a row of series.csv, is a SnapshotError, exit 5, not a
+    traceback."""
     clone = tmp_path / "clone"
     shutil.copytree(request.getfixturevalue(source), clone)
     damage(clone)

@@ -217,7 +217,7 @@ def test_level_set_shape_quartic():
     C1 = 300.0
     uy = grid.gradient(aniso_field(g, C1))[1]
     level = PC3.d_p / np.sqrt(0.01)  # crossing heights ~ 0.01 - C1 x^4
-    xs, ys = profile_fit.level_set_curve(uy, level, extent=0.1)
+    xs, ys = profile_fit.level_set_curve(uy, level)
     expect = 0.01 - C1 * xs**4
     keep = expect > 2e-3
     assert np.max(np.abs(ys[keep] - expect[keep])) < 5e-4
@@ -230,7 +230,7 @@ def test_level_set_shape_recovers_anisotropy_exponent():
     uy = grid.gradient(aniso_field(g, 300.0))[1]
     for frac in (0.01, 0.005):
         level = PC3.d_p / np.sqrt(frac)
-        fit = profile_fit.level_set_shape(uy, PC3, level, extent=0.1)
+        fit = profile_fit.level_set_shape(uy, PC3, level)
         assert fit.exponent == pytest.approx(4.0, abs=0.1)
         assert fit.r_squared > 0.999
 

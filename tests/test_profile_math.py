@@ -262,13 +262,13 @@ def test_bound_manufactured_equals_closed_form(n, p, alpha):
     x = np.linspace(-0.5, 0.5, n)
     y = np.linspace(0.0, 0.5, n)
     X, Y = np.meshgrid(x, y)
-    forcing, boundary = manufactured_callbacks(mp, pc, x, y)
+    forced = manufactured_callbacks(mp, pc, x, y)
     whole = BoundManufactured(mp, pc, x, y[:, None])
     for t in (0.0, 1e-4, 0.0037, 0.5, 1e-4):
         u, *_, f = manufactured_solution(mp, pc, X, Y, t)
-        assert forcing(t).shape == (n - 2, n - 2)
-        assert np.array_equal(forcing(t), f[1:-1, 1:-1])
-        bottom, top, left, right = boundary(t)
+        forcing, (bottom, top, left, right) = forced(t)
+        assert forcing.shape == (n - 2, n - 2)
+        assert np.array_equal(forcing, f[1:-1, 1:-1])
         assert np.array_equal(bottom, u[0, :])
         assert np.array_equal(top, u[-1, :])
         assert np.array_equal(left, u[:, 0])
@@ -282,8 +282,8 @@ def test_bound_manufactured_rejects_t_past_T():
     mp = manufactured_params(pc, 3.0, 1.0)
     x = np.linspace(-0.5, 0.5, 9)
     y = np.linspace(0.0, 0.5, 9)
-    forcing, boundary = manufactured_callbacks(mp, pc, x, y)
-    for call in (forcing, boundary, BoundManufactured(mp, pc, x, y).u):
+    for call in (manufactured_callbacks(mp, pc, x, y),
+                 BoundManufactured(mp, pc, x, y).u):
         with pytest.raises(DomainError):
             call(1.5)
 

@@ -95,11 +95,11 @@ def mms_start(n, t_end, n_steps=None, stretch=0.0):
     g = mms_grid(n, stretch)
     X, Y = g.meshgrid()
     u0 = manufactured_solution(mp, pc, X, Y, 0.0)[0]
-    forcing, boundary = manufactured_callbacks(mp, pc, g.x, g.y)
     if n_steps is None:
         n_steps = math.ceil(t_end / min(g.hx, g.hy) ** 2)
     cfg = SolverConfig(p=3.0, t_max=t_end, stop_grad_norm=1e9,
-                       forcing=forcing, boundary=boundary, n_steps=n_steps)
+                       forced=manufactured_callbacks(mp, pc, g.x, g.y),
+                       n_steps=n_steps)
     return ScalarField(g, u0), cfg, (mp, pc)
 
 
@@ -139,7 +139,7 @@ def edges(v):
 
 @pytest.mark.parametrize("grid", ["uniform", "graded"])
 def test_a_step_holds_the_walls(grid):
-    """Without a boundary callback a step keeps the walls of the state it
+    """Without a forced-run callback a step keeps the walls of the state it
     steps from bit for bit, nonzero walls included."""
     g = (Grid2D(Lx=0.25, Ly=0.1, nx=33, ny=33) if grid == "uniform"
          else graded_grid())
@@ -151,60 +151,53 @@ def test_a_step_holds_the_walls(grid):
 
 
 def test_a_forced_run_takes_its_walls_from_boundary():
-    """A forced run's walls are boundary(t) at its final time, the side
-    columns taking the corners."""
+    """A forced run's walls are the edges of forced(t) at its final time,
+    the side columns taking the corners."""
     u0, cfg, _ = mms_start(33, 0.001)
     out = solver.run(u0, cfg)
     want = np.empty_like(u0.values)
-    want[0], want[-1], want[:, 0], want[:, -1] = cfg.boundary(out.final.t)
+    want[0], want[-1], want[:, 0], want[:, -1] = cfg.forced(out.final.t)[1]
     assert out.final.step > 1
     assert np.array_equal(edges(out.final.field.values), edges(want))
 
 
 def test_a_forced_run_evaluates_each_callback_once_per_time_level():
     """A forced run of n_steps = N takes N equal steps and ends on t_max
-    bit for bit; each step evaluates forcing and boundary once, at its new
-    time, so the calls come at t_1 ... t_N."""
+    bit for bit; each step evaluates its callback once, at its new time, so
+    the calls come at t_1 ... t_N."""
     u0, cfg, _ = mms_start(33, 1e-3, n_steps=7)
-    times = {"forcing": [], "boundary": []}
+    times = []
 
-    def recorded(name, callback):
-        def wrapped(t):
-            times[name].append(t)
-            return callback(t)
-        return wrapped
+    def recorded(t):
+        times.append(t)
+        return cfg.forced(t)
 
-    out = solver.run(u0, replace(
-        cfg, forcing=recorded("forcing", cfg.forcing),
-        boundary=recorded("boundary", cfg.boundary)))
+    out = solver.run(u0, replace(cfg, forced=recorded))
     t = out.series["t"]
     assert out.reason == HORIZON and out.final.step == 7
     assert out.final.t == t[-1] == cfg.t_max
     assert np.allclose(np.diff(t), cfg.t_max / 7, rtol=1e-12, atol=0.0)
-    assert times == {"forcing": t[1:].tolist(), "boundary": t[1:].tolist()}
+    assert times == t[1:].tolist()
 
 
 def test_the_step_count_belongs_to_a_forced_run():
     """SolverConfig rejects a forced run without a step count or with one
     below 1, and a count on an unforced run."""
-    forcing, boundary = (lambda t: 0.0), (lambda t: (0.0,) * 4)
-    for bad in ({"forcing": forcing}, {"boundary": boundary},
-                {"forcing": forcing, "boundary": boundary, "n_steps": 0},
-                {"boundary": boundary, "n_steps": -2},
-                {"forcing": forcing, "n_steps": 2.5}, {"n_steps": 10}):
+    forced = lambda t: (0.0, (0.0,) * 4)  # noqa: E731
+    for bad in ({"forced": forced}, {"forced": forced, "n_steps": 0},
+                {"forced": forced, "n_steps": -2},
+                {"forced": forced, "n_steps": 2.5}, {"n_steps": 10}):
         with pytest.raises(ConfigurationError, match="n_steps"):
             SolverConfig(p=3.0, **bad)
-    SolverConfig(p=3.0, forcing=forcing, boundary=boundary, n_steps=1)
+    SolverConfig(p=3.0, forced=forced, n_steps=1)
 
 
 def test_a_column_rejects_forcing_and_boundary():
     """A forced column is rejected: its side walls are the whole column."""
     st = solver.make_state(symmetric_cap(0.1, 0.18, graded_column()))
-    for cfg in (SolverConfig(p=3.0, forcing=lambda t: 0.0, n_steps=4),
-                SolverConfig(p=3.0, boundary=lambda t: (0.0,) * 4,
-                             n_steps=4)):
-        with pytest.raises(ConfigurationError, match="column"):
-            solver.step(st, cfg)
+    cfg = SolverConfig(p=3.0, forced=lambda t: (0.0, (0.0,) * 4), n_steps=4)
+    with pytest.raises(ConfigurationError, match="column"):
+        solver.step(st, cfg)
 
 
 @pytest.mark.parametrize("grid", ["uniform", "graded", "column"])
@@ -455,8 +448,8 @@ def fsal_runs():
     """(initial field, config, a later stop) of runs whose states hold
     their gradient: a graded run and a column run, whose steps take it, and
     on the full domain of a uniform grid an unforced cap, whose steps take
-    it, and a forced 33² run from manufactured_callbacks, whose boundary
-    moves every step, so its steps form their own."""
+    it, and a forced 33² run from manufactured_callbacks, whose walls
+    move every step, so its steps form their own."""
     graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
     cap = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
     mms_u0, mms, _ = mms_start(33, 1e-3)
@@ -521,7 +514,7 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
     operation on strided views), but no interior-size temporary, of about
     u.nbytes each.  It holds for the step on a uniform and on a graded
     grid, and for the step of a forced run, whose new values take their
-    walls before its right-hand side is formed and whose forcing callback
+    walls before its right-hand side is formed and whose callback's forcing
     overwrites one array of its own.  The grids hold over 65k nodes, so
     numpy's buffers stay under 0.4 u.nbytes; on 129² they alone are 1.48
     u.nbytes."""
