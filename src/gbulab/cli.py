@@ -83,6 +83,9 @@ RUN_SCHEMA = {
     "diagnostics": {"q": float},
     "fits": {"level_frac": float},
 }
+# fits.level_frac when a config sets none: the level-set level as a fraction
+# of the largest u_y in its window
+LEVEL_FRAC = 0.5
 # the initial_data keys each family needs
 _FAMILY_KEYS = {"cap": ("amplitude", "width"), "sine_1d": ("amplitude",)}
 MMS_SCHEMA = {"p": float, "alpha": float, "T": float, "t_end": float,
@@ -158,7 +161,7 @@ class RunConfig:
         _require("initial_data.", self.initial_data, _FAMILY_KEYS[fam])
         if self.is_1d and any(k in self.grid for k in _GRADED_KEYS[3:]):
             raise ConfigurationError("grid: a 1D run takes no x grading")
-        if not 0 < (frac := self.fits.get("level_frac", 0.5)) <= 1:
+        if not 0 < (frac := self.fits.get("level_frac", LEVEL_FRAC)) <= 1:
             raise ConfigurationError(
                 f"fits.level_frac: must be in (0, 1], got {frac}")
         # constructing these checks the ranges (j_params: diagnostics.q)
@@ -308,7 +311,7 @@ def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
         return out
 
     extent = profile_fit.EXTENT
-    level_frac = cfg.fits.get("level_frac", 0.5)
+    level_frac = cfg.fits.get("level_frac", LEVEL_FRAC)
     # the near-wall windows start at the layer's resolution crossover only
     # in a run that built a layer, i.e. blew up (profile_fit.wall_floor)
     blew_up = meta["outcome"]["reason"] == solver.BLOW_UP

@@ -25,7 +25,7 @@ import json
 import struct
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +45,7 @@ except ImportError:
 __all__ = [
     "Axis",
     "Grid2D",
+    "Window",
     "ScalarField",
     "graded_nodes",
     "laplacian",
@@ -278,6 +279,33 @@ class Grid2D:
     def ix0(self) -> int:
         """Column index of the symmetry line x = 0."""
         return (self.nx - 1) // 2
+
+    @cached_property
+    def mirror_nodes(self) -> tuple:
+        """(x, y): whether the x nodes are mirror images about x = 0,
+        x[ix0 + k] == -x[ix0 - k], and whether the y nodes are mirror images
+        about Ly/2, y[ny - 1 - j] == Ly - y[j] for j <= (ny - 1) / 2, each
+        bit for bit.  The upper half is the image of the lower: Ly - (Ly - y)
+        need not round to y."""
+        x, y, i, m = self.x, self.y, self.ix0, (self.ny + 1) // 2
+        return (bool(np.array_equal(x[i:], -x[i::-1])),
+                bool(np.array_equal(y[:-m - 1:-1], self.Ly - y[:m])))
+
+    def window(self, i0: int, j1: int) -> "Window":
+        """The stencil weights on the nodes x[i0:] and y[:j1], for stencils
+        and line solves on that window of the grid: at the window's inner
+        nodes they are the grid's own, bit for bit."""
+        if self.uniform:  # one float per weight, the same at every node
+            return Window(self.ax, self.ay)
+        return Window(Axis(self.x[i0:]), Axis(self.y[:j1]))
+
+
+class Window(NamedTuple):
+    """What the 2D stencils read of a grid, `ax` and `ay`, for a window of
+    it (`Grid2D.window`)."""
+
+    ax: Axis
+    ay: Axis
 
 
 @dataclass

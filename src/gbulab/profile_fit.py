@@ -11,7 +11,8 @@ Window edges are stated in node coordinates, so they hold on graded grids:
 the near-wall y windows start at `wall_floor`, the tangential window at the
 larger of the third node beside x = 0 and its own crossover.  EXTENT is the
 top of the tangential window and the side of the anisotropic and level-set
-boxes; the normal window stays [wall floor, min(0.1, Ly)].
+boxes; the normal window stays [wall floor, `_normal_top`], whose top is
+min(0.1, Ly).
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ __all__ = [
 ]
 
 EXTENT = 0.1
+
+
+def _normal_top(g) -> float:
+    """Top of the normal window on grid g, min(0.1, Ly): the upper edge of
+    the u_y(0, y) fit and of its resolution crossover's search."""
+    return min(0.1, g.Ly)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ def wall_floor(uy: ScalarField, pc: ProfileConstants, layer=True) -> float:
     floor = float(g.y[3])
     if layer:
         floor = max(floor, resolution_crossover(g.y, uy.values[:, g.ix0],
-                                                -pc.beta, min(0.1, g.Ly)))
+                                                -pc.beta, _normal_top(g)))
     return floor
 
 
@@ -113,14 +120,14 @@ def fit_normal(uy: ScalarField, pc: ProfileConstants, window=None,
                floor=None) -> PowerLawFit:
     """Fit u_y(0, y) vs y; the expected slope is -beta with amplitude d_p.
 
-    The default window is [floor, min(0.1, Ly)], with floor defaulting to
+    The default window is [floor, `_normal_top`], with floor defaulting to
     `wall_floor`.
     """
     g = uy.grid
     if window is None:
         if floor is None:
             floor = wall_floor(uy, pc)
-        window = (floor, min(0.1, g.Ly))
+        window = (floor, _normal_top(g))
     return powerlaw_fit(g.y, uy.values[:, g.ix0], window)
 
 

@@ -32,11 +32,33 @@ The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
 uniform or graded in y, through the same step, run, persistence and resume,
 with one y sweep and no x sweep.
 
+A step solves a window of the grid, chosen once per run when `make_state`
+is given the run's config (`run` and `resume` give it).  An unforced 2D run
+whose nodes and values are mirror images about x = 0, bit for bit, solves
+x >= 0 alone; if ny is odd and they are also mirror images about y = Ly/2,
+it solves y <= Ly/2 alone as well.  The window carries one ghost line per
+mirror, the column x = -x_1 and the row just above Ly/2, which is the
+mirror image of the row just below.  The stencils run on the window as on
+any grid, with the grid's own weights at its inner nodes
+(`Grid2D.window`), so its right-hand side is the whole grid's there, bit
+for bit.  The line solves fold each ghost into the band of its line: on an
+x line the first unknown, x = 0, has the ghost below it, so c_0 += a_0; on a
+y line the last unknown, y = Ly/2, has the ghost above it, so
+a_last += c_last.  After each step the rest of the grid, ghosts included,
+is filled by mirroring, so the state, snapshots, series and everything that
+reads them see the whole field.  grad_max and u_y at the origin are read on
+the window's nodes but its ghosts, whose one-sided differences the whole
+grid does not take.  Forced runs, columns and data that fail the bitwise
+check solve the whole grid through the same code, with nothing folded.
+The shipped cap is even in x bit for bit but not mirror-symmetric in y bit
+for bit (`initial_data.symmetric_cap`), so the shipped 2D runs solve x >= 0
+and every y.
+
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
 (`SimulationState.work`, made by `make_state` and dropped from the run's
 outcome), so independent runs share nothing and may execute concurrently.
-The workspace, made with the state, holds every interior-size buffer a step
+The workspace, made with the state, holds every window-size buffer a step
 needs: the kernels' scratch, the gradient handed between steps, the step's
 right-hand side and the line-solve buffers.  A step allocates no
 interior-size array but its new values.
@@ -153,51 +175,106 @@ def default_stop_grad_norm(h: float, p: float) -> float:
 
 class _Work:
     """The buffers that one run's steps share, made once per run for its
-    grid.  `grad` holds the gradient of the values `of` over the grid
-    ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
-    the next step's right-hand side; `tmp` is one more array of the grid's
-    shape; `scratch` is the six interior-size arrays that
-    `_kernels.rhs_interior` takes (none on a column); `F` is the right-hand
-    side, its walls 0, and `sweeps` a `_Sweep` per axis, x first."""
+    grid, and the window of the grid that its steps solve: all of it, or
+    with `mirror` = (x, y) set the nodes x >= 0 (from the ghost column
+    x = -x_1 on) if x is set, and y <= Ly/2 (up to the ghost row just above
+    it) if y is set, the rest filled by mirroring (`_mirrors`).
 
-    def __init__(self, g: Grid2D):
-        self.grid = g
-        self.grad = tuple(np.empty((g.ny, g.nx))
+    `win` is the window's slice of a field and `axes` its stencil weights;
+    `grad` holds the gradient of the values `of` over the window
+    ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
+    the next step's right-hand side; `tmp` is one more array of the
+    window's shape; `scratch` is the six arrays of its interior's shape
+    that `_kernels.rhs_interior` takes (none on a column); `F` is the
+    right-hand side, its walls 0, and `sweeps` a `_Sweep` per axis, x
+    first."""
+
+    def __init__(self, g: Grid2D, mirror=(False, False)):
+        self.grid, self.mirror = g, mirror
+        i0 = g.ix0 - 1 if mirror[0] else 0
+        j1 = (g.ny + 3) // 2 if mirror[1] else g.ny
+        self.win = np.s_[:j1, i0:]
+        # the window's nodes that the grid has, ghosts left out
+        self.own = np.s_[:j1 - int(mirror[1]), int(mirror[0]):]
+        self.origin = (0, g.ix0 - i0)  # x = 0 on the wall y = 0
+        self.inner = np.s_[1:-1] if g.is_column else np.s_[1:-1, 1:-1]
+        self.axes = g.window(i0, j1) if any(mirror) else g
+        ny, nx = j1, g.nx - i0
+        self.grad = tuple(np.empty((ny, nx))
                           for _ in range(1 if g.is_column else 3))
-        self.tmp = np.empty((g.ny, g.nx))
+        self.tmp = np.empty((ny, nx))
         self.scratch = () if g.is_column else tuple(
-            np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
-        self.F = np.zeros((g.ny, g.nx))
-        self.sweeps = [_Sweep(g.ay, g.ny - 2, 1)] if g.is_column else [
-            _Sweep(g.ax, g.nx - 2, g.ny - 2), _Sweep(g.ay, g.ny - 2, g.nx - 2)]
+            np.empty((ny - 2, nx - 2)) for _ in range(6))
+        self.F = np.zeros((ny, nx))
+        self.sweeps = [_Sweep(g.ay, ny - 2, 1)] if g.is_column else [
+            _Sweep(self.axes.ax, nx - 2, ny - 2, 0 if mirror[0] else None),
+            _Sweep(self.axes.ay, ny - 2, nx - 2, -1 if mirror[1] else None)]
         self.of = None
 
     def grad_max(self, u: np.ndarray) -> float:
-        """Largest |grad u| over every node (a column has only u_y); the
-        gradient stays in grad, for the step from u."""
+        """Largest |grad u| over the window's nodes but its ghosts (a column
+        has only u_y); the gradient stays in grad, for the step from u."""
         self.of = u
         if self.grid.is_column:
             return _kernels.grad_max_1d(u, self.grid.ay, self.grad[0])
-        return _kernels.grad_norm_max(u, self.grid, self.grad, self.tmp)
+        gmax = _kernels.grad_norm_max(u[self.win], self.axes, self.grad,
+                                      self.tmp)
+        if not any(self.mirror):
+            return gmax
+        return float(np.sqrt(np.max(self.grad[2][self.own])))
 
     def handed(self, u: np.ndarray):
-        """The interior of grad if it holds the gradient of u, as the step
-        that made u (or make_state) left it, else None."""
+        """The window's interior of grad if it holds the gradient of u, as
+        the step that made u (or make_state) left it, else None."""
         if self.of is not u:
             return None
-        inner = np.s_[1:-1] if self.grid.is_column else np.s_[1:-1, 1:-1]
-        return tuple(v[inner] for v in self.grad)
+        return tuple(v[self.inner] for v in self.grad)
 
     def uy_origin(self) -> float:
         """u_y at the origin (x = 0 on the wall y = 0) of the values `of`."""
-        uy = self.grad[0 if self.grid.is_column else 1]
-        return float(uy[0, self.grid.ix0])
+        return float(self.grad[0 if self.grid.is_column else 1][self.origin])
+
+    def advanced(self, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """New values: u on the window with delta added to its interior, the
+        nodes outside it their mirror images."""
+        un = np.empty_like(u)
+        np.copyto(un[self.win], u[self.win])
+        un[self.win][self.inner] += delta
+        mx, my = self.mirror
+        # x through tmp: un[:, :i] = un[:, :i:-1] would take a temporary
+        if mx:
+            rows, i = self.win[0], self.grid.ix0
+            half = self.tmp[:, :i]
+            np.copyto(half, un[rows, :i:-1])
+            un[rows, :i] = half
+        if my:
+            mid = self.grid.ny // 2
+            un[mid + 1:] = un[mid - 1::-1]
+        return un
 
 
-def make_state(u0: ScalarField) -> SimulationState:
+def _mirrors(u: np.ndarray, g: Grid2D, cfg: Optional[SolverConfig]):
+    """(x, y): whether an unforced run of cfg from the values u of g may
+    solve x >= 0 alone, its nodes and values mirror images about x = 0 bit
+    for bit, and y <= Ly/2 alone, ny odd and its nodes and values mirror
+    images about Ly/2 bit for bit.  Neither for a forced run, a column or no
+    cfg."""
+    if cfg is None or cfg.forced is not None or g.is_column:
+        return False, False
+    nodes_x, nodes_y = g.mirror_nodes
+    i, mid = g.ix0, g.ny // 2
+    return (bool(nodes_x and np.array_equal(u[:, i:], u[:, i::-1])),
+            bool(nodes_y and g.ny % 2 == 1 and g.y[mid] == g.Ly / 2
+                 and np.array_equal(u[mid:], u[mid::-1])))
+
+
+def make_state(u0: ScalarField, cfg: Optional[SolverConfig] = None
+               ) -> SimulationState:
     """The state at t = 0 of u0, holding the run's workspace, handed the
-    gradient of u0 (as `resume` needs it)."""
-    work = _Work(u0.grid)
+    gradient of u0 (as `resume` needs it).  Given the run's cfg, its steps
+    solve the mirror window that `_mirrors` allows; else the whole grid."""
+    g = u0.grid
+    work = _Work(g, _mirrors(u0.values, g, cfg))
     return SimulationState(field=u0, t=0.0, step=0,
                            grad_max=work.grad_max(u0.values),
                            uy_origin=work.uy_origin(), dt_last=0.0, work=work)
@@ -280,12 +357,24 @@ def _thomas(a, Z, rows):
     return Z[:, 1]
 
 
+def _fold(a, Z, at):
+    """Fold a mirror ghost into the bands of `_thomas`: at = 0 when the
+    first unknown's lower neighbour is the mirror image of its upper one
+    (c[0] += a[0]), -1 when the last's upper neighbour is the mirror image
+    of its lower one (a[-1] += c[-1]), None for no ghost."""
+    if at == 0:
+        Z[0, 2] += a[0]
+    elif at == -1:
+        a[-1] += Z[-1, 2]
+
+
 class _Sweep:
     """The buffers of the line solves (I - dt (D2 + speed D1)) v = rhs along
-    one axis of a grid: n interior lines of m values, v = 0 on the walls."""
+    one axis of a grid: n interior lines of m values, v = 0 on the walls,
+    but for a mirror ghost at the line's end `fold` (see `_fold`)."""
 
-    def __init__(self, axis, n, m):
-        self.axis = axis
+    def __init__(self, axis, n, m, fold=None):
+        self.axis, self.fold = axis, fold
         self.speed = np.empty((n, m))  # set once per step
         self.lo = np.empty((n, m))
         self.Z = np.empty((n, 3, m))  # per line: diagonal, rhs, upper
@@ -300,6 +389,7 @@ class _Sweep:
                                     (0.0, 1.0, 0.0)):
             np.multiply(self.speed, -dt * w1, out=out)
             out += one - dt * w2
+        _fold(self.lo, self.Z, self.fold)
         return _thomas(self.lo, self.Z, self.rows)
 
 
@@ -318,7 +408,6 @@ def _solve(ws, src, dt):
 def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     """One linearly implicit step on the buffers of ws: (the new values,
     their time, dt, their grad_max)."""
-    g = state.field.grid
     u = state.field.values
     if cfg.n_steps:  # forced: the new values, with their walls, from the start
         t = cfg.t_max * ((state.step + 1) / cfg.n_steps)
@@ -326,16 +415,14 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         forcing, edges = cfg.forced(t)
         u[0, :], u[-1, :], u[:, 0], u[:, -1] = edges  # the sides take corners
     handed = ws.handed(u)  # None on the new values of a forced step
-    F = ws.F
-    if g.is_column:  # one y sweep over the interior rows
-        inner = np.s_[1:-1]
+    F, uw, inner = ws.F, u[ws.win], ws.inner
+    if ws.grid.is_column:  # one y sweep over the interior rows
         uy, k = _kernels.rhs_interior_1d(
-            u, g.ay, cfg.p, F, None if handed is None else handed[0])
+            uw, ws.axes.ay, cfg.p, F, None if handed is None else handed[0])
         np.multiply(cfg.p * k, uy, out=ws.sweeps[0].speed)
         src = F[inner]
     else:
-        inner = np.s_[1:-1, 1:-1]
-        ux, uy, k = _kernels.rhs_interior(u, g, cfg.p, F, ws.scratch,
+        ux, uy, k = _kernels.rhs_interior(uw, ws.axes, cfg.p, F, ws.scratch,
                                           handed)
         # p |grad u|^(p-2): times grad u, the advection speed
         a = np.multiply(cfg.p, k, out=k)
@@ -343,19 +430,18 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         np.multiply(a.T, ux.T, out=ws.sweeps[0].speed)
         np.multiply(a, uy, out=ws.sweeps[1].speed)
         src = F[inner].T
-    if cfg.n_steps:
+    if cfg.n_steps:  # on the whole grid: uw is u
         F[inner] += forcing
         dt = t - state.t
         _check_dt(dt, cfg, state)
-        u[inner] += _solve(ws, src, dt)
+        uw[inner] += _solve(ws, src, dt)
         return u, t, dt, ws.grad_max(u)
-    umax = float(np.max(np.abs(u, out=ws.tmp)))
+    umax = float(np.max(np.abs(uw, out=ws.tmp)))
     dt = _dt_implicit(state, cfg, umax, F)
     while True:
         _check_dt(dt, cfg, state)
         delta = _solve(ws, src, dt)
-        un = u.copy()
-        un[inner] += delta
+        un = ws.advanced(u, delta)
         gmax = ws.grad_max(un)
         dmax = float(np.max(np.abs(delta, out=ws.tmp[inner])))
         # retry shorter if u or grad_max changed by over twice the target
@@ -368,8 +454,7 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     t = state.t + dt
     if state.t < cfg.t_max < t:  # the same step, shortened to land on t_max
         dt, t = cfg.t_max - state.t, cfg.t_max
-        un = u.copy()
-        un[inner] += _solve(ws, src, dt)
+        un = ws.advanced(u, _solve(ws, src, dt))
         gmax = ws.grad_max(un)
     return un, t, dt, gmax
 
@@ -383,8 +468,8 @@ def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
         raise ConfigurationError("a column runs unforced only: its side "
                                  "walls are the whole column")
     ws = state.work
-    if ws is None or ws.grid is not g:
-        ws = _Work(g)
+    if ws is None or ws.grid is not g:  # a run of its own from this state
+        ws = _Work(g, _mirrors(state.field.values, g, cfg))
     # an overflow or NaN reaches gmax and is reported below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         un, t, dt, gmax = _step_implicit(state, cfg, ws)
@@ -463,7 +548,7 @@ def run(u0: ScalarField, cfg: SolverConfig, run_dir=None,
     With run_dir set, persists series.csv, snapshots/NNNN.bin and meta.json;
     without it, the outcome lists no snapshots.
     """
-    state = make_state(u0.copy())
+    state = make_state(u0.copy(), cfg)
     snaps = _SnapshotWriter(run_dir, cfg.snapshot_stride, state.grad_max)
     snaps.maybe(state, force=True)
     return _advance(state, cfg,
@@ -574,7 +659,7 @@ def resume(run_dir, cfg: SolverConfig) -> RunOutcome:
     meta, refs, old = open_run(run_dir)
     last = refs[-1]
     fld, t_snap = read_snapshot(last.path, last.sha256)
-    st = make_state(fld)
+    st = make_state(fld, cfg)
     st.t, st.step = t_snap, last.step
     # the implicit step sizes dt from the last step's dt and grad_max change
     st.dt_last = float(old["dt"][last.step])

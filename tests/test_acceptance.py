@@ -268,7 +268,7 @@ def test_criterion_10_determinism_and_symmetry(tmp_path):
     g = Grid2D(Lx=0.25, Ly=0.25, nx=129, ny=129)
     u0 = symmetric_cap(0.3, 0.18, g)
     full_cfg = SolverConfig(p=3.0, t_max=1.0, stop_grad_norm=1e9)
-    sf = solver.make_state(u0.copy())
+    sf = solver.make_state(u0.copy(), full_cfg)
     for _ in range(200):
         sf = solver.step(sf, full_cfg)
     asym = float(np.max(np.abs(sf.field.values - sf.field.values[:, ::-1])))

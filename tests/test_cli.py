@@ -86,7 +86,7 @@ def test_every_family_has_a_preset():
 
 # the default of each fits and diagnostics key, as the code that reads it
 # takes it, for a preset's config
-PRESET_DEFAULTS = {("fits", "level_frac"): lambda d: 0.5,
+PRESET_DEFAULTS = {("fits", "level_frac"): lambda d: cli.LEVEL_FRAC,
                    ("diagnostics", "q"): lambda d: d["p"]}
 
 
