@@ -16,7 +16,8 @@ Every stencil takes its three-point weights from an `Axis` per direction,
 `Grid2D.ax` and `Grid2D.ay`: floats from the spacing on a uniform grid,
 per-node weights on any other.  This is the one place that tells the two
 apart; the stencils themselves, in `_kernels`, do the same arithmetic on
-either.
+either.  `Grid2D.window` gives the weights on a window of the grid, which
+the solver steps when a run is mirror-symmetric (`Grid2D.mirror_nodes`).
 """
 
 from __future__ import annotations

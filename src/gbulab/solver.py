@@ -32,27 +32,22 @@ The 1D reduction u_t = u_yy + |u_y|^p runs on a column (`Grid2D.column`),
 uniform or graded in y, through the same step, run, persistence and resume,
 with one y sweep and no x sweep.
 
-A step solves a window of the grid, chosen once per run when `make_state`
-is given the run's config (`run` and `resume` give it).  An unforced 2D run
+A step solves a window of the grid, chosen once per run by `make_state`
+from the run's config (`run` and `resume` pass it).  An unforced 2D run
 whose nodes and values are mirror images about x = 0, bit for bit, solves
-x >= 0 alone; if ny is odd and they are also mirror images about y = Ly/2,
-it solves y <= Ly/2 alone as well.  The window carries one ghost line per
-mirror, the column x = -x_1 and the row just above Ly/2, which is the
-mirror image of the row just below.  The stencils run on the window as on
-any grid, with the grid's own weights at its inner nodes
-(`Grid2D.window`), so its right-hand side is the whole grid's there, bit
-for bit.  The line solves fold each ghost into the band of its line: on an
-x line the first unknown, x = 0, has the ghost below it, so c_0 += a_0; on a
-y line the last unknown, y = Ly/2, has the ghost above it, so
-a_last += c_last.  After each step the rest of the grid, ghosts included,
-is filled by mirroring, so the state, snapshots, series and everything that
-reads them see the whole field.  grad_max and u_y at the origin are read on
-the window's nodes but its ghosts, whose one-sided differences the whole
-grid does not take.  Forced runs, columns and data that fail the bitwise
-check solve the whole grid through the same code, with nothing folded.
-The shipped cap is even in x bit for bit but not mirror-symmetric in y bit
-for bit (`initial_data.symmetric_cap`), so the shipped 2D runs solve x >= 0
-and every y.
+x >= 0; if ny is odd and they are also mirror images about y = Ly/2, it
+solves y <= Ly/2 too.  The window carries one ghost line per mirror: the
+column x = -x_1 and the row above Ly/2.  Its stencils take the grid's own
+weights (`Grid2D.window`), so its right-hand side is the whole grid's, bit
+for bit.  Each line solve folds its ghost into its band: the x lines' first
+unknown, x = 0, has the ghost below it (c_0 += a_0), the y lines' last,
+y = Ly/2, above it (a_last += c_last).  After each step the rest of the
+grid is filled by mirroring, so everything that reads a state sees the
+whole field.  grad_max and u_y at the origin skip the ghosts, whose
+one-sided differences the whole grid does not take.  Forced runs, columns
+and data that fail the check solve the whole grid through the same code.
+The shipped cap is even in x bit for bit but not mirror-symmetric in y
+(`initial_data.symmetric_cap`), so shipped 2D runs solve x >= 0, every y.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
@@ -174,20 +169,17 @@ def default_stop_grad_norm(h: float, p: float) -> float:
 
 
 class _Work:
-    """The buffers that one run's steps share, made once per run for its
-    grid, and the window of the grid that its steps solve: all of it, or
-    with `mirror` = (x, y) set the nodes x >= 0 (from the ghost column
-    x = -x_1 on) if x is set, and y <= Ly/2 (up to the ghost row just above
-    it) if y is set, the rest filled by mirroring (`_mirrors`).
-
-    `win` is the window's slice of a field and `axes` its stencil weights;
-    `grad` holds the gradient of the values `of` over the window
-    ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
-    the next step's right-hand side; `tmp` is one more array of the
-    window's shape; `scratch` is the six arrays of its interior's shape
-    that `_kernels.rhs_interior` takes (none on a column); `F` is the
-    right-hand side, its walls 0, and `sweeps` a `_Sweep` per axis, x
-    first."""
+    """The buffers that one run's steps share, made once per run, and the
+    window of its grid that they solve: all of it, or with `mirror` =
+    (x, y) the nodes x >= 0 if x is set and y <= Ly/2 if y is set, each
+    with its ghost line (`_mirrors`).  `win` is the window's slice of a
+    field and `axes` its stencil weights; `grad` holds the gradient of the
+    values `of` over the window ((u_x, u_y, |grad u|^2), or (u_y,) on a
+    column), left by `grad_max` for the next step's right-hand side; `tmp`
+    is one more array of the window's shape; `scratch` is the six arrays of
+    its interior's shape that `_kernels.rhs_interior` takes (none on a
+    column); `F` is the right-hand side, its walls 0, and `sweeps` a
+    `_Sweep` per axis, x first."""
 
     def __init__(self, g: Grid2D, mirror=(False, False)):
         self.grid, self.mirror = g, mirror
