@@ -449,9 +449,10 @@ def test_graded_resume_is_deterministic(tmp_path):
 def fsal_runs():
     """(initial field, config, a later stop) of runs whose states hold
     their gradient: a graded run and a column run, whose steps take it, and
-    on the full domain of a uniform grid an unforced cap, whose steps take
-    it, and a forced 33² run from manufactured_callbacks, whose walls
-    move every step, so its steps form their own."""
+    on a uniform grid an unforced cap, whose steps take it, the caps
+    stepping their x half, and a forced 33² run from
+    manufactured_callbacks, whose walls move every step, so its steps form
+    their own."""
     graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
     cap = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
     mms_u0, mms, _ = mms_start(33, 1e-3)
@@ -510,12 +511,13 @@ def test_handed_gradient_changes_no_bit():
 
 @pytest.mark.parametrize("grid", ["uniform", "graded", "forced"])
 def test_a_step_allocates_little_beyond_its_new_state(grid):
-    """After a warm-up step, a full-domain step's traced allocation peak
-    stays within 1.5 u.nbytes: the new state's values, plus numpy's own
+    """After a warm-up step, a step's traced allocation peak stays within
+    1.5 u.nbytes: the new state's values, plus numpy's own
     ufunc buffers (up to three of `np.getbufsize()` values, 192 KiB, for an
     operation on strided views), but no interior-size temporary, of about
-    u.nbytes each.  It holds for the step on a uniform and on a graded
-    grid, and for the step of a forced run, whose new values take their
+    u.nbytes each.  It holds for the step on the x half of a uniform and
+    of a graded grid, its mirror fill included, and for the whole-grid step
+    of a forced run, whose new values take their
     walls before its right-hand side is formed and whose callback's forcing
     overwrites one array of its own.  The grids hold over 65k nodes, so
     numpy's buffers stay under 0.4 u.nbytes; on 129² they alone are 1.48
@@ -534,6 +536,7 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
         u0 = symmetric_cap(0.4, 0.18, g)
     assert u0.grid.nx * u0.grid.ny > 65_000
     st = solver.step(solver.make_state(u0, cfg), cfg)
+    assert st.work.mirror == (grid != "forced", False)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
