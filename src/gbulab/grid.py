@@ -16,8 +16,8 @@ Every stencil takes its three-point weights from an `Axis` per direction,
 `Grid2D.ax` and `Grid2D.ay`: floats from the spacing on a uniform grid,
 per-node weights on any other.  This is the one place that tells the two
 apart; the stencils themselves, in `_kernels`, do the same arithmetic on
-either.  `Grid2D.window` gives the weights on a window of the grid, which
-the solver steps when a run is mirror-symmetric (`Grid2D.mirror_nodes`).
+either.  `Grid2D.window` gives the weights on the columns x[i0:] of the
+grid, which the solver steps when a run is even in x (`solver._mirrors`).
 """
 
 from __future__ import annotations
@@ -281,24 +281,13 @@ class Grid2D:
         """Column index of the symmetry line x = 0."""
         return (self.nx - 1) // 2
 
-    @cached_property
-    def mirror_nodes(self) -> tuple:
-        """(x, y): whether the x nodes are mirror images about x = 0,
-        x[ix0 + k] == -x[ix0 - k], and whether the y nodes are mirror images
-        about Ly/2, y[ny - 1 - j] == Ly - y[j] for j <= (ny - 1) / 2, each
-        bit for bit.  The upper half is the image of the lower: Ly - (Ly - y)
-        need not round to y."""
-        x, y, i, m = self.x, self.y, self.ix0, (self.ny + 1) // 2
-        return (bool(np.array_equal(x[i:], -x[i::-1])),
-                bool(np.array_equal(y[:-m - 1:-1], self.Ly - y[:m])))
-
-    def window(self, i0: int, j1: int) -> "Window":
-        """The stencil weights on the nodes x[i0:] and y[:j1], for stencils
+    def window(self, i0: int) -> "Window":
+        """The stencil weights on the nodes x[i0:] and every y, for stencils
         and line solves on that window of the grid: at the window's inner
         nodes they are the grid's own, bit for bit."""
         if self.uniform:  # one float per weight, the same at every node
             return Window(self.ax, self.ay)
-        return Window(Axis(self.x[i0:]), Axis(self.y[:j1]))
+        return Window(Axis(self.x[i0:]), self.ay)
 
 
 class Window(NamedTuple):

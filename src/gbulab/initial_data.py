@@ -19,11 +19,9 @@ def symmetric_cap(amplitude: float, width: float, g: Grid2D) -> ScalarField:
     """amplitude * cos^2(pi x / (2 width)) * sin(pi y / Ly), zero for
     |x| >= width and on the walls y = 0 and y = Ly.
 
-    On x nodes that are mirror images about x = 0 (`Grid2D.mirror_nodes`)
-    the values are even in x bit for bit, as cos is, so an unforced run of
-    them steps x >= 0 alone (`solver`).  The rows above Ly/2 are computed,
-    not mirrored: sin(pi y / Ly) rounds differently at y and at Ly - y, by
-    up to 1.2e-15, so a run of the cap steps every y.
+    On x nodes that are mirror images about x = 0 the values are even in x
+    bit for bit, as cos is, so an unforced run of them steps x >= 0 alone
+    (`solver`).
     """
     if not 0 < width <= g.Lx:
         raise ConfigurationError(f"cap width {width} is not in (0, Lx={g.Lx}]")

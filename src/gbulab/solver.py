@@ -34,20 +34,17 @@ with one y sweep and no x sweep.
 
 A step solves a window of the grid, chosen once per run by `make_state`
 from the run's config (`run` and `resume` pass it).  An unforced 2D run
-whose nodes and values are mirror images about x = 0, bit for bit, solves
-x >= 0; if ny is odd and they are also mirror images about y = Ly/2, it
-solves y <= Ly/2 too.  The window carries one ghost line per mirror: the
-column x = -x_1 and the row above Ly/2.  Its stencils take the grid's own
-weights (`Grid2D.window`), so its right-hand side is the whole grid's, bit
-for bit.  Each line solve folds its ghost into its band: the x lines' first
-unknown, x = 0, has the ghost below it (c_0 += a_0), the y lines' last,
-y = Ly/2, above it (a_last += c_last).  After each step the rest of the
-grid is filled by mirroring, so everything that reads a state sees the
-whole field.  grad_max and u_y at the origin skip the ghosts, whose
+whose x nodes and values are mirror images about x = 0, bit for bit, solves
+x >= 0, every row.  The window carries one ghost column, x = -x_1.  Its
+stencils take the grid's own weights (`Grid2D.window`), so its right-hand
+side is the whole grid's, bit for bit.  Each x line solve folds the ghost
+into its band: its first unknown, x = 0, has the ghost below it
+(c_0 += a_0).  After each step x < 0 is filled by mirroring, so everything
+that reads a state sees the whole field.  grad_max skips the ghost, whose
 one-sided differences the whole grid does not take.  Forced runs, columns
 and data that fail the check solve the whole grid through the same code.
-The shipped cap is even in x bit for bit but not mirror-symmetric in y
-(`initial_data.symmetric_cap`), so shipped 2D runs solve x >= 0, every y.
+The shipped cap is even in x bit for bit (`initial_data.symmetric_cap`), so
+shipped 2D runs solve x >= 0.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
@@ -170,28 +167,24 @@ def default_stop_grad_norm(h: float, p: float) -> float:
 
 class _Work:
     """The buffers that one run's steps share, made once per run, and the
-    window of its grid that they solve: all of it, or with `mirror` =
-    (x, y) the nodes x >= 0 if x is set and y <= Ly/2 if y is set, each
-    with its ghost line (`_mirrors`).  `win` is the window's slice of a
-    field and `axes` its stencil weights; `grad` holds the gradient of the
-    values `of` over the window ((u_x, u_y, |grad u|^2), or (u_y,) on a
-    column), left by `grad_max` for the next step's right-hand side; `tmp`
-    is one more array of the window's shape; `scratch` is the six arrays of
-    its interior's shape that `_kernels.rhs_interior` takes (none on a
-    column); `F` is the right-hand side, its walls 0, and `sweeps` a
-    `_Sweep` per axis, x first."""
+    window of its grid that they solve: all of it, or with `mirror` set the
+    nodes x >= 0 and the ghost column x = -x_1 (`_mirrors`).  `win` is the
+    window's slice of a field and `axes` its stencil weights; `grad` holds
+    the gradient of the values `of` over the window ((u_x, u_y,
+    |grad u|^2), or (u_y,) on a column), left by `grad_max` for the next
+    step's right-hand side; `tmp` is one more array of the window's shape;
+    `scratch` is the six arrays of its interior's shape that
+    `_kernels.rhs_interior` takes (none on a column); `F` is the right-hand
+    side, its walls 0, and `sweeps` a `_Sweep` per axis, x first."""
 
-    def __init__(self, g: Grid2D, mirror=(False, False)):
+    def __init__(self, g: Grid2D, mirror=False):
         self.grid, self.mirror = g, mirror
-        i0 = g.ix0 - 1 if mirror[0] else 0
-        j1 = (g.ny + 3) // 2 if mirror[1] else g.ny
-        self.win = np.s_[:j1, i0:]
-        # the window's nodes that the grid has, ghosts left out
-        self.own = np.s_[:j1 - int(mirror[1]), int(mirror[0]):]
+        i0 = g.ix0 - 1 if mirror else 0
+        self.win = np.s_[:, i0:]
         self.origin = (0, g.ix0 - i0)  # x = 0 on the wall y = 0
         self.inner = np.s_[1:-1] if g.is_column else np.s_[1:-1, 1:-1]
-        self.axes = g.window(i0, j1) if any(mirror) else g
-        ny, nx = j1, g.nx - i0
+        self.axes = g.window(i0) if mirror else g
+        ny, nx = g.ny, g.nx - i0
         self.grad = tuple(np.empty((ny, nx))
                           for _ in range(1 if g.is_column else 3))
         self.tmp = np.empty((ny, nx))
@@ -199,21 +192,21 @@ class _Work:
             np.empty((ny - 2, nx - 2)) for _ in range(6))
         self.F = np.zeros((ny, nx))
         self.sweeps = [_Sweep(g.ay, ny - 2, 1)] if g.is_column else [
-            _Sweep(self.axes.ax, nx - 2, ny - 2, 0 if mirror[0] else None),
-            _Sweep(self.axes.ay, ny - 2, nx - 2, -1 if mirror[1] else None)]
+            _Sweep(self.axes.ax, nx - 2, ny - 2, mirror),
+            _Sweep(self.axes.ay, ny - 2, nx - 2)]
         self.of = None
 
     def grad_max(self, u: np.ndarray) -> float:
-        """Largest |grad u| over the window's nodes but its ghosts (a column
+        """Largest |grad u| over the window's nodes but its ghost (a column
         has only u_y); the gradient stays in grad, for the step from u."""
         self.of = u
         if self.grid.is_column:
             return _kernels.grad_max_1d(u, self.grid.ay, self.grad[0])
         gmax = _kernels.grad_norm_max(u[self.win], self.axes, self.grad,
                                       self.tmp)
-        if not any(self.mirror):
+        if not self.mirror:
             return gmax
-        return float(np.sqrt(np.max(self.grad[2][self.own])))
+        return float(np.sqrt(np.max(self.grad[2][:, 1:])))
 
     def handed(self, u: np.ndarray):
         """The window's interior of grad if it holds the gradient of u, as
@@ -228,47 +221,44 @@ class _Work:
 
     def advanced(self, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """New values: u on the window with delta added to its interior, the
-        nodes outside it their mirror images."""
+        nodes x < 0 outside it their mirror images."""
         un = np.empty_like(u)
         np.copyto(un[self.win], u[self.win])
         un[self.win][self.inner] += delta
-        mx, my = self.mirror
-        # x through tmp: un[:, :i] = un[:, :i:-1] would take a temporary
-        if mx:
-            rows, i = self.win[0], self.grid.ix0
+        # through tmp: un[:, :i] = un[:, :i:-1] would take a temporary
+        if self.mirror:
+            i = self.grid.ix0
             half = self.tmp[:, :i]
-            np.copyto(half, un[rows, :i:-1])
-            un[rows, :i] = half
-        if my:
-            mid = self.grid.ny // 2
-            un[mid + 1:] = un[mid - 1::-1]
+            np.copyto(half, un[:, :i:-1])
+            un[:, :i] = half
         return un
 
 
-def _mirrors(u: np.ndarray, g: Grid2D, cfg: Optional[SolverConfig]):
-    """(x, y): whether an unforced run of cfg from the values u of g may
-    solve x >= 0 alone, its nodes and values mirror images about x = 0 bit
-    for bit, and y <= Ly/2 alone, ny odd and its nodes and values mirror
-    images about Ly/2 bit for bit.  Neither for a forced run, a column or no
-    cfg."""
+def _mirrors(u: np.ndarray, g: Grid2D, cfg: Optional[SolverConfig]) -> bool:
+    """Whether an unforced run of cfg from the values u of g may solve
+    x >= 0 alone: its x nodes and its values are mirror images about x = 0,
+    bit for bit.  Never for a forced run, a column or no cfg."""
     if cfg is None or cfg.forced is not None or g.is_column:
-        return False, False
-    nodes_x, nodes_y = g.mirror_nodes
-    i, mid = g.ix0, g.ny // 2
-    return (bool(nodes_x and np.array_equal(u[:, i:], u[:, i::-1])),
-            bool(nodes_y and g.ny % 2 == 1 and g.y[mid] == g.Ly / 2
-                 and np.array_equal(u[mid:], u[mid::-1])))
+        return False
+    i = g.ix0
+    return bool(np.array_equal(g.x[i:], -g.x[i::-1])
+                and np.array_equal(u[:, i:], u[:, i::-1]))
 
 
 def make_state(u0: ScalarField, cfg: Optional[SolverConfig] = None
                ) -> SimulationState:
     """The state at t = 0 of u0, holding the run's workspace, handed the
     gradient of u0 (as `resume` needs it).  Given the run's cfg, its steps
-    solve the mirror window that `_mirrors` allows; else the whole grid."""
+    solve the mirror window that `_mirrors` allows; else the whole grid.
+    NumericError if the gradient of u0 is not finite."""
     g = u0.grid
     work = _Work(g, _mirrors(u0.values, g, cfg))
-    return SimulationState(field=u0, t=0.0, step=0,
-                           grad_max=work.grad_max(u0.values),
+    # an overflow is reported below, not as a warning, as `step` does
+    with np.errstate(over="ignore", invalid="ignore"):
+        gmax = work.grad_max(u0.values)
+    if not np.isfinite(gmax):
+        raise NumericError("non-finite gradient of the initial data")
+    return SimulationState(field=u0, t=0.0, step=0, grad_max=gmax,
                            uy_origin=work.uy_origin(), dt_last=0.0, work=work)
 
 
@@ -349,23 +339,18 @@ def _thomas(a, Z, rows):
     return Z[:, 1]
 
 
-def _fold(a, Z, at):
-    """Fold a mirror ghost into the bands of `_thomas`: at = 0 when the
-    first unknown's lower neighbour is the mirror image of its upper one
-    (c[0] += a[0]), -1 when the last's upper neighbour is the mirror image
-    of its lower one (a[-1] += c[-1]), None for no ghost."""
-    if at == 0:
-        Z[0, 2] += a[0]
-    elif at == -1:
-        a[-1] += Z[-1, 2]
+def _fold(a, Z):
+    """Fold a mirror ghost into the bands of `_thomas`: the first unknown's
+    lower neighbour is the mirror image of its upper one, c[0] += a[0]."""
+    Z[0, 2] += a[0]
 
 
 class _Sweep:
     """The buffers of the line solves (I - dt (D2 + speed D1)) v = rhs along
     one axis of a grid: n interior lines of m values, v = 0 on the walls,
-    but for a mirror ghost at the line's end `fold` (see `_fold`)."""
+    but for a mirror ghost below the first unknown if `fold` (`_fold`)."""
 
-    def __init__(self, axis, n, m, fold=None):
+    def __init__(self, axis, n, m, fold=False):
         self.axis, self.fold = axis, fold
         self.speed = np.empty((n, m))  # set once per step
         self.lo = np.empty((n, m))
@@ -381,7 +366,8 @@ class _Sweep:
                                     (0.0, 1.0, 0.0)):
             np.multiply(self.speed, -dt * w1, out=out)
             out += one - dt * w2
-        _fold(self.lo, self.Z, self.fold)
+        if self.fold:
+            _fold(self.lo, self.Z)
         return _thomas(self.lo, self.Z, self.rows)
 
 

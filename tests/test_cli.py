@@ -626,7 +626,8 @@ def test_dt_underflow_reported_as_outcome(tmp_path, capsys):
 
 def test_numeric_failure_writes_crash_json(tmp_path):
     """A cap of amplitude 1e150 overflows the source term on its first step,
-    on a uniform and on a graded grid: exit 3 and crash.json, in the
+    on a uniform and on a graded grid, and a cap of amplitude 1e300 the
+    gradient of the initial data: exit 3 and crash.json, in the
     run-directory JSON format.  The directory has no meta.json, so check
     reports it as malformed."""
     over = {"initial_data": {"amplitude": 1e150},
@@ -634,7 +635,13 @@ def test_numeric_failure_writes_crash_json(tmp_path):
     uniform = write_config(tmp_path, **over)
     graded = rewrite(write_config(tmp_path, name="graded.yaml", **over),
                      grid=GRADED)
-    for name, cfg in (("uniform", uniform), ("graded", graded)):
+    initial = write_config(tmp_path, name="initial.yaml",
+                           domain={"Lx": 0.25, "Ly": 0.25},
+                           grid={"nx": 33, "ny": 33},
+                           initial_data={"amplitude": 1e300},
+                           solver={"t_max": 0.001})
+    for name, cfg in (("uniform", uniform), ("graded", graded),
+                      ("initial", initial)):
         out = tmp_path / name
         assert cli.main(["run", cfg, "-o", str(out)]) == cli.EXIT_NUMERIC
         text = (out / "crash.json").read_text()

@@ -4,6 +4,7 @@ sup-norm bound), run persistence and resume, the run's workspace and the 1D
 reduction on a column."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -23,6 +24,8 @@ from gbulab import (ConfigurationError, DtUnderflow, Grid2D, ScalarField,
 from gbulab import _kernels, cli
 from gbulab.grid import read_snapshot
 from gbulab.solver import BLOW_UP, HORIZON, UNDERFLOW
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def advance(state, cfg, n):
@@ -477,10 +480,11 @@ def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
         if g.is_column:
             uy = _kernels.derivative(u, g.ay)
             assert np.array_equal(ws.grad[0], uy)
-        else:  # on the window's nodes but its ghosts
+        else:  # on the window's nodes but its ghost
             ux, uy = _kernels.gradient(u, g)
+            own = np.s_[:, int(ws.mirror):]
             for a, b in zip(ws.grad, (ux, uy, ux * ux + uy * uy)):
-                assert np.array_equal(a[ws.own], b[ws.win][ws.own])
+                assert np.array_equal(a[own], b[ws.win][own])
         # the state's u_y at the origin is that gradient's, bit for bit
         assert state.uy_origin == uy[0, g.ix0]
         checked.append(state.step)
@@ -536,7 +540,7 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
         u0 = symmetric_cap(0.4, 0.18, g)
     assert u0.grid.nx * u0.grid.ny > 65_000
     st = solver.step(solver.make_state(u0, cfg), cfg)
-    assert st.work.mirror == (grid != "forced", False)
+    assert st.work.mirror is (grid != "forced")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -576,33 +580,30 @@ def thomas_oracle(a, b, c, d):
     return d
 
 
-def mirrored_line(a, b, c, d, at):
+def mirrored_line(a, b, c, d):
     """The dense matrix and right-hand side of the whole line that a line
-    folded at `at` (see `solver._fold`) stands for: its n unknowns and
-    their n - 1 mirror images about the first unknown (at = 0) or the last
-    (at = -1), each mirror row the image of its own row; and the slice of
-    the whole line that is the folded line."""
+    folded by `solver._fold` stands for: its n unknowns and their n - 1
+    mirror images about the first unknown, each mirror row the image of its
+    own row; and the slice of the whole line that is the folded line."""
     n = b.size
     whole = 2 * n - 1
     M, rhs = np.zeros((whole, whole)), np.empty(whole)
     for j in range(whole):
-        k = abs(j - (n - 1)) if at == 0 else (n - 1) - abs(j - (n - 1))
-        image = j < n - 1 if at == 0 else j > n - 1
-        lo, up = (c[k], a[k]) if image else (a[k], c[k])
+        k = abs(j - (n - 1))
+        lo, up = (c[k], a[k]) if j < n - 1 else (a[k], c[k])
         M[j, j], rhs[j] = b[k], d[k]
         if j > 0:
             M[j, j - 1] = lo
         if j < whole - 1:
             M[j, j + 1] = up
-    return M, rhs, slice(n - 1, None) if at == 0 else slice(0, n)
+    return M, rhs, slice(n - 1, None)
 
 
-@pytest.mark.parametrize("shape, at", [
-    ((229, 1), None), ((245, 159), None), ((159, 245), None),
-    ((61, 1), 0), ((61, 7), 0), ((61, 1), -1), ((61, 7), -1)],
-    ids=["shape0", "shape1", "shape2", "folded-start-1", "folded-start",
-         "folded-end-1", "folded-end"])
-def test_sweep_matches_the_row_by_row_oracle(shape, at):
+@pytest.mark.parametrize("shape, fold", [
+    ((229, 1), False), ((245, 159), False), ((159, 245), False),
+    ((61, 1), True), ((61, 7), True)],
+    ids=["shape0", "shape1", "shape2", "folded-start-1", "folded-start"])
+def test_sweep_matches_the_row_by_row_oracle(shape, fold):
     """The stacked sweep, and the float sweep of a single line, give the
     oracle's bits on random diagonally dominant systems.  Folded at a
     mirror ghost, they solve the whole mirrored line, as a dense solve of
@@ -612,15 +613,14 @@ def test_sweep_matches_the_row_by_row_oracle(shape, at):
     b = 2.0 + rng.uniform(0.0, 1.0, shape)
     d = rng.normal(size=shape)
     Z = np.stack([b, d, c], axis=1)
-    if at is None:
+    if not fold:
         got = solver._thomas(a, Z, solver._thomas_rows(a, Z))
         assert np.array_equal(got, thomas_oracle(a, b.copy(), c, d.copy()))
         return
-    a_folded = a.copy()
-    solver._fold(a_folded, Z, at)
-    got = solver._thomas(a_folded, Z, solver._thomas_rows(a_folded, Z))
+    solver._fold(a, Z)
+    got = solver._thomas(a, Z, solver._thomas_rows(a, Z))
     for m in range(shape[1]):
-        M, rhs, own = mirrored_line(a[:, m], b[:, m], c[:, m], d[:, m], at)
+        M, rhs, own = mirrored_line(a[:, m], b[:, m], c[:, m], d[:, m])
         want = np.linalg.solve(M, rhs)
         assert np.allclose(want, want[::-1], rtol=0.0, atol=1e-12)
         assert np.allclose(got[:, m], want[own], rtol=1e-12, atol=1e-13)
@@ -632,26 +632,17 @@ def test_sweep_matches_the_row_by_row_oracle(shape, at):
 
 
 def mirror_grid(grid):
-    """A grid whose nodes are mirror images about x = 0 and about Ly/2 bit
-    for bit: uniform on dyadic spacings, or graded_grid()."""
+    """A grid whose x nodes are mirror images about x = 0 bit for bit:
+    uniform on dyadic spacings, or graded_grid()."""
     g = Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65) if grid == "uniform" \
         else graded_grid()
-    assert g.mirror_nodes == (True, True) and g.ny % 2
+    assert np.array_equal(g.x[g.ix0:], -g.x[g.ix0::-1])
     return g
-
-
-def cap_mirrored_in_y(g, amplitude=0.4):
-    """symmetric_cap on g with its rows above Ly/2 made the mirror images
-    of those below, bit for bit."""
-    v = symmetric_cap(amplitude, 0.18, g).values
-    mid = g.ny // 2
-    v[mid + 1:] = v[mid - 1::-1]
-    return ScalarField(g, v)
 
 
 def one_ulp_off(u0):
     """u0 with one value near the top wall and the left side, far from the
-    origin, one ulp larger: no longer mirror-symmetric in x or y."""
+    origin, one ulp larger: no longer even in x."""
     v = u0.values.copy()
     j, i = u0.grid.ny - 3, u0.grid.ix0 - 3
     assert v[j, i] > 0.0
@@ -659,27 +650,23 @@ def one_ulp_off(u0):
     return ScalarField(u0.grid, v)
 
 
-@pytest.mark.parametrize("data", ["x", "xy"])
 @pytest.mark.parametrize("grid", ["uniform", "graded"])
-def test_a_mirrored_run_matches_the_whole_grid_run(grid, data):
+def test_a_mirrored_run_matches_the_whole_grid_run(grid):
     """An unforced run of data even in x bit for bit steps x >= 0 alone,
-    and of data also mirror-symmetric in y bit for bit, y <= Ly/2 alone
-    too; either ends where the whole grid's run of the same data, one ulp
-    off at one node, ends, to rounding grown over the run (measured: the
-    values to 6.6e-15 of the largest, the series to 8.6e-12 relative)."""
+    and ends where the whole grid's run of the same data, one ulp off at
+    one node, ends, to rounding grown over the run (measured: the values to
+    6.6e-15 of the largest, the series to 8.6e-12 relative)."""
     g = mirror_grid(grid)
-    u0 = cap_mirrored_in_y(g) if data == "xy" else symmetric_cap(0.4, 0.18, g)
+    u0 = symmetric_cap(0.4, 0.18, g)
     cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
-    assert solver.make_state(u0, cfg).work.mirror == (True, data == "xy")
+    assert solver.make_state(u0, cfg).work.mirror is True
     whole = one_ulp_off(u0)
-    assert solver.make_state(whole, cfg).work.mirror == (False, False)
+    assert solver.make_state(whole, cfg).work.mirror is False
     a, b = solver.run(u0, cfg), solver.run(whole, cfg)
     assert a.reason == b.reason == BLOW_UP
     assert a.final.step == b.final.step
     va, vb = a.final.field.values, b.final.field.values
     assert np.array_equal(va, va[:, ::-1])
-    if data == "xy":
-        assert np.array_equal(va, va[::-1])
     scale = np.max(np.abs(vb))
     assert np.max(np.abs(va - vb)) <= 1e-13 * scale
     for col in ("t", "grad_max", "uy_origin", "dt"):
@@ -688,70 +675,100 @@ def test_a_mirrored_run_matches_the_whole_grid_run(grid, data):
 
 def test_the_ghosts_stay_out_of_grad_max():
     """A mirrored state's grad_max and u_y at the origin are the whole
-    grid's: on a tent in x and in y, the one-sided differences at the ghost
-    column and the ghost row read twice the slope, and are left out."""
+    grid's: on a tent in x, the one-sided differences at the ghost column
+    read twice the slope, and are left out."""
     g = mirror_grid("uniform")
     X, Y = g.meshgrid()
-    u = (1.0 - np.abs(X) / g.Lx) * (1.0 - np.abs(2.0 * Y / g.Ly - 1.0))
+    u = (1.0 - np.abs(X) / g.Lx) * (1.0 + Y)
     st = solver.make_state(ScalarField(g, u), SolverConfig(p=3.0))
-    assert st.work.mirror == (True, True)
+    assert st.work.mirror is True
     uy = _kernels.gradient(u, g)[1]
     assert st.grad_max == pytest.approx(
         _kernels.grad_norm_max(u, g), rel=1e-14)
     assert st.uy_origin == uy[0, g.ix0]
 
 
-@pytest.mark.parametrize("data", ["none", "y"])
+@pytest.mark.parametrize("data", ["none", "nodes"])
 def test_data_that_is_not_mirror_symmetric_steps_the_whole_grid(data):
-    """Data that is not even in x bit for bit, on a grid whose nodes are,
-    steps every x and keeps its asymmetry; if it is mirror-symmetric in y
-    bit for bit, it steps y <= Ly/2 alone and stays so."""
+    """Data that is not even in x bit for bit, on a grid whose x nodes are
+    mirror images, steps every x and keeps its asymmetry; so does data that
+    is even in x bit for bit on x nodes one of which is one ulp off its
+    mirror image."""
     g = mirror_grid("graded")
-    X, _ = g.meshgrid()
-    cap = cap_mirrored_in_y(g) if data == "y" else symmetric_cap(0.4, 0.18, g)
-    u0 = ScalarField(g, cap.values * (1.0 + X))
+    if data == "nodes":
+        x = g.x.copy()
+        x[g.ix0 - 3] = np.nextafter(x[g.ix0 - 3], 0.0)
+        g = Grid2D(Lx=g.Lx, Ly=g.Ly, nx=g.nx, ny=g.ny, coords=(x, g.y))
+    v = symmetric_cap(0.4, 0.18, g).values
+    if data == "none":
+        v = v * (1.0 + g.meshgrid()[0])
+    else:
+        v[:, :g.ix0] = v[:, :g.ix0:-1]
     cfg = SolverConfig(p=3.0, t_max=1e-3, stop_grad_norm=1e9)
-    st = solver.make_state(u0, cfg)
-    assert st.work.mirror == (False, data == "y")
+    st = solver.make_state(ScalarField(g, v), cfg)
+    assert st.work.mirror is False
+    assert st.work.F.shape == (g.ny, g.nx)
     v = advance(st, cfg, 10).field.values
-    assert np.max(np.abs(v - v[:, ::-1])) > 0.05 * np.max(v)
-    assert np.array_equal(v, v[::-1]) == (data == "y")
+    if data == "none":
+        assert np.max(np.abs(v - v[:, ::-1])) > 0.05 * np.max(v)
 
 
 def test_a_forced_run_and_a_column_are_never_mirrored():
-    """A forced run steps the whole grid, even from data mirror-symmetric
-    bit for bit; so do a column and a state made without its run's cfg."""
+    """A forced run steps the whole grid, even from data even in x bit for
+    bit; so do a column and a state made without its run's cfg."""
     g = mirror_grid("uniform")
-    u0 = cap_mirrored_in_y(g)
+    u0 = symmetric_cap(0.4, 0.18, g)
     forced = SolverConfig(p=3.0, forced=lambda t: (0.0, (0.0,) * 4),
                           n_steps=4)
     unforced = SolverConfig(p=3.0)
-    assert solver.make_state(u0, unforced).work.mirror == (True, True)
-    assert solver.make_state(u0, forced).work.mirror == (False, False)
-    assert solver.make_state(u0).work.mirror == (False, False)
+    assert solver.make_state(u0, unforced).work.mirror is True
+    assert solver.make_state(u0, forced).work.mirror is False
+    assert solver.make_state(u0).work.mirror is False
     st = solver.step(solver.make_state(u0, forced), forced)
-    assert st.work.mirror == (False, False)
+    assert st.work.mirror is False
     col = symmetric_cap(0.1, 0.18, graded_column())
-    assert solver.make_state(col, unforced).work.mirror == (False, False)
+    assert solver.make_state(col, unforced).work.mirror is False
 
 
-def test_every_shipped_2d_run_steps_its_x_half():
-    """Every shipped 2D preset's cap is even in x bit for bit on its grid,
-    so its run steps x >= 0 alone."""
-    names = [n for n in sorted(os.listdir(cli._PRESET_DIR))
-             if n.endswith(".yaml")]
-    checked = 0
-    for name in names:
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded from its file, as the benchmark's
+    inputs are built."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where @dataclass looks it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_shipped_2d_run_steps_its_x_half(tmp_path):
+    """Every shipped 2D preset's cap, and the seed-0 inputs of the
+    benchmark's blowup-2d and replay, are even in x bit for bit on their
+    grids, so their runs step x >= 0 and every row alone."""
+    paths = []
+    for name in sorted(os.listdir(cli._PRESET_DIR)):
         path = os.path.join(cli._PRESET_DIR, name)
-        with open(path) as fh:
-            if yaml.safe_load(fh).get("initial_data", {}).get("family") \
-                    != "cap":
-                continue
+        if name.endswith(".yaml"):
+            with open(path) as fh:
+                family = yaml.safe_load(fh).get("initial_data", {}).get(
+                    "family")
+            if family == "cap":
+                paths.append(path)
+    assert len(paths) == 3
+    wl = perfbench_workloads()
+    for name in ("blowup-2d", "replay"):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(wl.generate(ROOT, wl.WORKLOADS[name], 0))
+        paths.append(str(path))
+    for path in paths:
         rc = cli.load_config(path)
         g = rc.make_grid()
         u0 = rc.make_initial(g)
-        assert np.array_equal(u0.values, u0.values[:, ::-1]), name
-        cfg = rc.make_solver_config()
-        assert solver.make_state(u0, cfg).work.mirror[0], name
-        checked += 1
-    assert checked == 3
+        assert np.array_equal(u0.values, u0.values[:, ::-1]), path
+        work = solver.make_state(u0, rc.make_solver_config()).work
+        assert work.mirror is True, path
+        assert work.F.shape == (g.ny, g.nx - g.ix0 + 1), path
