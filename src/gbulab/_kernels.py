@@ -8,15 +8,16 @@ The 2D entry points take the grid and read its axes `ax` and `ay`.  A 1D
 column (nx = 1) has no x axis: its right-hand side and gradient maximum are
 `rhs_interior_1d` and `grad_max_1d`, given the column's y axis.
 
-The stencils write every interior-size intermediate into arrays the caller
-passes in, doing the same IEEE operations in the same order as when they
-allocate them, so a step can run on its run's workspace without a per-call
-temporary.  The 2D right-hand side `rhs_interior`, which only the solver
-calls, requires these buffers; the library (`grid.laplacian`,
-`grid.gradient`, diagnostics) lets the stencils allocate.  The gradient
-maxima can leave the gradient they form in given arrays, and the right-hand
-sides can take it in place of forming their own, with the same bits.
-Kernels are serial, so repeated runs are bit-reproducible.
+The 2D stencils write every interior-size intermediate into arrays the
+caller passes in, doing the same IEEE operations in the same order as when
+they allocate them, so a 2D step can run on its run's workspace without a
+per-call temporary.  The 2D right-hand side `rhs_interior`, which only the
+solver calls, requires these buffers; the library (`grid.laplacian`,
+`grid.gradient`, diagnostics) lets the stencils allocate, and so does the
+column's `rhs_interior_1d` (u_y^2, its power and u_yy).  The gradient maxima
+leave the gradient they form in given arrays, and both right-hand sides take
+that gradient rather than form one, so `derivative` is the one stencil that
+forms a gradient.  Kernels are serial, so repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -114,32 +115,24 @@ def _source(g2, p, out, k=None):
     return k
 
 
-def rhs_interior(u, g, p, out, scratch, grad=None):
+def rhs_interior(u, g, p, out, scratch, grad):
     """Write Lap(u) + |grad u|^p into the interior of out; return the
-    interior (u_x, u_y, |grad u|^(p-2)).  scratch is six arrays of the
-    interior's shape: (u_x, u_y, |grad u|^2) are formed in the first three
-    unless grad gives them, as `grad_norm_max` left them for u, and the
-    Laplacian and the rest in the last three; the k returned is the last."""
-    lap, t1, t2 = scratch[3:]
+    interior (u_x, u_y, |grad u|^(p-2)).  grad is the interior (u_x, u_y,
+    |grad u|^2) of u, as `grad_norm_max` left it; scratch is three arrays of
+    the interior's shape, for the Laplacian and the rest; the k returned is
+    the last."""
+    lap, t1, t2 = scratch
     laplacian(u, g, lap, (t1, t2))
-    if grad is None:
-        grad = ux, uy, g2 = scratch[:3]
-        d1(u[1:-1].T, g.ax, ux.T, t1.T)
-        d1(u[:, 1:-1], g.ay, uy, t1)
-        np.multiply(ux, ux, out=g2)
-        g2 += np.multiply(uy, uy, out=t1)
     ux, uy, g2 = grad
     k = _source(g2, p, out[1:-1, 1:-1], t2)
     out[1:-1, 1:-1] += lap
     return ux, uy, k
 
 
-def rhs_interior_1d(u, ay, p, out, uy=None):
+def rhs_interior_1d(u, ay, p, out, uy):
     """Write u_yy + |u_y|^p into the interior rows of out, for u a 1D array
-    or an (ny, 1) column; return the interior (u_y, |u_y|^(p-2)).  uy, if
-    given, is the interior u_y of u, already formed by `grad_max_1d`."""
-    if uy is None:
-        uy = d1(u, ay)
+    or an (ny, 1) column; return the interior (u_y, |u_y|^(p-2)).  uy is the
+    interior u_y of u, as `grad_max_1d` left it."""
     k = _source(uy * uy, p, out[1:-1])
     out[1:-1] += d2(u, ay)
     return uy, k

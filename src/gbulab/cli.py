@@ -318,11 +318,11 @@ def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
 
     @functools.cache  # one wall_floor for the three near-wall fits
     def floor():
-        return profile_fit.wall_floor(uy, pc, layer=blew_up)
+        return profile_fit.wall_floor(uy, pc, blew_up)
 
-    attempt("normal", lambda: profile_fit.fit_normal(uy, pc, floor=floor()))
+    attempt("normal", lambda: profile_fit.fit_normal(uy, floor()))
     attempt("tangential", lambda: profile_fit.fit_tangential(uy, pc))
-    attempt("aniso", lambda: profile_fit.fit_aniso(uy, pc, floor=floor()))
+    attempt("aniso", lambda: profile_fit.fit_aniso(uy, pc, floor()))
 
     def levelset():
         X, Y = uy.grid.meshgrid()
@@ -330,7 +330,7 @@ def compute_fits(meta, uy, series, cfg: RunConfig) -> dict:
         if not np.any(sel):
             raise FitError(f"level-set window (extent {extent}) has no nodes")
         level = level_frac * float(np.max(uy.values[sel]))
-        fitv = profile_fit.level_set_shape(uy, pc, level)
+        fitv = profile_fit.level_set_shape(uy, level)
         return {"level": level, "fit": fitv}
 
     attempt("level_set", levelset)

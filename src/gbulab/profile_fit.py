@@ -7,12 +7,13 @@ The 2D fits read the final snapshot's u_y as a ScalarField, derived once by
 
 Fit windows exclude the innermost grid cells and the resolution crossover —
 the scale below which the grid saturates and measured slopes bias toward 0.
-Window edges are stated in node coordinates, so they hold on graded grids:
-the near-wall y windows start at `wall_floor`, the tangential window at the
-larger of the third node beside x = 0 and its own crossover.  EXTENT is the
-top of the tangential window and the side of the anisotropic and level-set
-boxes; the normal window stays [wall floor, `_normal_top`], whose top is
-min(0.1, Ly).
+Window edges are stated in node coordinates, so they hold on graded grids.
+The near-wall y windows start at the floor that `wall_floor` gives, which
+their caller (`cli.compute_fits`) forms once and passes to each; the
+tangential window starts at the larger of the third node beside x = 0 and
+its own crossover.  EXTENT is the top of the tangential window and the side
+of the anisotropic and level-set boxes; the normal window stays [wall
+floor, `_normal_top`], whose top is min(0.1, Ly).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def powerlaw_fit(s, v, window=None) -> PowerLawFit:
                        window=(float(lo), float(hi)), n_points=n)
 
 
-def wall_floor(uy: ScalarField, pc: ProfileConstants, layer=True) -> float:
+def wall_floor(uy: ScalarField, pc: ProfileConstants, layer: bool) -> float:
     """Lower edge of the near-wall y windows (normal fit, anisotropic fit,
     level-set selection).
 
@@ -116,24 +117,18 @@ def wall_floor(uy: ScalarField, pc: ProfileConstants, layer=True) -> float:
     return floor
 
 
-def fit_normal(uy: ScalarField, pc: ProfileConstants, window=None,
-               floor=None) -> PowerLawFit:
-    """Fit u_y(0, y) vs y; the expected slope is -beta with amplitude d_p.
-
-    The default window is [floor, `_normal_top`], with floor defaulting to
-    `wall_floor`.
-    """
+def fit_normal(uy: ScalarField, floor: float) -> PowerLawFit:
+    """Fit u_y(0, y) vs y over [floor, `_normal_top`], floor as `wall_floor`
+    gives it; the expected slope is -beta with amplitude d_p."""
     g = uy.grid
-    if window is None:
-        if floor is None:
-            floor = wall_floor(uy, pc)
-        window = (floor, _normal_top(g))
-    return powerlaw_fit(g.y, uy.values[:, g.ix0], window)
+    return powerlaw_fit(g.y, uy.values[:, g.ix0], (floor, _normal_top(g)))
 
 
 def resolution_crossover(s, v, target_exponent, hi):
     """Smallest scale above which the measured local log-slope keeps at least
-    half the target steepness; returns hi/4 as a fallback floor.
+    half the target steepness: the smallest s if no node is too flat.
+    FitError if the outermost node is too flat, or if fewer than 5 samples
+    have s in (0, hi] and v > 0.
 
     The local slope is a centered difference of log v over log s.
     """
@@ -206,11 +201,9 @@ def fit_time_rate(series: dict, pc: ProfileConstants):
     return powerlaw_fit(dt[keep], g[keep]), T_hat, float(r2)
 
 
-def _aniso_region(uy: ScalarField, pc: ProfileConstants, floor):
+def _aniso_region(uy: ScalarField, floor: float):
     """(x, y, measured u_y) over [0, EXTENT]^2 from y = floor up."""
     X, Y = uy.grid.meshgrid()
-    if floor is None:
-        floor = wall_floor(uy, pc)
     v = uy.values
     mask = (X >= 0) & (X <= EXTENT) & (Y >= floor) & (Y <= EXTENT) & (v > 0)
     if np.count_nonzero(mask) < 5:
@@ -219,11 +212,11 @@ def _aniso_region(uy: ScalarField, pc: ProfileConstants, floor):
 
 
 def fit_aniso(uy: ScalarField, pc: ProfileConstants,
-              floor=None) -> AnisoFit:
+              floor: float) -> AnisoFit:
     """Golden-section search on C1 minimizing the max relative deviation of
     measured u_y from d_p [y + C1 |x|^(2(p-1)/(p-2))]^(-beta) over
-    [0, EXTENT] x [floor, EXTENT], floor defaulting to `wall_floor`."""
-    xs, ys, v = _aniso_region(uy, pc, floor)
+    [0, EXTENT] x [floor, EXTENT], floor as `wall_floor` gives it."""
+    xs, ys, v = _aniso_region(uy, floor)
 
     def cost(logc):
         model = final_profile_model(pc, float(np.exp(logc)), xs, ys)
@@ -275,8 +268,7 @@ def level_set_curve(uy: ScalarField, level: float):
     return xs[cols], ys
 
 
-def level_set_shape(uy: ScalarField, pc: ProfileConstants,
-                    level: float) -> PowerLawFit:
+def level_set_shape(uy: ScalarField, level: float) -> PowerLawFit:
     """Fit the sag of the level-set curve of u_y below its apex at x = 0.
 
     On the layer-profile model u_y = d_p [y + C1 |x|^a]^(-beta) the crossing

@@ -21,10 +21,10 @@ must be a function of the time alone: forced(t) returns the interior forcing
 and the four edges.  It takes `SolverConfig.n_steps` equal steps and lands
 on t_max bit for bit: step k + 1 goes from t_k to t_(k+1) = t_max (k + 1) /
 n_steps.  It calls forced(t_(k+1)) once, sets the walls of the new values to
-its edges, forms F from those values (their walls moved, so it forms its own
-gradient) plus its forcing, and solves for the interior update.  A forced
-column raises ConfigurationError, as its side walls are the whole column.
-The callback is meant to be bound to the grid's nodes once, as
+its edges, forms their gradient (their walls moved) and F from them plus its
+forcing, and solves for the interior update.  A forced column raises
+ConfigurationError, as its side walls are the whole column.  The callback
+is meant to be bound to the grid's nodes once, as
 `profile_math.manufactured_callbacks` binds the manufactured solution, so a
 step rebuilds no coordinates.
 
@@ -52,14 +52,16 @@ single logical writer advancing the state, which holds the run's workspace
 outcome), so independent runs share nothing and may execute concurrently.
 The workspace, made with the state, holds every window-size buffer a step
 needs: the kernels' scratch, the gradient handed between steps, the step's
-right-hand side and the line-solve buffers.  A step allocates no
-interior-size array but its new values.
-A step leaves the gradient that its grad_max formed for the new state in the
-workspace.  An unforced step's right-hand side takes it ("first same as
-last") and then forms only the Laplacian and the source; the stencils give
-the same bits either way.  `make_state` forms it for the first state, so a
-resumed run repeats the one-shot run bit for bit.  The state's u_y at the
-origin is read off that gradient too.
+right-hand side and the line-solve buffers.  A step on a 2D grid allocates
+no interior-size array but its new values; a column's right-hand side
+allocates its own intermediates, and its line solve runs on Python lists.
+Every step's right-hand side takes the gradient of its values that grad_max
+left in the workspace and forms only the Laplacian and the source.  A step
+leaves the gradient of its new values there ("first same as last"), and
+`make_state` the first state's, so a resumed run repeats the one-shot run
+bit for bit.  A step forms it first where it is not there: on a forced
+step's new walls, and for a state stepped twice or without its run's
+workspace.  The state's u_y at the origin is read off that gradient too.
 """
 
 from __future__ import annotations
@@ -172,10 +174,11 @@ class _Work:
     window's slice of a field and `axes` its stencil weights; `grad` holds
     the gradient of the values `of` over the window ((u_x, u_y,
     |grad u|^2), or (u_y,) on a column), left by `grad_max` for the next
-    step's right-hand side; `tmp` is one more array of the window's shape;
-    `scratch` is the six arrays of its interior's shape that
-    `_kernels.rhs_interior` takes (none on a column); `F` is the right-hand
-    side, its walls 0, and `sweeps` a `_Sweep` per axis, x first."""
+    step's right-hand side, which takes `handed`, its interior views; `tmp`
+    is one more array of the window's shape; `scratch` is the three arrays
+    of its interior's shape that `_kernels.rhs_interior` takes (none on a
+    column); `F` is the right-hand side, its walls 0, and `sweeps` a
+    `_Sweep` per axis, x first."""
 
     def __init__(self, g: Grid2D, mirror=False):
         self.grid, self.mirror = g, mirror
@@ -187,9 +190,10 @@ class _Work:
         ny, nx = g.ny, g.nx - i0
         self.grad = tuple(np.empty((ny, nx))
                           for _ in range(1 if g.is_column else 3))
+        self.handed = tuple(v[self.inner] for v in self.grad)
         self.tmp = np.empty((ny, nx))
         self.scratch = () if g.is_column else tuple(
-            np.empty((ny - 2, nx - 2)) for _ in range(6))
+            np.empty((ny - 2, nx - 2)) for _ in range(3))
         self.F = np.zeros((ny, nx))
         self.sweeps = [_Sweep(g.ay, ny - 2, 1)] if g.is_column else [
             _Sweep(self.axes.ax, nx - 2, ny - 2, mirror),
@@ -207,13 +211,6 @@ class _Work:
         if not self.mirror:
             return gmax
         return float(np.sqrt(np.max(self.grad[2][:, 1:])))
-
-    def handed(self, u: np.ndarray):
-        """The window's interior of grad if it holds the gradient of u, as
-        the step that made u (or make_state) left it, else None."""
-        if self.of is not u:
-            return None
-        return tuple(v[self.inner] for v in self.grad)
 
     def uy_origin(self) -> float:
         """u_y at the origin (x = 0 on the wall y = 0) of the values `of`."""
@@ -392,16 +389,20 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         u = u.copy()
         forcing, edges = cfg.forced(t)
         u[0, :], u[-1, :], u[:, 0], u[:, -1] = edges  # the sides take corners
-    handed = ws.handed(u)  # None on the new values of a forced step
+    # grad holds the gradient of u, as the step that made u (or make_state)
+    # left it, but for a forced step's new walls, a state stepped twice and
+    # a state without its run's workspace
+    if ws.of is not u:
+        ws.grad_max(u)
     F, uw, inner = ws.F, u[ws.win], ws.inner
     if ws.grid.is_column:  # one y sweep over the interior rows
-        uy, k = _kernels.rhs_interior_1d(
-            uw, ws.axes.ay, cfg.p, F, None if handed is None else handed[0])
+        uy, k = _kernels.rhs_interior_1d(uw, ws.axes.ay, cfg.p, F,
+                                         ws.handed[0])
         np.multiply(cfg.p * k, uy, out=ws.sweeps[0].speed)
         src = F[inner]
     else:
         ux, uy, k = _kernels.rhs_interior(uw, ws.axes, cfg.p, F, ws.scratch,
-                                          handed)
+                                          ws.handed)
         # p |grad u|^(p-2): times grad u, the advection speed
         a = np.multiply(cfg.p, k, out=k)
         # x lines first, on transposed views so both sweeps run along axis 0

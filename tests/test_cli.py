@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 import yaml
 
-from gbulab import _kernels, cli, solver
+from gbulab import _kernels, cli, profile_fit, solver
 from gbulab.errors import ConfigurationError, SnapshotError
-from gbulab.grid import Grid2D, _sha256, to_json
+from gbulab.grid import Grid2D, _sha256, gradient, read_snapshot, to_json
+from gbulab.profile_math import profile_constants
 
 
 ABSENT = object()  # an override that deletes the key
@@ -338,6 +339,23 @@ def test_run_artifacts(run_dir):
     assert meta["outcome"]["reason"] == "blow_up_detected"
     fits = json.loads((run_dir / "fits.json").read_text())
     assert fits["p"] == 3.0 and "normal" in fits
+
+
+def test_fit_raises_the_wall_floor_only_after_a_blow_up(tmp_path):
+    """`fit` raises the near-wall windows' floor to the layer's crossover
+    only in a run that blew up.  small-data decays to its horizon, so its
+    normal window starts at the third node, y[3], below the crossover that
+    `wall_floor` finds on its final u_y."""
+    out = tmp_path / "small"
+    assert cli.main(["run", cli.preset_path("small-data"), "-o",
+                     str(out)]) == cli.EXIT_OK
+    meta, refs, _ = solver.open_run(str(out))
+    assert meta["outcome"]["reason"] == solver.HORIZON
+    uy = gradient(read_snapshot(refs[-1].path)[0])[1]
+    normal = json.loads((out / "fits.json").read_text())["normal"]
+    assert normal["window"][0] == uy.grid.y[3] == 0.01171875
+    assert profile_fit.wall_floor(uy, profile_constants(3.0),
+                                  True) == 0.0390625
 
 
 def test_run_deterministic(run_dir, tmp_path):

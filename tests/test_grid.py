@@ -194,7 +194,8 @@ def test_column_kernels_exact_on_quadratics():
     g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
     u = (g.y ** 2)[:, None]
     out = np.zeros_like(u)
-    uy, _ = _kernels.rhs_interior_1d(u, g.ay, 3.0, out)
+    uy, _ = _kernels.rhs_interior_1d(u, g.ay, 3.0, out,
+                                     _kernels.derivative(u, g.ay)[1:-1])
     y = g.y[1:-1, None]
     assert np.allclose(uy, 2.0 * y, rtol=1e-9, atol=1e-12)
     assert np.allclose(out[1:-1], 2.0 + (2.0 * y) ** 3, rtol=1e-9)
@@ -214,15 +215,19 @@ def test_rhs_source_is_g2_times_the_returned_power(shape, p):
         g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
         u = fn(0.0, g.y)[:, None]
         out = np.zeros_like(u)
-        uy, k = _kernels.rhs_interior_1d(u, g.ay, p, out)
+        uy, k = _kernels.rhs_interior_1d(u, g.ay, p, out,
+                                         _kernels.derivative(u, g.ay)[1:-1])
         g2, lap, interior = uy * uy, _kernels.d2(u, g.ay), out[1:-1]
     else:
         g = (Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21) if shape == "uniform"
              else geometric_grid(20, 1.2))
         u = make_field(g, fn).values
         out = np.zeros_like(u)
-        scratch = tuple(np.empty((g.ny - 2, g.nx - 2)) for _ in range(6))
-        ux, uy, k = _kernels.rhs_interior(u, g, p, out, scratch)
+        fx, fy = _kernels.gradient(u, g)
+        grad = tuple(v[1:-1, 1:-1] for v in (fx, fy, fx * fx + fy * fy))
+        scratch = tuple(np.full((g.ny - 2, g.nx - 2), np.nan)
+                        for _ in range(3))
+        ux, uy, k = _kernels.rhs_interior(u, g, p, out, scratch, grad)
         g2, lap = ux * ux + uy * uy, _kernels.laplacian(u, g)
         interior = out[1:-1, 1:-1]
     assert np.min(g2) > 0.0
@@ -282,13 +287,13 @@ def test_kernels_give_the_same_bits_on_scratch(shape, p):
 
     expected = g2 * k
     expected += lap
-    for handed in (None, tuple(v[inner] for v in grad)):
-        rhs = np.zeros_like(u)
-        got = _kernels.rhs_interior(u, g, p, rhs, nans(6), handed)
-        assert np.array_equal(rhs[inner], expected)
-        assert not rhs[0].any() and not rhs[:, 0].any()
-        for a, b in zip(got, (ux, uy, k)):
-            assert np.array_equal(a, b)
+    rhs = np.zeros_like(u)
+    got = _kernels.rhs_interior(u, g, p, rhs, nans(3),
+                                tuple(v[inner] for v in grad))
+    assert np.array_equal(rhs[inner], expected)
+    assert not rhs[0].any() and not rhs[:, 0].any()
+    for a, b in zip(got, (ux, uy, k)):
+        assert np.array_equal(a, b)
 
 
 def test_graded_grid_equality():

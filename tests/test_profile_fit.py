@@ -82,18 +82,11 @@ def v_profile_field(g):
 
 def test_fit_normal_on_steady_profile():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
-    fit = profile_fit.fit_normal(grid.gradient(v_profile_field(g))[1], PC3)
+    uy = grid.gradient(v_profile_field(g))[1]
+    fit = profile_fit.fit_normal(uy, profile_fit.wall_floor(uy, PC3, True))
     assert fit.exponent == pytest.approx(-0.5, abs=0.02)
     assert fit.amplitude == pytest.approx(PC3.d_p, rel=0.05)
     assert fit.r_squared > 0.999
-
-
-def test_fit_normal_custom_window():
-    g = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
-    fit = profile_fit.fit_normal(grid.gradient(v_profile_field(g))[1], PC3,
-                                 window=(0.01, 0.1))
-    assert fit.exponent == pytest.approx(-0.5, abs=1e-3)
-    assert fit.amplitude == pytest.approx(PC3.d_p, rel=1e-3)
 
 
 def saturated_layer_field(g, h):
@@ -107,16 +100,16 @@ def test_wall_floor_is_third_node_or_crossover():
                       x_first=1e-3, x_ratio=1.2, x_max=0.02)
     uy = grid.gradient(saturated_layer_field(g, 1e-6))[1]
     # the crossover, where the local slope reaches -1/4, is y = h
-    floor = profile_fit.wall_floor(uy, PC3)
+    floor = profile_fit.wall_floor(uy, PC3, True)
     assert 1e-6 <= floor <= 1.5e-6
-    assert profile_fit.wall_floor(uy, PC3, layer=False) == g.y[3]
-    fit = profile_fit.fit_normal(uy, PC3)
+    assert profile_fit.wall_floor(uy, PC3, False) == g.y[3]
+    fit = profile_fit.fit_normal(uy, floor)
     assert fit.window[0] == floor
     assert fit.exponent == pytest.approx(-0.5, abs=0.05)
     # an unsaturated layer leaves the floor at the third node
     g2 = Grid2D(Lx=0.25, Ly=0.25, nx=33, ny=513)
     uy2 = grid.gradient(v_profile_field(g2))[1]
-    assert profile_fit.wall_floor(uy2, PC3) == g2.y[3] == 3.0 * g2.hy
+    assert profile_fit.wall_floor(uy2, PC3, True) == g2.y[3] == 3.0 * g2.hy
 
 
 # --------------------------------------------------------------------------
@@ -199,15 +192,17 @@ def aniso_field(g, C1):
 
 def test_fit_aniso_pure_layer_residual_small():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=257, ny=1025)
-    fit = profile_fit.fit_aniso(grid.gradient(aniso_field(g, 0.0))[1], PC3)
+    uy = grid.gradient(aniso_field(g, 0.0))[1]
+    fit = profile_fit.fit_aniso(uy, PC3, profile_fit.wall_floor(uy, PC3, True))
     assert fit.residual_rel < 0.05
 
 
 def test_fit_aniso_recovers_C1():
     g = Grid2D(Lx=0.25, Ly=0.25, nx=513, ny=1025)
     for C1 in (30.0, 300.0):
-        fit = profile_fit.fit_aniso(grid.gradient(aniso_field(g, C1))[1],
-                                    PC3)
+        uy = grid.gradient(aniso_field(g, C1))[1]
+        fit = profile_fit.fit_aniso(uy, PC3,
+                                    profile_fit.wall_floor(uy, PC3, True))
         assert fit.residual_rel < 0.1
         assert 0.5 * C1 <= fit.C1_hat <= 2.0 * C1
 
@@ -230,7 +225,7 @@ def test_level_set_shape_recovers_anisotropy_exponent():
     uy = grid.gradient(aniso_field(g, 300.0))[1]
     for frac in (0.01, 0.005):
         level = PC3.d_p / np.sqrt(frac)
-        fit = profile_fit.level_set_shape(uy, PC3, level)
+        fit = profile_fit.level_set_shape(uy, level)
         assert fit.exponent == pytest.approx(4.0, abs=0.1)
         assert fit.r_squared > 0.999
 

@@ -454,8 +454,8 @@ def fsal_runs():
     their gradient: a graded run and a column run, whose steps take it, and
     on a uniform grid an unforced cap, whose steps take it, the caps
     stepping their x half, and a forced 33² run from
-    manufactured_callbacks, whose walls move every step, so its steps form
-    their own."""
+    manufactured_callbacks, whose walls move every step, so each step forms
+    the gradient of its new values first."""
     graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
     cap = SolverConfig(p=3.0, t_max=5e-4, stop_grad_norm=1e9)
     mms_u0, mms, _ = mms_start(33, 1e-3)
@@ -502,8 +502,8 @@ def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
 
 
 def test_handed_gradient_changes_no_bit():
-    """A step from the handed gradient matches, bit for bit, a step whose
-    right-hand side forms its own (a state without the run's workspace)."""
+    """A step from the handed gradient matches, bit for bit, a step from a
+    state without the run's workspace, which forms the gradient first."""
     for u0, cfg, _ in fsal_runs():
         a = b = solver.make_state(u0, cfg)
         for _ in range(20):
@@ -511,6 +511,37 @@ def test_handed_gradient_changes_no_bit():
             b = solver.step(replace(b, work=None), cfg)
             assert np.array_equal(a.field.values, b.field.values)
             assert (a.dt_last, a.grad_max) == (b.dt_last, b.grad_max)
+
+
+def test_every_right_hand_side_takes_the_gradient_of_its_values(
+        monkeypatch):
+    """The gradient that a step's right-hand side takes is that of the
+    values it is given, bit for bit: the handed one in an unforced run, and
+    in a forced run that of the new values, whose walls moved."""
+    checked = []
+
+    def checking(kernel, gradient):
+        def rhs(u, axes, p, out, *rest):
+            for a, b in zip(rest[-1], gradient(u, axes)):
+                assert np.array_equal(a, b)
+            checked.append(u.shape)
+            return kernel(u, axes, p, out, *rest)
+        return rhs
+
+    def interior(u, g):
+        fx, fy = _kernels.gradient(u, g)
+        return tuple(v[1:-1, 1:-1] for v in (fx, fy, fx * fx + fy * fy))
+
+    monkeypatch.setattr(_kernels, "rhs_interior", checking(
+        _kernels.rhs_interior, interior))
+    # a column's u_y, compared row by row
+    monkeypatch.setattr(_kernels, "rhs_interior_1d", checking(
+        _kernels.rhs_interior_1d,
+        lambda u, ay: _kernels.derivative(u, ay)[1:-1]))
+    for u0, cfg, _ in fsal_runs():
+        advance(solver.make_state(u0, cfg), cfg, 5)
+        assert len(checked) >= 5
+        checked.clear()
 
 
 @pytest.mark.parametrize("grid", ["uniform", "graded", "forced"])
