@@ -356,8 +356,9 @@ def _write_fits(out_dir, meta, snaps, series, cfg: RunConfig):
         return
     # the report first: it reads every snapshot, and it hands back the final
     # snapshot's u_y, the profile every fit reads.  It sets the peak RSS of
-    # `fit` on p3-blowup: 31.4 MB before it, 36.0 MB after, 36.1 MB after
-    # the fits.  In `run` it adds 0.5 MB to the solver's 39.2 MB.
+    # `fit` on p3-blowup: 31.3 MB before it, 35.9 MB after, 36.2 MB after
+    # the fits.  In `run`, whose solver peaks at 34.8 MB on its quarter
+    # window, it sets the peak too: 37.2 MB.
     report = diag.build_report(snaps, profile_constants(cfg.p),
                                q=cfg.diagnostics.get("q"))
     diag.write_report(report, out_dir)

@@ -16,8 +16,9 @@ Every stencil takes its three-point weights from an `Axis` per direction,
 `Grid2D.ax` and `Grid2D.ay`: floats from the spacing on a uniform grid,
 per-node weights on any other.  This is the one place that tells the two
 apart; the stencils themselves, in `_kernels`, do the same arithmetic on
-either.  `Grid2D.window` gives the weights on the columns x[i0:] of the
-grid, which the solver steps when a run is even in x (`solver._mirrors`).
+either.  `Grid2D.window` gives the weights on the nodes x[i0:] and y[:j1]
+of the grid, which the solver steps when a run is even in x and about
+Ly/2 (`solver._mirrors`).
 """
 
 from __future__ import annotations
@@ -281,13 +282,13 @@ class Grid2D:
         """Column index of the symmetry line x = 0."""
         return (self.nx - 1) // 2
 
-    def window(self, i0: int) -> "Window":
-        """The stencil weights on the nodes x[i0:] and every y, for stencils
+    def window(self, i0: int, j1: int) -> "Window":
+        """The stencil weights on the nodes x[i0:] and y[:j1], for stencils
         and line solves on that window of the grid: at the window's inner
         nodes they are the grid's own, bit for bit."""
         if self.uniform:  # one float per weight, the same at every node
             return Window(self.ax, self.ay)
-        return Window(Axis(self.x[i0:]), self.ay)
+        return Window(Axis(self.x[i0:]), Axis(self.y[:j1]))
 
 
 class Window(NamedTuple):

@@ -14,7 +14,10 @@ back when u or grad_max changed by more than twice that.  The size depends
 only on the state and the last step's dt and grad_max, which series.csv
 records, so a resumed run repeats the one-shot run.  A step that would
 cross t_max is taken again from the same state, shortened to land on t_max.
-It holds the walls of the state it steps from.
+An unforced 2D run lands on its stop the same way (`_land`): grad_max ends
+in [stop, stop (1 + _LANDING)], so the final profile, which the fits read,
+does not hinge on how far the last step would overshoot.  A column keeps
+its last step.  A step holds the walls of the state it steps from.
 
 A forced run (the MMS study) passes `SolverConfig.forced`, a callback that
 must be a function of the time alone: forced(t) returns the interior forcing
@@ -35,16 +38,20 @@ with one y sweep and no x sweep.
 A step solves a window of the grid, chosen once per run by `make_state`
 from the run's config (`run` and `resume` pass it).  An unforced 2D run
 whose x nodes and values are mirror images about x = 0, bit for bit, solves
-x >= 0, every row.  The window carries one ghost column, x = -x_1.  Its
-stencils take the grid's own weights (`Grid2D.window`), so its right-hand
-side is the whole grid's, bit for bit.  Each x line solve folds the ghost
-into its band: its first unknown, x = 0, has the ghost below it
-(c_0 += a_0).  After each step x < 0 is filled by mirroring, so everything
-that reads a state sees the whole field.  grad_max skips the ghost, whose
-one-sided differences the whole grid does not take.  Forced runs, columns
-and data that fail the check solve the whole grid through the same code.
-The shipped cap is even in x bit for bit (`initial_data.symmetric_cap`), so
-shipped 2D runs solve x >= 0.
+x >= 0; if ny is odd and its y nodes and values are also mirror images
+about y = Ly/2, it solves y <= Ly/2 too.  The window carries one ghost line
+per mirror: the column x = -x_1 and the row above Ly/2.  Its stencils take
+the grid's own weights (`Grid2D.window`), so its right-hand side is the
+whole grid's, bit for bit.  Each line solve folds its ghost into its band:
+the x lines' first unknown, x = 0, has the ghost below it (c_0 += a_0), the
+y lines' last, y = Ly/2, above it (a_last += c_last).  After each step the
+rest of the grid is filled by mirroring, so everything that reads a state
+sees the whole field.  grad_max skips the ghosts, whose one-sided
+differences the whole grid does not take.  Forced runs, columns and data
+that fail the check solve the whole grid through the same code.  The
+shipped cap is even in x and about Ly/2 bit for bit
+(`initial_data.symmetric_cap`), so shipped 2D runs solve the quarter
+x >= 0, y <= Ly/2.
 
 Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
@@ -169,25 +176,29 @@ def default_stop_grad_norm(h: float, p: float) -> float:
 
 class _Work:
     """The buffers that one run's steps share, made once per run, and the
-    window of its grid that they solve: all of it, or with `mirror` set the
-    nodes x >= 0 and the ghost column x = -x_1 (`_mirrors`).  `win` is the
-    window's slice of a field and `axes` its stencil weights; `grad` holds
-    the gradient of the values `of` over the window ((u_x, u_y,
-    |grad u|^2), or (u_y,) on a column), left by `grad_max` for the next
-    step's right-hand side, which takes `handed`, its interior views; `tmp`
-    is one more array of the window's shape; `scratch` is the three arrays
-    of its interior's shape that `_kernels.rhs_interior` takes (none on a
-    column); `F` is the right-hand side, its walls 0, and `sweeps` a
-    `_Sweep` per axis, x first."""
+    window of its grid that they solve: all of it, or with `mirror` =
+    (x, y) the nodes x >= 0 if x is set and y <= Ly/2 if y is set, each
+    with its ghost line, the column x = -x_1 and the row above Ly/2
+    (`_mirrors`).  `win` is the window's slice of a field, `own` the slice
+    of the window that leaves its ghosts out, and `axes` its stencil
+    weights; `grad` holds the gradient of the values `of` over the window
+    ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
+    the next step's right-hand side, which takes `handed`, its interior
+    views; `tmp` is one more array of the window's shape; `scratch` is the
+    three arrays of its interior's shape that `_kernels.rhs_interior` takes
+    (none on a column); `F` is the right-hand side, its walls 0, and
+    `sweeps` a `_Sweep` per axis, x first."""
 
-    def __init__(self, g: Grid2D, mirror=False):
+    def __init__(self, g: Grid2D, mirror=(False, False)):
         self.grid, self.mirror = g, mirror
-        i0 = g.ix0 - 1 if mirror else 0
-        self.win = np.s_[:, i0:]
+        i0 = g.ix0 - 1 if mirror[0] else 0
+        j1 = (g.ny + 3) // 2 if mirror[1] else g.ny
+        self.win = np.s_[:j1, i0:]
+        self.own = np.s_[:j1 - int(mirror[1]), int(mirror[0]):]
         self.origin = (0, g.ix0 - i0)  # x = 0 on the wall y = 0
         self.inner = np.s_[1:-1] if g.is_column else np.s_[1:-1, 1:-1]
-        self.axes = g.window(i0) if mirror else g
-        ny, nx = g.ny, g.nx - i0
+        self.axes = g.window(i0, j1) if any(mirror) else g
+        ny, nx = j1, g.nx - i0
         self.grad = tuple(np.empty((ny, nx))
                           for _ in range(1 if g.is_column else 3))
         self.handed = tuple(v[self.inner] for v in self.grad)
@@ -196,21 +207,21 @@ class _Work:
             np.empty((ny - 2, nx - 2)) for _ in range(3))
         self.F = np.zeros((ny, nx))
         self.sweeps = [_Sweep(g.ay, ny - 2, 1)] if g.is_column else [
-            _Sweep(self.axes.ax, nx - 2, ny - 2, mirror),
-            _Sweep(self.axes.ay, ny - 2, nx - 2)]
+            _Sweep(self.axes.ax, nx - 2, ny - 2, 0 if mirror[0] else None),
+            _Sweep(self.axes.ay, ny - 2, nx - 2, -1 if mirror[1] else None)]
         self.of = None
 
     def grad_max(self, u: np.ndarray) -> float:
-        """Largest |grad u| over the window's nodes but its ghost (a column
+        """Largest |grad u| over the window's nodes but its ghosts (a column
         has only u_y); the gradient stays in grad, for the step from u."""
         self.of = u
         if self.grid.is_column:
             return _kernels.grad_max_1d(u, self.grid.ay, self.grad[0])
         gmax = _kernels.grad_norm_max(u[self.win], self.axes, self.grad,
                                       self.tmp)
-        if not self.mirror:
+        if not any(self.mirror):
             return gmax
-        return float(np.sqrt(np.max(self.grad[2][:, 1:])))
+        return float(np.sqrt(np.max(self.grad[2][self.own])))
 
     def uy_origin(self) -> float:
         """u_y at the origin (x = 0 on the wall y = 0) of the values `of`."""
@@ -218,28 +229,40 @@ class _Work:
 
     def advanced(self, u: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """New values: u on the window with delta added to its interior, the
-        nodes x < 0 outside it their mirror images."""
+        nodes outside it their mirror images."""
         un = np.empty_like(u)
         np.copyto(un[self.win], u[self.win])
         un[self.win][self.inner] += delta
-        # through tmp: un[:, :i] = un[:, :i:-1] would take a temporary
-        if self.mirror:
-            i = self.grid.ix0
+        mx, my = self.mirror
+        # x through tmp: un[:, :i] = un[:, :i:-1] would take a temporary
+        if mx:
+            rows, i = self.win[0], self.grid.ix0
             half = self.tmp[:, :i]
-            np.copyto(half, un[:, :i:-1])
-            un[:, :i] = half
+            np.copyto(half, un[rows, :i:-1])
+            un[rows, :i] = half
+        if my:
+            mid = self.grid.ny // 2
+            un[mid + 1:] = un[mid - 1::-1]
         return un
 
 
-def _mirrors(u: np.ndarray, g: Grid2D, cfg: Optional[SolverConfig]) -> bool:
-    """Whether an unforced run of cfg from the values u of g may solve
-    x >= 0 alone: its x nodes and its values are mirror images about x = 0,
-    bit for bit.  Never for a forced run, a column or no cfg."""
+def _mirrors(u: np.ndarray, g: Grid2D, cfg: Optional[SolverConfig]):
+    """(x, y): whether an unforced run of cfg from the values u of g may
+    solve x >= 0 alone, its x nodes and values mirror images about x = 0,
+    and y <= Ly/2 alone, ny odd and its y nodes and values mirror images
+    about Ly/2, each bit for bit.  The y nodes above Ly/2 are compared as
+    Ly minus those below, as `grid.graded_nodes` builds them: Ly - (Ly - y)
+    need not round back to y.  Neither for a forced run, a column or no
+    cfg."""
     if cfg is None or cfg.forced is not None or g.is_column:
-        return False
-    i = g.ix0
-    return bool(np.array_equal(g.x[i:], -g.x[i::-1])
-                and np.array_equal(u[:, i:], u[:, i::-1]))
+        return False, False
+    x, y, i, mid = g.x, g.y, g.ix0, g.ny // 2
+    in_x = (np.array_equal(x[i:], -x[i::-1])
+            and np.array_equal(u[:, i:], u[:, i::-1]))
+    in_y = (g.ny % 2 == 1
+            and np.array_equal(y[:mid - 1:-1], g.Ly - y[:mid + 1])
+            and np.array_equal(u[mid:], u[mid::-1]))
+    return bool(in_x), bool(in_y)
 
 
 def make_state(u0: ScalarField, cfg: Optional[SolverConfig] = None
@@ -268,9 +291,12 @@ def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
 
 # target relative change of u and grad_max per implicit step: halving it from
 # 0.05 moved the p3-blowup fits (aniso residual 0.334 -> 0.2960), halving it
-# again did not (0.2959, in 891 steps against 460)
+# again did not (0.2959, in 891 steps against 460; a dated measurement, made
+# when p3-blowup stepped every row and its last step overshot the stop)
 _REL_CHANGE = 0.025
 _DT_GROWTH = 1.5  # largest growth of dt from one implicit step to the next
+# an unforced 2D run ends with grad_max in [stop, stop (1 + _LANDING)]
+_LANDING = 1e-3
 
 
 def _dt_implicit(state: SimulationState, cfg: SolverConfig, umax, F) -> float:
@@ -336,18 +362,23 @@ def _thomas(a, Z, rows):
     return Z[:, 1]
 
 
-def _fold(a, Z):
-    """Fold a mirror ghost into the bands of `_thomas`: the first unknown's
-    lower neighbour is the mirror image of its upper one, c[0] += a[0]."""
-    Z[0, 2] += a[0]
+def _fold(a, Z, at):
+    """Fold a mirror ghost into the bands of `_thomas`: at = 0 when the
+    first unknown's lower neighbour is the mirror image of its upper one
+    (c[0] += a[0]), -1 when the last's upper neighbour is the mirror image
+    of its lower one (a[-1] += c[-1])."""
+    if at == 0:
+        Z[0, 2] += a[0]
+    else:
+        a[-1] += Z[-1, 2]
 
 
 class _Sweep:
     """The buffers of the line solves (I - dt (D2 + speed D1)) v = rhs along
     one axis of a grid: n interior lines of m values, v = 0 on the walls,
-    but for a mirror ghost below the first unknown if `fold` (`_fold`)."""
+    but for a mirror ghost at the line's end `fold`, 0 or -1 (`_fold`)."""
 
-    def __init__(self, axis, n, m, fold=False):
+    def __init__(self, axis, n, m, fold=None):
         self.axis, self.fold = axis, fold
         self.speed = np.empty((n, m))  # set once per step
         self.lo = np.empty((n, m))
@@ -363,8 +394,8 @@ class _Sweep:
                                     (0.0, 1.0, 0.0)):
             np.multiply(self.speed, -dt * w1, out=out)
             out += one - dt * w2
-        if self.fold:
-            _fold(self.lo, self.Z)
+        if self.fold is not None:
+            _fold(self.lo, self.Z, self.fold)
         return _thomas(self.lo, self.Z, self.rows)
 
 
@@ -430,12 +461,58 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         if not change > 2.0 * _REL_CHANGE:  # NaN falls through to the check
             break
         dt *= _REL_CHANGE / change
+    # a column keeps its last step: its fit reads the series, not the profile
+    if cfg.stop_grad_norm is not None and not ws.grid.is_column \
+            and state.grad_max < cfg.stop_grad_norm:
+        un, dt, gmax = _land(state, cfg, ws, src, un, dt, gmax)
     t = state.t + dt
     if state.t < cfg.t_max < t:  # the same step, shortened to land on t_max
         dt, t = cfg.t_max - state.t, cfg.t_max
         un = ws.advanced(u, _solve(ws, src, dt))
         gmax = ws.grad_max(un)
     return un, t, dt, gmax
+
+
+def _land(state, cfg, ws, src, un, dt, gmax):
+    """The step from state that lands on the stop, for a step of size dt
+    to the values un whose grad_max is gmax: (values, dt, grad_max).
+
+    A step that ends past the landing band [stop, stop (1 + _LANDING)] is
+    taken again from the same state, its dt found by regula falsi between
+    the state (or a step short of the stop) and the step past it, each
+    aimed at the middle of the band.  A step that ends short of the stop by
+    less than half its change of grad_max (scaled up to _DT_GROWTH to reach
+    the band's middle) is stretched so, as the step after it would be a
+    sliver whose dt is ill-conditioned; a stretch that falls short of the
+    stop, as past a peak of grad_max that stays below it, is dropped for
+    the step as sized."""
+    stop, u, g = cfg.stop_grad_norm, state.field.values, state.grad_max
+    top, aim = stop * (1.0 + _LANDING), stop * (1.0 + 0.5 * _LANDING)
+
+    def take(dt):
+        _check_dt(dt, cfg, state)
+        un = ws.advanced(u, _solve(ws, src, dt))
+        return un, ws.grad_max(un)
+
+    lo = (0.0, g)  # (dt, grad_max) short of the stop
+    if not gmax >= stop:
+        if not aim - g <= _DT_GROWTH * (gmax - g):  # no sliver left
+            return un, dt, gmax
+        sized, lo = (un, dt, gmax), (dt, gmax)
+        dt *= (aim - g) / (gmax - g)
+        un, gmax = take(dt)
+        if not gmax >= stop:
+            ws.grad_max(sized[0])  # the gradient of the values handed on
+            return sized
+    hi = (dt, gmax)  # past the stop
+    while gmax > top or gmax < stop:  # NaN falls through to the check
+        dt = lo[0] + (hi[0] - lo[0]) * (aim - lo[1]) / (hi[1] - lo[1])
+        un, gmax = take(dt)
+        if gmax < stop:
+            lo = (dt, gmax)
+        elif gmax > top:
+            hi = (dt, gmax)
+    return un, dt, gmax
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:

@@ -276,3 +276,20 @@ def test_criterion_10_determinism_and_symmetry(tmp_path):
     detail = (f"replay byte-identical; even-symmetry dev {asym:.2e} <= 1e-12 "
               f"on 129^2")
     assert ok, _gate(10, "determinism & symmetry", ok, detail)
+
+
+def test_blow_up_presets_land_on_their_stop(p3_run, p25_run, rate1d_run):
+    """The 2D blow-up presets end with stop <= grad_max <= 1.001 stop, their
+    last step landed on the stop; p3-rate-1d, a column, keeps its last step
+    and its overshoot to grad_max 10161.9 against its stop of 1e4."""
+    for (out, _, _), landed in ((p3_run, True), (p25_run, True),
+                                (rate1d_run, False)):
+        with open(os.path.join(out, "meta.json")) as fh:
+            meta = json.load(fh)
+        stop = meta["solver"]["stop_grad_norm"]
+        final = meta["outcome"]["grad_max_final"]
+        assert meta["outcome"]["reason"] == solver.BLOW_UP, out
+        if landed:
+            assert stop <= final <= 1.001 * stop, out
+        else:
+            assert round(final, 1) == 10161.9, out

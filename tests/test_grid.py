@@ -371,29 +371,37 @@ def test_uniform_axes_hold_scalar_weights():
 
 
 def test_mirror_nodes():
-    """Graded grids and uniform grids of dyadic spacing have x nodes that
-    are mirror images about x = 0 bit for bit."""
+    """Graded grids and uniform grids of dyadic spacing have nodes that are
+    mirror images about x = 0 and about Ly/2 bit for bit, the upper y half
+    being Ly minus the lower; a grid graded toward y = 0 alone has not."""
     graded = Grid2D.graded(2.0, 3.0, y_first=2e-12, y_ratio=1.4, y_max=0.25,
                            x_first=4e-4, x_ratio=1.045, x_max=0.15)
-    for g in (graded, Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65),
-              geometric_grid(8, 1.2)):
+    # Ly - (Ly - y) does not round back to y on the 2e-12 cells
+    assert not np.array_equal(graded.y[::-1], 3.0 - graded.y)
+    for g, in_y in ((graded, True),
+                    (Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65), True),
+                    (geometric_grid(8, 1.2), False)):
         assert np.array_equal(g.x[g.ix0:], -g.x[g.ix0::-1])
+        m = (g.ny + 1) // 2
+        assert np.array_equal(g.y[:-m - 1:-1], g.Ly - g.y[:m]) == in_y
 
 
 def test_window_weights_are_the_grids_own():
-    """The x weights of a window x[i0:] are the grid's own at the window's
-    inner nodes, bit for bit, graded or uniform; its y weights are the
-    grid's."""
+    """The weights of a window x[i0:] by y[:j1] are the grid's own at the
+    window's inner nodes, bit for bit, graded or uniform."""
     graded = Grid2D.graded(0.25, 0.06, y_first=1e-5, y_ratio=1.3,
                            y_max=0.004, x_first=2e-3, x_ratio=1.2, x_max=0.02)
     for g in (graded, Grid2D(Lx=0.25, Ly=0.0625, nx=33, ny=33)):
-        i0 = g.ix0 - 1
-        w = g.window(i0)
+        i0, j1 = g.ix0 - 1, g.ny // 2 + 2
+        w = g.window(i0, j1)
         for name in ("d1", "d2"):
             for part, whole in zip(getattr(w.ax, name), getattr(g.ax, name)):
                 assert np.array_equal(part, np.asarray(whole)[i0:]
                                       if np.ndim(whole) else whole)
-        assert w.ay is g.ay
+            for part, whole in zip(getattr(w.ay, name), getattr(g.ay, name)):
+                assert np.array_equal(part, np.asarray(whole)[:j1 - 2]
+                                      if np.ndim(whole) else whole)
+        assert w.ay.lo == g.ay.lo
 
 
 def test_axis_one_sided_weights():

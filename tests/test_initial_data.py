@@ -1,10 +1,12 @@
 """Initial-data tests: amplitude, support, symmetry and the monotonicity
 x * u_x <= 0 that the comparison arguments rely on."""
 
+import os
+
 import numpy as np
 import pytest
 
-from gbulab import ConfigurationError, Grid2D, symmetric_cap
+from gbulab import ConfigurationError, Grid2D, cli, symmetric_cap
 
 
 # --------------------------------------------------------------------------
@@ -40,3 +42,33 @@ def test_cap_width_guard():
     g = Grid2D(Lx=0.25, Ly=0.08, nx=65, ny=65)
     with pytest.raises(ConfigurationError):
         symmetric_cap(0.3, 0.3, g)
+
+
+def test_cap_is_even_about_mid_height_on_every_shipped_grid():
+    """On the grid of every shipped 2D preset the cap is even in x and about
+    Ly/2, bit for bit: its rows above Ly/2 are copies of those below."""
+    checked = 0
+    for name in sorted(os.listdir(cli._PRESET_DIR)):
+        if name.startswith("mms"):  # an mms config, not a run config
+            continue
+        rc = cli.load_config(os.path.join(cli._PRESET_DIR, name))
+        if rc.initial_data["family"] != "cap":
+            continue
+        g = rc.make_grid()
+        v = rc.make_initial(g).values
+        assert np.array_equal(v, v[::-1]), name
+        assert np.array_equal(v, v[:, ::-1]), name
+        checked += 1
+    assert checked == 3
+
+
+def test_cap_on_y_nodes_that_are_not_mirror_images():
+    """On y nodes graded toward y = 0 alone the cap is the sine at every
+    row, not a copy of the rows below Ly/2."""
+    y = 0.08 * np.linspace(0.0, 1.0, 33) ** 2
+    g = Grid2D(Lx=0.25, Ly=0.08, nx=33, ny=33,
+               coords=(np.linspace(-0.25, 0.25, 33), y))
+    v = symmetric_cap(0.3, 0.18, g).values
+    want = 0.3 * np.sin(np.pi * y / 0.08)
+    want[-1] = 0.0
+    assert np.allclose(v[:, g.ix0], want, rtol=0.0, atol=1e-15)

@@ -453,7 +453,7 @@ def fsal_runs():
     """(initial field, config, a later stop) of runs whose states hold
     their gradient: a graded run and a column run, whose steps take it, and
     on a uniform grid an unforced cap, whose steps take it, the caps
-    stepping their x half, and a forced 33² run from
+    stepping their quarter, and a forced 33² run from
     manufactured_callbacks, whose walls move every step, so each step forms
     the gradient of its new values first."""
     graded = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
@@ -480,11 +480,10 @@ def test_handed_gradient_is_the_states_gradient(tmp_path, monkeypatch):
         if g.is_column:
             uy = _kernels.derivative(u, g.ay)
             assert np.array_equal(ws.grad[0], uy)
-        else:  # on the window's nodes but its ghost
+        else:  # on the window's nodes but its ghosts
             ux, uy = _kernels.gradient(u, g)
-            own = np.s_[:, int(ws.mirror):]
             for a, b in zip(ws.grad, (ux, uy, ux * ux + uy * uy)):
-                assert np.array_equal(a[own], b[ws.win][own])
+                assert np.array_equal(a[ws.own], b[ws.win][ws.own])
         # the state's u_y at the origin is that gradient's, bit for bit
         assert state.uy_origin == uy[0, g.ix0]
         checked.append(state.step)
@@ -571,7 +570,11 @@ def test_a_step_allocates_little_beyond_its_new_state(grid):
         u0 = symmetric_cap(0.4, 0.18, g)
     assert u0.grid.nx * u0.grid.ny > 65_000
     st = solver.step(solver.make_state(u0, cfg), cfg)
-    assert st.work.mirror is (grid != "forced")
+    # the graded cap steps its quarter, its y fill included; the uniform
+    # one's y nodes are not mirror images about Ly/2 bit for bit
+    assert st.work.mirror == {"forced": (False, False),
+                              "uniform": (True, False),
+                              "graded": (True, True)}[grid]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -611,30 +614,33 @@ def thomas_oracle(a, b, c, d):
     return d
 
 
-def mirrored_line(a, b, c, d):
+def mirrored_line(a, b, c, d, at):
     """The dense matrix and right-hand side of the whole line that a line
-    folded by `solver._fold` stands for: its n unknowns and their n - 1
-    mirror images about the first unknown, each mirror row the image of its
-    own row; and the slice of the whole line that is the folded line."""
+    folded at `at` (see `solver._fold`) stands for: its n unknowns and
+    their n - 1 mirror images about the first unknown (at = 0) or the last
+    (at = -1), each mirror row the image of its own row; and the slice of
+    the whole line that is the folded line."""
     n = b.size
     whole = 2 * n - 1
     M, rhs = np.zeros((whole, whole)), np.empty(whole)
     for j in range(whole):
-        k = abs(j - (n - 1))
-        lo, up = (c[k], a[k]) if j < n - 1 else (a[k], c[k])
+        k = abs(j - (n - 1)) if at == 0 else (n - 1) - abs(j - (n - 1))
+        image = j < n - 1 if at == 0 else j > n - 1
+        lo, up = (c[k], a[k]) if image else (a[k], c[k])
         M[j, j], rhs[j] = b[k], d[k]
         if j > 0:
             M[j, j - 1] = lo
         if j < whole - 1:
             M[j, j + 1] = up
-    return M, rhs, slice(n - 1, None)
+    return M, rhs, slice(n - 1, None) if at == 0 else slice(0, n)
 
 
-@pytest.mark.parametrize("shape, fold", [
-    ((229, 1), False), ((245, 159), False), ((159, 245), False),
-    ((61, 1), True), ((61, 7), True)],
-    ids=["shape0", "shape1", "shape2", "folded-start-1", "folded-start"])
-def test_sweep_matches_the_row_by_row_oracle(shape, fold):
+@pytest.mark.parametrize("shape, at", [
+    ((229, 1), None), ((245, 159), None), ((159, 245), None),
+    ((61, 1), 0), ((61, 7), 0), ((61, 1), -1), ((61, 7), -1)],
+    ids=["shape0", "shape1", "shape2", "folded-start-1", "folded-start",
+         "folded-end-1", "folded-end"])
+def test_sweep_matches_the_row_by_row_oracle(shape, at):
     """The stacked sweep, and the float sweep of a single line, give the
     oracle's bits on random diagonally dominant systems.  Folded at a
     mirror ghost, they solve the whole mirrored line, as a dense solve of
@@ -644,14 +650,15 @@ def test_sweep_matches_the_row_by_row_oracle(shape, fold):
     b = 2.0 + rng.uniform(0.0, 1.0, shape)
     d = rng.normal(size=shape)
     Z = np.stack([b, d, c], axis=1)
-    if not fold:
+    if at is None:
         got = solver._thomas(a, Z, solver._thomas_rows(a, Z))
         assert np.array_equal(got, thomas_oracle(a, b.copy(), c, d.copy()))
         return
-    solver._fold(a, Z)
-    got = solver._thomas(a, Z, solver._thomas_rows(a, Z))
+    a_folded = a.copy()
+    solver._fold(a_folded, Z, at)
+    got = solver._thomas(a_folded, Z, solver._thomas_rows(a_folded, Z))
     for m in range(shape[1]):
-        M, rhs, own = mirrored_line(a[:, m], b[:, m], c[:, m], d[:, m])
+        M, rhs, own = mirrored_line(a[:, m], b[:, m], c[:, m], d[:, m], at)
         want = np.linalg.solve(M, rhs)
         assert np.allclose(want, want[::-1], rtol=0.0, atol=1e-12)
         assert np.allclose(got[:, m], want[own], rtol=1e-12, atol=1e-13)
@@ -663,17 +670,29 @@ def test_sweep_matches_the_row_by_row_oracle(shape, fold):
 
 
 def mirror_grid(grid):
-    """A grid whose x nodes are mirror images about x = 0 bit for bit:
-    uniform on dyadic spacings, or graded_grid()."""
+    """A grid whose nodes are mirror images about x = 0 and about Ly/2 bit
+    for bit, ny odd: uniform on dyadic spacings, or graded_grid()."""
     g = Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65) if grid == "uniform" \
         else graded_grid()
-    assert np.array_equal(g.x[g.ix0:], -g.x[g.ix0::-1])
+    m = g.ny // 2
+    assert np.array_equal(g.x[g.ix0:], -g.x[g.ix0::-1]) and g.ny % 2
+    assert np.array_equal(g.y[:m - 1:-1], g.Ly - g.y[:m + 1])
     return g
+
+
+def one_ulp_off_in_y(u0):
+    """u0 with one value on x = 0, near the top wall, one ulp larger: still
+    even in x bit for bit, no longer even about Ly/2."""
+    v = u0.values.copy()
+    j, i = u0.grid.ny - 3, u0.grid.ix0
+    assert v[j, i] > 0.0
+    v[j, i] = np.nextafter(v[j, i], np.inf)
+    return ScalarField(u0.grid, v)
 
 
 def one_ulp_off(u0):
     """u0 with one value near the top wall and the left side, far from the
-    origin, one ulp larger: no longer even in x."""
+    origin, one ulp larger: no longer mirror-symmetric in x or y."""
     v = u0.values.copy()
     j, i = u0.grid.ny - 3, u0.grid.ix0 - 3
     assert v[j, i] > 0.0
@@ -681,23 +700,31 @@ def one_ulp_off(u0):
     return ScalarField(u0.grid, v)
 
 
-@pytest.mark.parametrize("grid", ["uniform", "graded"])
-def test_a_mirrored_run_matches_the_whole_grid_run(grid):
+@pytest.mark.parametrize("grid, data", [
+    ("uniform", "x"), ("graded", "x"), ("uniform", "xy"), ("graded", "xy")],
+    ids=["uniform", "graded", "uniform-xy", "graded-xy"])
+def test_a_mirrored_run_matches_the_whole_grid_run(grid, data):
     """An unforced run of data even in x bit for bit steps x >= 0 alone,
-    and ends where the whole grid's run of the same data, one ulp off at
-    one node, ends, to rounding grown over the run (measured: the values to
-    6.6e-15 of the largest, the series to 8.6e-12 relative)."""
+    and of data also even about Ly/2 bit for bit, as the cap is, y <= Ly/2
+    alone too; either ends where the whole grid's run of the same data,
+    one ulp off at one node, ends, to rounding grown over the run
+    (measured: the values to 6.6e-15 of the largest, the series to 8.6e-12
+    relative).  The data even in x alone is the cap one ulp off in y."""
     g = mirror_grid(grid)
     u0 = symmetric_cap(0.4, 0.18, g)
+    if data == "x":
+        u0 = one_ulp_off_in_y(u0)
     cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
-    assert solver.make_state(u0, cfg).work.mirror is True
+    assert solver.make_state(u0, cfg).work.mirror == (True, data == "xy")
     whole = one_ulp_off(u0)
-    assert solver.make_state(whole, cfg).work.mirror is False
+    assert solver.make_state(whole, cfg).work.mirror == (False, False)
     a, b = solver.run(u0, cfg), solver.run(whole, cfg)
     assert a.reason == b.reason == BLOW_UP
     assert a.final.step == b.final.step
     va, vb = a.final.field.values, b.final.field.values
     assert np.array_equal(va, va[:, ::-1])
+    if data == "xy":
+        assert np.array_equal(va, va[::-1])
     scale = np.max(np.abs(vb))
     assert np.max(np.abs(va - vb)) <= 1e-13 * scale
     for col in ("t", "grad_max", "uy_origin", "dt"):
@@ -706,59 +733,64 @@ def test_a_mirrored_run_matches_the_whole_grid_run(grid):
 
 def test_the_ghosts_stay_out_of_grad_max():
     """A mirrored state's grad_max and u_y at the origin are the whole
-    grid's: on a tent in x, the one-sided differences at the ghost column
-    read twice the slope, and are left out."""
+    grid's: on a tent in x and in y, the one-sided differences at the ghost
+    column and the ghost row read twice the slope, and are left out."""
     g = mirror_grid("uniform")
     X, Y = g.meshgrid()
-    u = (1.0 - np.abs(X) / g.Lx) * (1.0 + Y)
+    u = (1.0 - np.abs(X) / g.Lx) * (1.0 - np.abs(2.0 * Y / g.Ly - 1.0))
     st = solver.make_state(ScalarField(g, u), SolverConfig(p=3.0))
-    assert st.work.mirror is True
+    assert st.work.mirror == (True, True)
     uy = _kernels.gradient(u, g)[1]
     assert st.grad_max == pytest.approx(
         _kernels.grad_norm_max(u, g), rel=1e-14)
     assert st.uy_origin == uy[0, g.ix0]
 
 
-@pytest.mark.parametrize("data", ["none", "nodes"])
+@pytest.mark.parametrize("data", ["none", "nodes", "y"])
 def test_data_that_is_not_mirror_symmetric_steps_the_whole_grid(data):
-    """Data that is not even in x bit for bit, on a grid whose x nodes are
+    """Data that is not even in x bit for bit, on a grid whose nodes are
     mirror images, steps every x and keeps its asymmetry; so does data that
     is even in x bit for bit on x nodes one of which is one ulp off its
-    mirror image."""
+    mirror image.  Both are one ulp off even about Ly/2, so they step every
+    y; the cap, even about Ly/2 bit for bit, steps y <= Ly/2 alone and
+    stays even."""
     g = mirror_grid("graded")
     if data == "nodes":
         x = g.x.copy()
         x[g.ix0 - 3] = np.nextafter(x[g.ix0 - 3], 0.0)
         g = Grid2D(Lx=g.Lx, Ly=g.Ly, nx=g.nx, ny=g.ny, coords=(x, g.y))
-    v = symmetric_cap(0.4, 0.18, g).values
-    if data == "none":
-        v = v * (1.0 + g.meshgrid()[0])
-    else:
+    cap = symmetric_cap(0.4, 0.18, g)
+    v = (cap if data == "y" else one_ulp_off_in_y(cap)).values
+    if data == "nodes":
         v[:, :g.ix0] = v[:, :g.ix0:-1]
+    else:
+        v = v * (1.0 + g.meshgrid()[0])
     cfg = SolverConfig(p=3.0, t_max=1e-3, stop_grad_norm=1e9)
     st = solver.make_state(ScalarField(g, v), cfg)
-    assert st.work.mirror is False
-    assert st.work.F.shape == (g.ny, g.nx)
+    assert st.work.mirror == (False, data == "y")
+    rows = (g.ny + 3) // 2 if data == "y" else g.ny
+    assert st.work.F.shape == (rows, g.nx)
     v = advance(st, cfg, 10).field.values
-    if data == "none":
+    if data != "nodes":
         assert np.max(np.abs(v - v[:, ::-1])) > 0.05 * np.max(v)
+    assert np.array_equal(v, v[::-1]) == (data == "y")
 
 
 def test_a_forced_run_and_a_column_are_never_mirrored():
-    """A forced run steps the whole grid, even from data even in x bit for
-    bit; so do a column and a state made without its run's cfg."""
+    """A forced run steps the whole grid, even from data mirror-symmetric
+    bit for bit; so do a column and a state made without its run's cfg."""
     g = mirror_grid("uniform")
     u0 = symmetric_cap(0.4, 0.18, g)
     forced = SolverConfig(p=3.0, forced=lambda t: (0.0, (0.0,) * 4),
                           n_steps=4)
     unforced = SolverConfig(p=3.0)
-    assert solver.make_state(u0, unforced).work.mirror is True
-    assert solver.make_state(u0, forced).work.mirror is False
-    assert solver.make_state(u0).work.mirror is False
+    assert solver.make_state(u0, unforced).work.mirror == (True, True)
+    assert solver.make_state(u0, forced).work.mirror == (False, False)
+    assert solver.make_state(u0).work.mirror == (False, False)
     st = solver.step(solver.make_state(u0, forced), forced)
-    assert st.work.mirror is False
+    assert st.work.mirror == (False, False)
     col = symmetric_cap(0.1, 0.18, graded_column())
-    assert solver.make_state(col, unforced).work.mirror is False
+    assert solver.make_state(col, unforced).work.mirror == (False, False)
 
 
 def perfbench_workloads():
@@ -778,8 +810,9 @@ def perfbench_workloads():
 
 def test_every_shipped_2d_run_steps_its_x_half(tmp_path):
     """Every shipped 2D preset's cap, and the seed-0 inputs of the
-    benchmark's blowup-2d and replay, are even in x bit for bit on their
-    grids, so their runs step x >= 0 and every row alone."""
+    benchmark's blowup-2d and replay, are even in x and about Ly/2 bit for
+    bit on their grids, so their runs step the quarter x >= 0, y <= Ly/2
+    alone."""
     paths = []
     for name in sorted(os.listdir(cli._PRESET_DIR)):
         path = os.path.join(cli._PRESET_DIR, name)
@@ -800,6 +833,113 @@ def test_every_shipped_2d_run_steps_its_x_half(tmp_path):
         g = rc.make_grid()
         u0 = rc.make_initial(g)
         assert np.array_equal(u0.values, u0.values[:, ::-1]), path
+        assert np.array_equal(u0.values, u0.values[::-1]), path
         work = solver.make_state(u0, rc.make_solver_config()).work
-        assert work.mirror is True, path
-        assert work.F.shape == (g.ny, g.nx - g.ix0 + 1), path
+        assert work.mirror == (True, True), path
+        assert work.F.shape == ((g.ny + 3) // 2, g.nx - g.ix0 + 1), path
+
+
+# --------------------------------------------------------------------------
+# Landing on the stop
+# --------------------------------------------------------------------------
+
+
+def count_solves(monkeypatch):
+    """A list that grows by one for every line-solve pass of a step."""
+    calls = []
+    solve = solver._solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["uniform", "graded", "whole"])
+def test_a_2d_blow_up_run_lands_on_its_stop(grid, monkeypatch):
+    """An unforced 2D run that blows up ends with stop <= grad_max <=
+    1.001 stop, on its quarter window and on the whole grid: a last step
+    past the band, or one that leaves the next step a sliver short of the
+    stop, is taken again from the same state, in a solve or two more."""
+    g = mirror_grid("graded" if grid == "whole" else grid)
+    u0 = symmetric_cap(0.4, 0.18, g)
+    if grid == "whole":
+        u0 = one_ulp_off(u0)
+    cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
+    solves = count_solves(monkeypatch)
+    out = solver.run(u0, cfg)
+    assert out.reason == BLOW_UP
+    assert 100.0 <= out.final.grad_max <= 100.1
+    assert out.series["grad_max"][-2] < 100.0
+    assert out.final.step < len(solves) <= out.final.step + 5
+
+
+def test_a_run_that_peaks_below_its_stop_is_not_landed(monkeypatch):
+    """A run whose grad_max peaks just below its stop and then decays steps
+    as it steps with no stop in reach, bit for bit: its step to the peak,
+    short of the stop by a sliver, is stretched once, and the stretch,
+    which passes the peak and falls short of the stop, is dropped."""
+    u0 = symmetric_cap(0.2, 0.18, mirror_grid("uniform"))
+    solves = count_solves(monkeypatch)
+    free = solver.run(u0, SolverConfig(p=3.0, t_max=0.003,
+                                       stop_grad_norm=1e9))
+    peak = float(np.max(free.series["grad_max"]))
+    assert free.series["grad_max"][-1] < peak
+    n_free = len(solves)
+    solves.clear()
+    for stop in (1.00001 * peak, 1.003 * peak):
+        out = solver.run(u0, SolverConfig(p=3.0, t_max=0.003,
+                                          stop_grad_norm=stop))
+        assert out.reason == HORIZON
+        assert len(solves) == n_free + 1
+        solves.clear()
+        for col in solver.SERIES:
+            assert np.array_equal(out.series[col], free.series[col])
+        assert np.array_equal(out.final.field.values,
+                              free.final.field.values)
+
+
+def test_a_column_keeps_its_last_step():
+    """A column is never landed: its last step overshoots the stop as
+    sized (to 102.5 here), since its fit reads the time rate of its series,
+    not its final profile."""
+    u0 = symmetric_cap(0.4, 0.18, graded_column())
+    cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
+    out = solver.run(u0, cfg)
+    assert out.reason == BLOW_UP
+    assert out.final.grad_max > 100.1
+
+
+def test_a_landed_run_resumes_bit_for_bit(tmp_path):
+    """A run cut on the state its landed last step starts from, then
+    resumed, lands that step as the one-shot run did, bit for bit."""
+    g = mirror_grid("graded")
+    u0 = symmetric_cap(0.4, 0.18, g)
+    full = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=100.0)
+    out_a = solver.run(u0, full, run_dir=str(tmp_path / "a"))
+    assert 100.0 <= out_a.final.grad_max <= 100.1
+    cut = SolverConfig(p=3.0, t_max=float(out_a.series["t"][-2]),
+                       stop_grad_norm=100.0)
+    solver.run(u0, cut, run_dir=str(tmp_path / "b"))
+    assert cut_step(tmp_path / "b") == out_a.final.step - 1
+    out_b = solver.resume(str(tmp_path / "b"), full)
+    assert out_b.final.step == out_a.final.step
+    assert out_b.final.grad_max == out_a.final.grad_max
+    assert np.array_equal(out_b.final.field.values, out_a.final.field.values)
+    assert run_dirs_equal(tmp_path / "a", tmp_path / "b")
+
+
+def test_p3_blowup_first_step_is_set_by_the_bottom_half():
+    """The cap's rows above Ly/2 are copies of those below, so its top wall
+    carries no rounding noise for the first step to resolve: p3-blowup's
+    first dt is ~9.5e-5, as its bottom half sets it.  With the top half
+    computed, the noise put a right-hand side of 1.1e8 at the row below the
+    top wall and cut the first dt to 4.5e-10."""
+    rc = cli.load_config(os.path.join(cli._PRESET_DIR, "p3-blowup.yaml"))
+    g = rc.make_grid()
+    cfg = rc.make_solver_config()
+    st = solver.step(solver.make_state(rc.make_initial(g), cfg), cfg)
+    assert st.work.mirror == (True, True)
+    assert 9e-5 < st.dt_last < 1e-4
