@@ -16,9 +16,11 @@ Every stencil takes its three-point weights from an `Axis` per direction,
 `Grid2D.ax` and `Grid2D.ay`: floats from the spacing on a uniform grid,
 per-node weights on any other.  This is the one place that tells the two
 apart; the stencils themselves, in `_kernels`, do the same arithmetic on
-either.  `Grid2D.window` gives the weights on the nodes x[i0:] and y[:j1]
-of the grid, which the solver steps when a run is even in x and about
-Ly/2 (`solver._mirrors`).
+either.  `Grid2D.mirror_nodes` tells whether the nodes are mirror images
+about x = 0 and about Ly/2 bit for bit, for the initial cap and the solver
+alike, and `Grid2D.window` gives the weights on the nodes x[i0:] and
+y[:j1] of the grid, which the solver steps when a run is even in x and
+about Ly/2 (`solver._mirrors`).
 """
 
 from __future__ import annotations
@@ -281,6 +283,15 @@ class Grid2D:
     def ix0(self) -> int:
         """Column index of the symmetry line x = 0."""
         return (self.nx - 1) // 2
+
+    @cached_property
+    def mirror_nodes(self) -> tuple:
+        """(x, y): whether x[ix0 + k] == -x[ix0 - k] and y[ny - 1 - j] ==
+        Ly - y[j], j < (ny + 1) / 2, bit for bit: the upper y half is built
+        as Ly minus the lower, and Ly - (Ly - y) need not round back to y."""
+        x, y, i, m = self.x, self.y, self.ix0, (self.ny + 1) // 2
+        return (bool(np.array_equal(x[i:], -x[i::-1])),
+                bool(np.array_equal(y[:-m - 1:-1], self.Ly - y[:m])))
 
     def window(self, i0: int, j1: int) -> "Window":
         """The stencil weights on the nodes x[i0:] and y[:j1], for stencils

@@ -20,11 +20,12 @@ def symmetric_cap(amplitude: float, width: float, g: Grid2D) -> ScalarField:
     |x| >= width and on the walls y = 0 and y = Ly.
 
     On x nodes that are mirror images about x = 0 the values are even in x
-    bit for bit, as cos is.  On y nodes that are mirror images about Ly/2 to
-    rounding, as every grid `Grid2D` builds has, the rows above Ly/2 are
-    copies of the rows below, so the values are even about Ly/2 bit for bit
-    too: sin(pi y / Ly) rounds differently at y and at Ly - y.  An unforced
-    run of them then steps x >= 0, y <= Ly/2 alone (`solver`).
+    bit for bit, as cos is.  On y nodes that are mirror images about Ly/2
+    bit for bit (`Grid2D.mirror_nodes`), as every graded grid and every
+    shipped grid has, the rows above Ly/2 are copies of the rows below, so
+    the values are even about Ly/2 bit for bit too: sin(pi y / Ly) rounds
+    differently at y and at Ly - y.  An unforced run of them then steps
+    x >= 0, y <= Ly/2 alone (`solver`).
     """
     if not 0 < width <= g.Lx:
         raise ConfigurationError(f"cap width {width} is not in (0, Lx={g.Lx}]")
@@ -32,8 +33,7 @@ def symmetric_cap(amplitude: float, width: float, g: Grid2D) -> ScalarField:
     vals = amplitude * np.cos(np.pi * X / (2.0 * width)) ** 2 * np.sin(np.pi * Y / g.Ly)
     vals[np.abs(X) >= width] = 0.0
     vals[0, :] = 0.0
-    if np.allclose(g.y[::-1], g.Ly - g.y, rtol=0.0,
-                   atol=4.0 * np.spacing(float(g.Ly))):
+    if g.mirror_nodes[1]:
         m = (g.ny + 1) // 2  # the rows y <= Ly/2
         vals[m:] = vals[g.ny - 1 - m::-1]
     vals[-1, :] = 0.0

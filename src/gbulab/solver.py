@@ -14,10 +14,10 @@ back when u or grad_max changed by more than twice that.  The size depends
 only on the state and the last step's dt and grad_max, which series.csv
 records, so a resumed run repeats the one-shot run.  A step that would
 cross t_max is taken again from the same state, shortened to land on t_max.
-An unforced 2D run lands on its stop the same way (`_land`): grad_max ends
-in [stop, stop (1 + _LANDING)], so the final profile, which the fits read,
-does not hinge on how far the last step would overshoot.  A column keeps
-its last step.  A step holds the walls of the state it steps from.
+An unforced 2D run lands on its stop the same way (`_step_implicit`):
+grad_max ends in [stop, stop (1 + _LANDING)], so the final profile, which
+the fits read, does not hinge on how far the last step would overshoot.  A
+column keeps its last step.  A step holds the walls of the state it steps from.
 
 A forced run (the MMS study) passes `SolverConfig.forced`, a callback that
 must be a function of the time alone: forced(t) returns the interior forcing
@@ -250,17 +250,14 @@ def _mirrors(u: np.ndarray, g: Grid2D, cfg: Optional[SolverConfig]):
     """(x, y): whether an unforced run of cfg from the values u of g may
     solve x >= 0 alone, its x nodes and values mirror images about x = 0,
     and y <= Ly/2 alone, ny odd and its y nodes and values mirror images
-    about Ly/2, each bit for bit.  The y nodes above Ly/2 are compared as
-    Ly minus those below, as `grid.graded_nodes` builds them: Ly - (Ly - y)
-    need not round back to y.  Neither for a forced run, a column or no
-    cfg."""
+    about Ly/2 (`Grid2D.mirror_nodes`), each bit for bit.  Neither for a
+    forced run, a column or no cfg."""
     if cfg is None or cfg.forced is not None or g.is_column:
         return False, False
-    x, y, i, mid = g.x, g.y, g.ix0, g.ny // 2
-    in_x = (np.array_equal(x[i:], -x[i::-1])
-            and np.array_equal(u[:, i:], u[:, i::-1]))
-    in_y = (g.ny % 2 == 1
-            and np.array_equal(y[:mid - 1:-1], g.Ly - y[:mid + 1])
+    nodes_x, nodes_y = g.mirror_nodes
+    i, mid = g.ix0, g.ny // 2
+    in_x = nodes_x and np.array_equal(u[:, i:], u[:, i::-1])
+    in_y = (g.ny % 2 == 1 and nodes_y
             and np.array_equal(u[mid:], u[mid::-1]))
     return bool(in_x), bool(in_y)
 
@@ -294,7 +291,9 @@ def _check_dt(dt: float, cfg: SolverConfig, state: SimulationState):
 # again did not (0.2959, in 891 steps against 460; a dated measurement, made
 # when p3-blowup stepped every row and its last step overshot the stop)
 _REL_CHANGE = 0.025
-_DT_GROWTH = 1.5  # largest growth of dt from one implicit step to the next
+# largest growth of dt from one implicit step to the next one's first guess,
+# and of a step stretched to land on the stop
+_DT_GROWTH = 1.5
 # an unforced 2D run ends with grad_max in [stop, stop (1 + _LANDING)]
 _LANDING = 1e-3
 
@@ -413,7 +412,19 @@ def _solve(ws, src, dt):
 
 def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     """One linearly implicit step on the buffers of ws: (the new values,
-    their time, dt, their grad_max)."""
+    their time, dt, their grad_max).
+
+    An unforced step is taken again, shorter, while u or grad_max changes
+    by over 2 _REL_CHANGE.  A 2D step from below the stop is taken again
+    until grad_max lands in [stop, top], top = stop (1 + _LANDING), aiming
+    at the band's middle.  A step past top is retaken by regula falsi
+    between the state (or a step short of the stop) and it; these retakes
+    are shorter than a step the control passed and are not checked again,
+    as one it cut would send the bracket round a cycle.  A step short of
+    the stop by less than half its change is stretched to land, as the
+    next step would be an ill-conditioned sliver, unless the stretch fails
+    the control or falls short of the stop (past a peak of grad_max).
+    """
     u = state.field.values
     if cfg.n_steps:  # forced: the new values, with their walls, from the start
         t = cfg.t_max * ((state.step + 1) / cfg.n_steps)
@@ -448,71 +459,52 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         return u, t, dt, ws.grad_max(u)
     umax = float(np.max(np.abs(uw, out=ws.tmp)))
     dt = _dt_implicit(state, cfg, umax, F)
+    g, stop = state.grad_max, cfg.stop_grad_norm
+    # a column keeps its last step: its fit reads the series, not the profile
+    land = stop is not None and not ws.grid.is_column and g < stop
+    if land:
+        top, aim = stop * (1.0 + _LANDING), stop * (1.0 + 0.5 * _LANDING)
+    lo, hi, sized = (0.0, g), None, None  # (dt, grad_max) short of, past stop
     while True:
         _check_dt(dt, cfg, state)
         delta = _solve(ws, src, dt)
         un = ws.advanced(u, delta)
         gmax = ws.grad_max(un)
         dmax = float(np.max(np.abs(delta, out=ws.tmp[inner])))
-        # retry shorter if u or grad_max changed by over twice the target
+        # the control: u or grad_max changed by over twice the target
         change = max(dmax / umax if umax else 0.0,
-                     abs(gmax / state.grad_max - 1.0) if state.grad_max
-                     else 0.0)
-        if not change > 2.0 * _REL_CHANGE:  # NaN falls through to the check
+                     abs(gmax / g - 1.0) if g else 0.0)
+        over = change > 2.0 * _REL_CHANGE  # NaN falls through to the check
+        if sized is not None:  # a stretch of the step as sized
+            if over or not gmax >= stop:
+                un, dt, gmax = sized
+                ws.grad_max(un)  # the gradient of the values handed on
+                break
+            sized = None
+        elif over and hi is None:
+            dt *= _REL_CHANGE / change
+            continue
+        if not land:
             break
-        dt *= _REL_CHANGE / change
-    # a column keeps its last step: its fit reads the series, not the profile
-    if cfg.stop_grad_norm is not None and not ws.grid.is_column \
-            and state.grad_max < cfg.stop_grad_norm:
-        un, dt, gmax = _land(state, cfg, ws, src, un, dt, gmax)
+        if gmax > top:
+            hi = (dt, gmax)
+        elif not gmax < stop:  # landed; NaN falls through to the check
+            break
+        elif hi is not None:
+            lo = (dt, gmax)
+        elif aim - g <= _DT_GROWTH * (gmax - g):  # else no sliver is left
+            sized, lo = (un, dt, gmax), (dt, gmax)
+            dt *= (aim - g) / (gmax - g)
+            continue
+        else:
+            break
+        dt = lo[0] + (hi[0] - lo[0]) * (aim - lo[1]) / (hi[1] - lo[1])
     t = state.t + dt
     if state.t < cfg.t_max < t:  # the same step, shortened to land on t_max
         dt, t = cfg.t_max - state.t, cfg.t_max
         un = ws.advanced(u, _solve(ws, src, dt))
         gmax = ws.grad_max(un)
     return un, t, dt, gmax
-
-
-def _land(state, cfg, ws, src, un, dt, gmax):
-    """The step from state that lands on the stop, for a step of size dt
-    to the values un whose grad_max is gmax: (values, dt, grad_max).
-
-    A step that ends past the landing band [stop, stop (1 + _LANDING)] is
-    taken again from the same state, its dt found by regula falsi between
-    the state (or a step short of the stop) and the step past it, each
-    aimed at the middle of the band.  A step that ends short of the stop by
-    less than half its change of grad_max (scaled up to _DT_GROWTH to reach
-    the band's middle) is stretched so, as the step after it would be a
-    sliver whose dt is ill-conditioned; a stretch that falls short of the
-    stop, as past a peak of grad_max that stays below it, is dropped for
-    the step as sized."""
-    stop, u, g = cfg.stop_grad_norm, state.field.values, state.grad_max
-    top, aim = stop * (1.0 + _LANDING), stop * (1.0 + 0.5 * _LANDING)
-
-    def take(dt):
-        _check_dt(dt, cfg, state)
-        un = ws.advanced(u, _solve(ws, src, dt))
-        return un, ws.grad_max(un)
-
-    lo = (0.0, g)  # (dt, grad_max) short of the stop
-    if not gmax >= stop:
-        if not aim - g <= _DT_GROWTH * (gmax - g):  # no sliver left
-            return un, dt, gmax
-        sized, lo = (un, dt, gmax), (dt, gmax)
-        dt *= (aim - g) / (gmax - g)
-        un, gmax = take(dt)
-        if not gmax >= stop:
-            ws.grad_max(sized[0])  # the gradient of the values handed on
-            return sized
-    hi = (dt, gmax)  # past the stop
-    while gmax > top or gmax < stop:  # NaN falls through to the check
-        dt = lo[0] + (hi[0] - lo[0]) * (aim - lo[1]) / (hi[1] - lo[1])
-        un, gmax = take(dt)
-        if gmax < stop:
-            lo = (dt, gmax)
-        elif gmax > top:
-            hi = (dt, gmax)
-    return un, dt, gmax
 
 
 def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:

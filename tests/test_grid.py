@@ -373,17 +373,18 @@ def test_uniform_axes_hold_scalar_weights():
 def test_mirror_nodes():
     """Graded grids and uniform grids of dyadic spacing have nodes that are
     mirror images about x = 0 and about Ly/2 bit for bit, the upper y half
-    being Ly minus the lower; a grid graded toward y = 0 alone has not."""
+    being Ly minus the lower; evenly spaced nodes that are mirror images
+    only to rounding, and a grid graded toward y = 0 alone, have not."""
     graded = Grid2D.graded(2.0, 3.0, y_first=2e-12, y_ratio=1.4, y_max=0.25,
                            x_first=4e-4, x_ratio=1.045, x_max=0.15)
     # Ly - (Ly - y) does not round back to y on the 2e-12 cells
     assert not np.array_equal(graded.y[::-1], 3.0 - graded.y)
+    even = Grid2D(Lx=0.25, Ly=0.06, nx=257, ny=257)
+    assert np.allclose(even.y[::-1], 0.06 - even.y, rtol=0.0, atol=1e-17)
     for g, in_y in ((graded, True),
                     (Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65), True),
-                    (geometric_grid(8, 1.2), False)):
-        assert np.array_equal(g.x[g.ix0:], -g.x[g.ix0::-1])
-        m = (g.ny + 1) // 2
-        assert np.array_equal(g.y[:-m - 1:-1], g.Ly - g.y[:m]) == in_y
+                    (even, False), (geometric_grid(8, 1.2), False)):
+        assert g.mirror_nodes == (True, in_y)
 
 
 def test_window_weights_are_the_grids_own():

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from gbulab import ConfigurationError, Grid2D, cli, symmetric_cap
+from gbulab import (ConfigurationError, Grid2D, ScalarField, SolverConfig,
+                    cli, solver, symmetric_cap)
 
 
 # --------------------------------------------------------------------------
@@ -72,3 +73,27 @@ def test_cap_on_y_nodes_that_are_not_mirror_images():
     want = 0.3 * np.sin(np.pi * y / 0.08)
     want[-1] = 0.0
     assert np.allclose(v[:, g.ix0], want, rtol=0.0, atol=1e-15)
+
+
+def test_cap_copies_its_rows_where_the_solver_steps_the_y_half():
+    """The cap copies its rows below Ly/2 into those above exactly where an
+    unforced run of it steps y <= Ly/2 alone, by the one rule of
+    `Grid2D.mirror_nodes`: on a graded grid and a uniform one of dyadic
+    spacing, whose y nodes are mirror images about Ly/2 bit for bit, and on
+    neither a uniform grid whose nodes are mirror images only to rounding
+    (Ly = 0.06) nor nodes graded toward y = 0 alone."""
+    graded = Grid2D.graded(0.25, 0.06, y_first=1e-5, y_ratio=1.3,
+                           y_max=0.004, x_first=2e-3, x_ratio=1.2, x_max=0.02)
+    toward_0 = Grid2D(Lx=0.25, Ly=0.08, nx=33, ny=33,
+                      coords=(np.linspace(-0.25, 0.25, 33),
+                              0.08 * np.linspace(0.0, 1.0, 33) ** 2))
+    cfg = SolverConfig(p=3.0)
+    for g, mirrored in ((graded, True),
+                        (Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65), True),
+                        (Grid2D(Lx=0.25, Ly=0.06, nx=257, ny=257), False),
+                        (toward_0, False)):
+        assert g.mirror_nodes == (True, mirrored)
+        v = symmetric_cap(0.3, 0.18, g).values
+        assert np.array_equal(v, v[::-1]) == mirrored
+        st = solver.make_state(ScalarField(g, v), cfg)
+        assert st.work.mirror == (True, mirrored)

@@ -674,9 +674,7 @@ def mirror_grid(grid):
     for bit, ny odd: uniform on dyadic spacings, or graded_grid()."""
     g = Grid2D(Lx=0.25, Ly=0.0625, nx=65, ny=65) if grid == "uniform" \
         else graded_grid()
-    m = g.ny // 2
-    assert np.array_equal(g.x[g.ix0:], -g.x[g.ix0::-1]) and g.ny % 2
-    assert np.array_equal(g.y[:m - 1:-1], g.Ly - g.y[:m + 1])
+    assert g.mirror_nodes == (True, True) and g.ny % 2
     return g
 
 
@@ -733,17 +731,23 @@ def test_a_mirrored_run_matches_the_whole_grid_run(grid, data):
 
 def test_the_ghosts_stay_out_of_grad_max():
     """A mirrored state's grad_max and u_y at the origin are the whole
-    grid's: on a tent in x and in y, the one-sided differences at the ghost
-    column and the ghost row read twice the slope, and are left out."""
+    grid's, on two data sets whose one-sided differences at a ghost read
+    twice the slope, past the largest |grad u|: a tent in x times (1 + y),
+    stepped on x >= 0 alone, at its ghost column, and a tent in x and in
+    y, stepped on the quarter, at its ghost row (its ghost column reads
+    just under the largest)."""
     g = mirror_grid("uniform")
     X, Y = g.meshgrid()
-    u = (1.0 - np.abs(X) / g.Lx) * (1.0 - np.abs(2.0 * Y / g.Ly - 1.0))
-    st = solver.make_state(ScalarField(g, u), SolverConfig(p=3.0))
-    assert st.work.mirror == (True, True)
-    uy = _kernels.gradient(u, g)[1]
-    assert st.grad_max == pytest.approx(
-        _kernels.grad_norm_max(u, g), rel=1e-14)
-    assert st.uy_origin == uy[0, g.ix0]
+    tent = 1.0 - np.abs(X) / g.Lx
+    for u, mirror in ((tent * (1.0 + Y), (True, False)),
+                      (tent * (1.0 - np.abs(2.0 * Y / g.Ly - 1.0)),
+                       (True, True))):
+        st = solver.make_state(ScalarField(g, u), SolverConfig(p=3.0))
+        assert st.work.mirror == mirror
+        uy = _kernels.gradient(u, g)[1]
+        assert st.grad_max == pytest.approx(
+            _kernels.grad_norm_max(u, g), rel=1e-14)
+        assert st.uy_origin == uy[0, g.ix0]
 
 
 @pytest.mark.parametrize("data", ["none", "nodes", "y"])
@@ -899,6 +903,65 @@ def test_a_run_that_peaks_below_its_stop_is_not_landed(monkeypatch):
             assert np.array_equal(out.series[col], free.series[col])
         assert np.array_equal(out.final.field.values,
                               free.final.field.values)
+
+
+def test_a_stretch_past_the_step_size_control_is_dropped(monkeypatch):
+    """A step short of the stop by a sliver is not stretched past the
+    step-size control.  Near blow-up at p = 6 a step changes grad_max by
+    over 1.8 _REL_CHANGE; as grad_max grows ever faster, a stretch of its
+    dt by 1.2 to the stop changes grad_max by over 2 _REL_CHANGE, so the
+    step is kept as sized, bit for bit, for one solve more."""
+    u0 = symmetric_cap(0.2, 0.18, mirror_grid("uniform"))
+    free_cfg = SolverConfig(p=6.0, t_max=0.05, stop_grad_norm=1e9)
+    st = solver.make_state(u0, free_cfg)
+    for _ in range(400):  # 122 steps
+        free = solver.step(st, free_cfg)
+        g, gmax = st.grad_max, free.grad_max
+        if gmax / g - 1.0 > 1.8 * solver._REL_CHANGE:
+            break
+        st = free
+    else:
+        pytest.fail("no step changed grad_max by over 1.8 _REL_CHANGE")
+    # the stretch aims at the band's middle: 1.2 times the step's change
+    stop = (g + 1.2 * (gmax - g)) / (1.0 + 0.5 * solver._LANDING)
+    solves = count_solves(monkeypatch)
+    again = solver.step(st, free_cfg)
+    n_free = len(solves)
+    solves.clear()
+    landed = solver.step(st, replace(free_cfg, stop_grad_norm=stop))
+    assert len(solves) == n_free + 1
+    for out in (again, landed):
+        assert out.dt_last == free.dt_last and out.grad_max == gmax < stop
+        assert np.array_equal(out.field.values, free.field.values)
+
+
+def test_a_retake_short_of_a_step_past_the_band_is_not_cut(monkeypatch):
+    """The retakes that land a step past the band are shorter than a step
+    the step-size control passed, and are not cut by it again: with the
+    control made ever tighter after the step past the band, the bracket
+    still lands on the stop in a few solves.  A retake the control cut
+    short would fall short of the stop, and the next one aimed past it
+    would be cut again, round a cycle."""
+    u0 = symmetric_cap(0.4, 0.18, mirror_grid("uniform"))
+    free_cfg = SolverConfig(p=3.0, t_max=0.05, stop_grad_norm=1e9)
+    st = solver.make_state(u0, free_cfg)
+    for _ in range(20):
+        st = solver.step(st, free_cfg)
+    free = solver.step(st, free_cfg)
+    stop = st.grad_max + 0.5 * (free.grad_max - st.grad_max)
+    solves, solve = [], solver._solve
+
+    def tightening(*args):
+        solves.append(1)
+        assert len(solves) <= 10, "the landing went round a cycle"
+        if len(solves) == 2:  # after the step past the band was measured
+            monkeypatch.setattr(solver, "_REL_CHANGE", 1e-12)
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "_solve", tightening)
+    landed = solver.step(st, replace(free_cfg, stop_grad_norm=stop))
+    assert stop <= landed.grad_max <= stop * (1.0 + solver._LANDING)
+    assert landed.dt_last < free.dt_last
 
 
 def test_a_column_keeps_its_last_step():
