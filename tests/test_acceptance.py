@@ -281,7 +281,8 @@ def test_criterion_10_determinism_and_symmetry(tmp_path):
 def test_blow_up_presets_land_on_their_stop(p3_run, p25_run, rate1d_run):
     """The 2D blow-up presets end with stop <= grad_max <= 1.001 stop, their
     last step landed on the stop; p3-rate-1d, a column, keeps its last step
-    and its overshoot to grad_max 10161.9 against its stop of 1e4."""
+    and its overshoot to grad_max 10022.9 against its stop of 1e4, past
+    the band [1e4, 1.001e4] a landed run would end in."""
     for (out, _, _), landed in ((p3_run, True), (p25_run, True),
                                 (rate1d_run, False)):
         with open(os.path.join(out, "meta.json")) as fh:
@@ -292,4 +293,31 @@ def test_blow_up_presets_land_on_their_stop(p3_run, p25_run, rate1d_run):
         if landed:
             assert stop <= final <= 1.001 * stop, out
         else:
-            assert round(final, 1) == 10161.9, out
+            assert round(final, 1) == 10022.9, out
+
+
+def test_p3_blowup_fits_are_converged_in_the_step(p3_run, tmp_path,
+                                                  monkeypatch):
+    """The shipped step size is converged for the p3-blowup fits: run at
+    half of `solver._REL_CHANGE`, twice the steps, its fits agree with the
+    shipped run's to 1e-3 on the normal exponent, 5e-3 on the tangential
+    exponent and the aniso residual, and 2e-2 on the level-set exponent.
+    Both runs land on the stop, so the final profile is taken at the same
+    grad_max; the step's first-order time error moves the stop's t."""
+    _, fits, _ = p3_run
+    monkeypatch.setattr(solver, "_REL_CHANGE", 0.5 * solver._REL_CHANGE)
+    assert cli.cmd_run("p3-blowup", str(tmp_path)) == 0
+    half = json.loads((tmp_path / "fits.json").read_text())
+    gaps = {
+        "normal": (fits["normal"]["exponent"], half["normal"]["exponent"],
+                   1e-3),
+        "tangential": (fits["tangential"]["exponent"],
+                       half["tangential"]["exponent"], 5e-3),
+        "aniso": (fits["aniso"]["residual_rel"],
+                  half["aniso"]["residual_rel"], 5e-3),
+        "level set": (fits["level_set"]["fit"]["exponent"],
+                      half["level_set"]["fit"]["exponent"], 2e-2),
+    }
+    far = {name: (a, b) for name, (a, b, tol) in gaps.items()
+           if not abs(a - b) <= tol}
+    assert not far, far
