@@ -27,7 +27,6 @@ import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import yaml
 
 from . import diagnostics as diag
 from . import initial_data, profile_fit, solver
@@ -211,6 +210,7 @@ class RunConfig:
 
 
 def _read_yaml(path):
+    import yaml  # here, not at the top: fit and check read no config
     try:
         with open(path) as fh:
             return yaml.safe_load(fh)

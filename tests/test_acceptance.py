@@ -321,3 +321,13 @@ def test_p3_blowup_fits_are_converged_in_the_step(p3_run, tmp_path,
     far = {name: (a, b) for name, (a, b, tol) in gaps.items()
            if not abs(a - b) <= tol}
     assert not far, far
+
+
+def test_p3_blowup_blows_up_below_its_amplitude():
+    """p3-blowup's amplitude sits off the blow-up threshold of its grid and
+    step, not calibrated just above it: a run at amplitude / 1.05 reaches
+    the stop too, at the shipped step."""
+    rc = cli.load_config(os.path.join(cli._PRESET_DIR, "p3-blowup.yaml"))
+    rc.initial_data["amplitude"] /= 1.05
+    out = solver.run(rc.make_initial(rc.make_grid()), rc.make_solver_config())
+    assert out.reason == solver.BLOW_UP, (out.reason, out.final.grad_max)

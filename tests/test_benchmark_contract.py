@@ -92,7 +92,7 @@ def test_tamper_snapshot_shifts_one_value_and_check_exits_5(tmp_path):
         "p": 3.0, "domain": {"Lx": 0.25, "Ly": 0.25},
         "grid": {"nx": 33, "ny": 33},
         "initial_data": {"family": "cap", "amplitude": 0.1, "width": 0.18},
-        "solver": {"t_max": 0.002, "snapshot_stride": 10}}))
+        "solver": {"t_max": 0.002, "snapshot_stride": 5}}))
     run_dir = tmp_path / "run"
     assert cli.main(["run", str(cfg), "-o", str(run_dir)]) == cli.EXIT_OK
     assert cli.main(["check", str(run_dir)]) == cli.EXIT_OK

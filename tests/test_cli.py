@@ -596,22 +596,31 @@ def test_fit_takes_one_gradient_per_snapshot_and_one_profile(
 def test_run_fit_and_check_leave_openssl_unloaded(tmp_path):
     """Run directories are hashed with the interpreter's own sha256, so
     `run`, `fit` and `check` never load hashlib's OpenSSL module, which
-    costs about 3.5 MB resident.  A subprocess keeps pytest's imports out."""
+    costs about 3.5 MB resident.  `fit` and `check` read meta.json, not a
+    config, so they do not import yaml either.  A subprocess keeps pytest's
+    imports out."""
     cfg, out = write_config(tmp_path), str(tmp_path / "run")
     script = textwrap.dedent("""
         import sys
-        src, cfg, out = sys.argv[1:]
+        src, cfg, out, cmds = sys.argv[1:]
         sys.path.insert(0, src)
         from gbulab import cli
-        for args in (["run", cfg, "-o", out], ["fit", out], ["check", out]):
+        for cmd in cmds.split():
+            args = ["run", cfg, "-o", out] if cmd == "run" else [cmd, out]
             assert cli.main(args) == 0, args
-        print("_hashlib" in sys.modules)
+        print("_hashlib" in sys.modules, "yaml" in sys.modules)
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    done = subprocess.run([sys.executable, "-c", script, src, cfg, out],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False"
+
+    def loaded(cmds):
+        done = subprocess.run([sys.executable, "-c", script, src, cfg, out,
+                               cmds], capture_output=True, text=True,
+                              check=True)
+        return done.stdout.splitlines()[-1]
+
+    assert loaded("run") == "False True"
+    assert loaded("fit check") == "False False"
 
 
 def test_check_rejects_an_edited_series(run_dir, tmp_path):
