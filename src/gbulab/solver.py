@@ -59,18 +59,15 @@ Every derivative comes from the numpy stencils of `_kernels`.  A run is a
 single logical writer advancing the state, which holds the run's workspace
 (`SimulationState.work`, made by `make_state` and dropped from the run's
 outcome), so independent runs share nothing and may execute concurrently.
-The workspace, made with the state, holds every window-size buffer a step
-needs: the kernels' scratch, the gradient handed between steps, the step's
-right-hand side and the line-solve buffers.  A step on a 2D grid allocates
-no interior-size array but its new values; a column's right-hand side
-allocates its own intermediates, and its line solve runs on Python lists.
-Every step's right-hand side takes the gradient of its values that grad_max
-left in the workspace and forms only the Laplacian and the source.  A step
-leaves the gradient of its new values there ("first same as last"), and
-`make_state` the first state's, so a resumed run repeats the one-shot run
-bit for bit.  A step forms it first where it is not there: on a forced
-step's new walls, and for a state stepped twice or without its run's
-workspace.  The state's u_y at the origin is read off that gradient too.
+The workspace holds the gradient handed between steps and the line-solve
+buffers; a column's line solve runs on Python lists.  Every step's
+right-hand side takes the gradient of its values that grad_max left in the
+workspace and forms only the Laplacian and the source.  A step leaves the
+gradient of its new values there ("first same as last"), and `make_state`
+the first state's, so a resumed run repeats the one-shot run bit for bit.
+A step forms it first where it is not there: on a forced step's new walls,
+and for a state stepped twice or without its run's workspace.  The state's
+u_y at the origin is read off that gradient too.
 """
 
 from __future__ import annotations
@@ -185,11 +182,8 @@ class _Work:
     of the window that leaves its ghosts out, and `axes` its stencil
     weights; `grad` holds the gradient of the values `of` over the window
     ((u_x, u_y, |grad u|^2), or (u_y,) on a column), left by `grad_max` for
-    the next step's right-hand side, which takes `handed`, its interior
-    views; `tmp` is one more array of the window's shape; `scratch` is the
-    three arrays of its interior's shape that `_kernels.rhs_interior` takes
-    (none on a column); `F` is the right-hand side, its walls 0, and
-    `sweeps` a `_Sweep` per axis, x first."""
+    the next step's right-hand side, and `sweeps` is a `_Sweep` per axis,
+    x first."""
 
     def __init__(self, g: Grid2D, mirror=(False, False)):
         self.grid, self.mirror = g, mirror
@@ -201,26 +195,20 @@ class _Work:
         self.inner = np.s_[1:-1] if g.is_column else np.s_[1:-1, 1:-1]
         self.axes = g.window(i0, j1) if any(mirror) else g
         ny, nx = j1, g.nx - i0
-        self.grad = tuple(np.empty((ny, nx))
-                          for _ in range(1 if g.is_column else 3))
-        self.handed = tuple(v[self.inner] for v in self.grad)
-        self.tmp = np.empty((ny, nx))
-        self.scratch = () if g.is_column else tuple(
-            np.empty((ny - 2, nx - 2)) for _ in range(3))
-        self.F = np.zeros((ny, nx))
         self.sweeps = [_Sweep(g.ay, ny - 2, 1)] if g.is_column else [
             _Sweep(self.axes.ax, nx - 2, ny - 2, 0 if mirror[0] else None),
             _Sweep(self.axes.ay, ny - 2, nx - 2, -1 if mirror[1] else None)]
-        self.of = None
+        self.of = self.grad = None
 
     def grad_max(self, u: np.ndarray) -> float:
         """Largest |grad u| over the window's nodes but its ghosts (a column
         has only u_y); the gradient stays in grad, for the step from u."""
         self.of = u
         if self.grid.is_column:
-            return _kernels.grad_max_1d(u, self.grid.ay, self.grad[0])
-        gmax = _kernels.grad_norm_max(u[self.win], self.axes, self.grad,
-                                      self.tmp)
+            gmax, uy = _kernels.grad_max_1d(u, self.grid.ay)
+            self.grad = (uy,)
+            return gmax
+        gmax, self.grad = _kernels.grad_norm_max(u[self.win], self.axes)
         if not any(self.mirror):
             return gmax
         return float(np.sqrt(np.max(self.grad[2][self.own])))
@@ -236,12 +224,9 @@ class _Work:
         np.copyto(un[self.win], u[self.win])
         un[self.win][self.inner] += delta
         mx, my = self.mirror
-        # x through tmp: un[:, :i] = un[:, :i:-1] would take a temporary
         if mx:
             rows, i = self.win[0], self.grid.ix0
-            half = self.tmp[:, :i]
-            np.copyto(half, un[rows, :i:-1])
-            un[rows, :i] = half
+            un[rows, :i] = un[rows, :i:-1]
         if my:
             mid = self.grid.ny // 2
             un[mid + 1:] = un[mid - 1::-1]
@@ -451,28 +436,27 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
     # a state without its run's workspace
     if ws.of is not u:
         ws.grad_max(u)
-    F, uw, inner = ws.F, u[ws.win], ws.inner
+    uw, inner = u[ws.win], ws.inner
+    grad = tuple(v[inner] for v in ws.grad)
     if ws.grid.is_column:  # one y sweep over the interior rows
-        uy, k = _kernels.rhs_interior_1d(uw, ws.axes.ay, cfg.p, F,
-                                         ws.handed[0])
-        np.multiply(cfg.p * k, uy, out=ws.sweeps[0].speed)
-        src = F[inner]
+        F, k = _kernels.rhs_interior_1d(uw, ws.axes.ay, cfg.p, grad[0])
+        np.multiply(cfg.p * k, grad[0], out=ws.sweeps[0].speed)
+        src = F
     else:
-        ux, uy, k = _kernels.rhs_interior(uw, ws.axes, cfg.p, F, ws.scratch,
-                                          ws.handed)
+        F, k = _kernels.rhs_interior(uw, ws.axes, cfg.p, grad)
         # p |grad u|^(p-2): times grad u, the advection speed
         a = np.multiply(cfg.p, k, out=k)
         # x lines first, on transposed views so both sweeps run along axis 0
-        np.multiply(a.T, ux.T, out=ws.sweeps[0].speed)
-        np.multiply(a, uy, out=ws.sweeps[1].speed)
-        src = F[inner].T
+        np.multiply(a.T, grad[0].T, out=ws.sweeps[0].speed)
+        np.multiply(a, grad[1], out=ws.sweeps[1].speed)
+        src = F.T
     if cfg.n_steps:  # on the whole grid: uw is u
-        F[inner] += forcing
+        F += forcing
         dt = t - state.t
         _check_dt(dt, cfg, state)
         uw[inner] += _solve(ws, src, dt)
         return u, t, dt, ws.grad_max(u)
-    umax = float(np.max(np.abs(uw, out=ws.tmp)))
+    umax = float(np.max(np.abs(uw)))
     dt = _dt_implicit(state, cfg, umax, F)
     g, stop = state.grad_max, cfg.stop_grad_norm
     # a column keeps its last step: its fit reads the series, not the profile
@@ -485,7 +469,7 @@ def _step_implicit(state: SimulationState, cfg: SolverConfig, ws):
         delta = _solve(ws, src, dt)
         un = ws.advanced(u, delta)
         gmax = ws.grad_max(un)
-        dmax = float(np.max(np.abs(delta, out=ws.tmp[inner])))
+        dmax = float(np.max(np.abs(delta)))
         # the control: u or grad_max changed by over twice the target
         change = max(dmax / umax if umax else 0.0,
                      abs(gmax / g - 1.0) if g else 0.0)

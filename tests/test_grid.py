@@ -193,15 +193,14 @@ def test_column_kernels_exact_on_quadratics():
     """On a graded column, u = y^2 has u_yy = 2 and u_y = 2y exactly."""
     g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
     u = (g.y ** 2)[:, None]
-    out = np.zeros_like(u)
-    uy, _ = _kernels.rhs_interior_1d(u, g.ay, 3.0, out,
-                                     _kernels.derivative(u, g.ay)[1:-1])
+    gmax, uy = _kernels.grad_max_1d(u, g.ay)
+    assert gmax == pytest.approx(2.0, rel=1e-9)
+    assert uy[0, 0] == pytest.approx(0.0, abs=1e-12)
     y = g.y[1:-1, None]
-    assert np.allclose(uy, 2.0 * y, rtol=1e-9, atol=1e-12)
-    assert np.allclose(out[1:-1], 2.0 + (2.0 * y) ** 3, rtol=1e-9)
-    assert out[0, 0] == 0.0 and out[-1, 0] == 0.0
-    assert _kernels.grad_max_1d(u, g.ay) == pytest.approx(2.0, rel=1e-9)
-    assert _kernels.derivative(u, g.ay)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(uy[1:-1], 2.0 * y, rtol=1e-9, atol=1e-12)
+    F, _ = _kernels.rhs_interior_1d(u, g.ay, 3.0, uy[1:-1])
+    assert F.shape == y.shape
+    assert np.allclose(F, 2.0 + (2.0 * y) ** 3, rtol=1e-9)
 
 
 @pytest.mark.parametrize("p", [3.0, 2.5])
@@ -214,22 +213,17 @@ def test_rhs_source_is_g2_times_the_returned_power(shape, p):
     if shape == "column":
         g = Grid2D.column(0.25, 1.0, graded_nodes(1.0, 1e-4, 1.3, 0.05))
         u = fn(0.0, g.y)[:, None]
-        out = np.zeros_like(u)
-        uy, k = _kernels.rhs_interior_1d(u, g.ay, p, out,
-                                         _kernels.derivative(u, g.ay)[1:-1])
-        g2, lap, interior = uy * uy, _kernels.d2(u, g.ay), out[1:-1]
+        uy = _kernels.derivative(u, g.ay)[1:-1]
+        interior, k = _kernels.rhs_interior_1d(u, g.ay, p, uy)
+        g2, lap = uy * uy, _kernels.d2(u, g.ay)
     else:
         g = (Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21) if shape == "uniform"
              else geometric_grid(20, 1.2))
         u = make_field(g, fn).values
-        out = np.zeros_like(u)
         fx, fy = _kernels.gradient(u, g)
-        grad = tuple(v[1:-1, 1:-1] for v in (fx, fy, fx * fx + fy * fy))
-        scratch = tuple(np.full((g.ny - 2, g.nx - 2), np.nan)
-                        for _ in range(3))
-        ux, uy, k = _kernels.rhs_interior(u, g, p, out, scratch, grad)
-        g2, lap = ux * ux + uy * uy, _kernels.laplacian(u, g)
-        interior = out[1:-1, 1:-1]
+        ux, uy, g2 = (v[1:-1, 1:-1] for v in (fx, fy, fx * fx + fy * fy))
+        interior, k = _kernels.rhs_interior(u, g, p, (ux, uy, g2))
+        lap = _kernels.laplacian(u, g)
     assert np.min(g2) > 0.0
     expected = g2 * k
     expected += lap
@@ -239,8 +233,8 @@ def test_rhs_source_is_g2_times_the_returned_power(shape, p):
 
 def oracle_rhs(u, g, p):
     """(Lap(u), u_x, u_y, |grad u|^2, |grad u|^(p-2)) on the interior of u,
-    each intermediate a fresh array, in the kernels' order of operations:
-    the reference for the kernels working on scratch."""
+    each intermediate a fresh array, written out term by term in the
+    kernels' order of operations: the reference for the kernels."""
     c, e, w = u[1:-1, 1:-1], u[1:-1, 2:], u[1:-1, :-2]
     n, s = u[2:, 1:-1], u[:-2, 1:-1]
     # the x weights, one per column (floats on a uniform grid)
@@ -257,43 +251,31 @@ def oracle_rhs(u, g, p):
 @pytest.mark.parametrize("p", [3.0, 2.5])
 @pytest.mark.parametrize("shape", ["uniform", "graded"])
 def test_kernels_give_the_same_bits_on_scratch(shape, p):
-    """`rhs_interior`, `laplacian` and `grad_norm_max` give the same bits on
-    scratch (filled with NaN beforehand, so nothing is read before it is
-    written) as the allocating kernels and the oracle, on a uniform grid and
-    on a graded one."""
+    """`rhs_interior`, `laplacian` and `grad_norm_max` give the same bits as
+    the oracle, which forms every term from scratch, on a uniform grid and
+    on a graded one; the gradient that `grad_norm_max` returns is
+    `gradient`'s."""
     g = geometric_grid(20, 1.2) if shape == "graded" \
         else Grid2D(Lx=0.7, Ly=0.4, nx=31, ny=21)
     u = make_field(g, lambda X, Y: np.sin(2 * X + 1) * np.cos(3 * Y)
                    + 2.0 * Y).values
     lap, ux, uy, g2, k = oracle_rhs(u, g, p)
     inner = np.s_[1:-1, 1:-1]
-
-    def nans(n, size=lap.shape):
-        return tuple(np.full(size, np.nan) for _ in range(n))
-
-    out, (t1, t2) = nans(1)[0], nans(2)
-    _kernels.laplacian(u, g, out, (t1, t2))
-    assert np.array_equal(out, lap)
     assert np.array_equal(_kernels.laplacian(u, g), lap)
 
-    grad, tmp = nans(3, u.shape), nans(1, u.shape)[0]
-    gmax = _kernels.grad_norm_max(u, g, grad, tmp)
-    assert gmax == _kernels.grad_norm_max(u, g)
+    gmax, grad = _kernels.grad_norm_max(u, g)
     fx, fy = _kernels.gradient(u, g)
     for a, b in zip(grad, (fx, fy, fx * fx + fy * fy)):
         assert np.array_equal(a, b)
+    assert gmax == float(np.sqrt(np.max(grad[2])))
     for a, b in zip(grad, (ux, uy, g2)):
         assert np.array_equal(a[inner], b)
 
     expected = g2 * k
     expected += lap
-    rhs = np.zeros_like(u)
-    got = _kernels.rhs_interior(u, g, p, rhs, nans(3),
-                                tuple(v[inner] for v in grad))
-    assert np.array_equal(rhs[inner], expected)
-    assert not rhs[0].any() and not rhs[:, 0].any()
-    for a, b in zip(got, (ux, uy, k)):
-        assert np.array_equal(a, b)
+    F, got_k = _kernels.rhs_interior(u, g, p, tuple(v[inner] for v in grad))
+    assert np.array_equal(F, expected)
+    assert np.array_equal(got_k, k)
 
 
 def test_graded_grid_equality():
